@@ -11,7 +11,7 @@ lattice      pair points, boxes, projection cubes, separation classifier
 potential    disorder laws, concentration function, field sampling
 hamiltonian  hopping + interaction + potential assembly
 stollmann    diagonally monotone functions and Stollmann-type bounds
-spectral     spectra, distances, eigenvalue monotonicity checks
+spectral     spectral gaps, eigenvalue monotonicity checks
 experiments  single-volume and two-volume bound experiments
 cli          command line front end
 """
@@ -35,7 +35,6 @@ from .lattice import (
 )
 from .potential import (
     DistributionSpec,
-    PotentialField,
     RngStream,
     concentration,
     sample_field,
@@ -45,7 +44,6 @@ from .hamiltonian import (
     HamiltonianSpec,
     HamiltonianTemplate,
     InteractionSpec,
-    build_hamiltonian,
     neighbors,
 )
 from .stollmann import (
@@ -57,13 +55,7 @@ from .stollmann import (
     stollmann_exact,
     stollmann_mc,
 )
-from .spectral import (
-    Spectrum,
-    dist_between_spectra,
-    dist_to_energy,
-    eigenvalues,
-    verify_dm_eigenvalues,
-)
+from .spectral import verify_dm_eigenvalues
 from .experiments import (
     ExperimentConfig,
     TwoVolumeBound,
@@ -92,7 +84,6 @@ __all__ = [
     "survey_separation_line",
     "survey_separation_plane",
     "DistributionSpec",
-    "PotentialField",
     "RngStream",
     "concentration",
     "sample_field",
@@ -100,7 +91,6 @@ __all__ = [
     "HamiltonianSpec",
     "HamiltonianTemplate",
     "InteractionSpec",
-    "build_hamiltonian",
     "neighbors",
     "DMFunctionSpec",
     "DMReport",
@@ -109,10 +99,6 @@ __all__ = [
     "layer_sets_check",
     "stollmann_exact",
     "stollmann_mc",
-    "Spectrum",
-    "dist_between_spectra",
-    "dist_to_energy",
-    "eigenvalues",
     "verify_dm_eigenvalues",
     "ExperimentConfig",
     "TwoVolumeBound",

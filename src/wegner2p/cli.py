@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Mapping, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from .experiments import (
     run_single_volume,
     run_two_volume,
 )
-from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, InteractionSpec
-from .lattice import PairPoint, classify_separation, make_box
+from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _check_keys, _pair
+from .lattice import classify_separation
 from .potential import DistributionSpec, RngStream, sample_field
 from .spectral import verify_dm_eigenvalues
 from .stollmann import (
@@ -53,16 +53,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _check_keys(data: Mapping, allowed: set[str], required: set[str], what: str) -> None:
-    extra = set(data) - allowed
-    if extra:
-        raise ValueError(f"unknown keys in {what} config: {sorted(extra)}")
-    missing = required - set(data)
-    if missing:
-        raise ValueError(f"{what} config lacks required keys: {sorted(missing)}")
-
-
-def _load_config(path: str) -> dict:
+def _load_config(path: str, seed: int | None = None) -> dict:
+    """The JSON object at `path`, with `master_seed` overridden by `seed`."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -70,13 +62,9 @@ def _load_config(path: str) -> dict:
             raise ValueError(f"config is not valid JSON: {err}") from None
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
+    if seed is not None:
+        data["master_seed"] = seed
     return data
-
-
-def _pair(raw, what: str) -> PairPoint:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise ValueError(f"{what} must be a pair of coordinate lists")
-    return PairPoint.of(raw[0], raw[1])
 
 
 def _csv_lines(payload: dict) -> list[str]:
@@ -140,30 +128,18 @@ def write_report(report, fmt: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _experiment_config(args, *, two_volume: bool) -> ExperimentConfig:
-    data = _load_config(args.config)
-    if args.seed is not None:
-        data = {**data, "master_seed": args.seed}
-    config = ExperimentConfig.from_dict(data, threads=args.threads)
-    if two_volume:
-        if config.center_prime is None or config.conditioning_rounds is None:
-            raise ValueError(
-                "two-volume config needs center_prime and conditioning_rounds"
-            )
-    else:
-        if config.energy is None:
-            raise ValueError("single-volume config needs an energy")
-    return config
+def _experiment_config(args) -> ExperimentConfig:
+    return ExperimentConfig.from_dict(_load_config(args.config, args.seed), threads=args.threads)
 
 
 def _cmd_wegner_single(args) -> int:
-    report = run_single_volume(_experiment_config(args, two_volume=False))
+    report = run_single_volume(_experiment_config(args))
     write_report(report, args.format, args.out)
     return 0 if report.verdict == "holds" else 2
 
 
 def _cmd_wegner_two(args) -> int:
-    report = run_two_volume(_experiment_config(args, two_volume=True))
+    report = run_two_volume(_experiment_config(args))
     write_report(report, args.format, args.out)
     return 0 if report.verdict == "holds" else 2
 
@@ -195,52 +171,27 @@ def _cmd_geometry_classify(args) -> int:
     return 0
 
 
-_HAMILTONIAN_KEYS = {
-    "dimension",
-    "radius",
-    "center",
-    "interaction",
-    "coupling",
-    "hopping_norm",
-    "dist",
-    "master_seed",
-}
+def _sampled(
+    data: Mapping,
+    what: str,
+    extra: AbstractSet[str] = frozenset(),
+    required: AbstractSet[str] = frozenset(),
+) -> tuple[HamiltonianTemplate, np.ndarray]:
+    """Template of the configured box and field values in its site order.
 
-
-def _assembled_from_config(args) -> tuple[HamiltonianTemplate, np.ndarray, np.ndarray]:
-    """Template, sampled field values (site order), and assembled matrix."""
-    data = _load_config(args.config)
-    if args.seed is not None:
-        data = {**data, "master_seed": args.seed}
-    _check_keys(
-        data,
-        allowed=_HAMILTONIAN_KEYS,
-        required={"dimension", "radius", "center", "dist", "master_seed"},
-        what="hamiltonian",
-    )
-    center = _pair(data["center"], "center")
-    if center.dimension != int(data["dimension"]):
-        raise ValueError("box centre must match the configured dimension")
-    box = make_box(center, int(data["radius"]))
-    spec = HamiltonianSpec(
-        box=box,
-        interaction=InteractionSpec.from_dict(
-            data.get("interaction", {"entries": []}),
-            default_r_max=int(data["dimension"]),
-        ),
-        coupling=float(data.get("coupling", 1.0)),
-        hopping_norm=data.get("hopping_norm", "sup"),
-    )
+    The values come from substream 0 of `master_seed`.  `extra` and
+    `required` name the caller's own config keys besides dist and master_seed.
+    """
+    seeded = {"dist", "master_seed"}
+    spec = HamiltonianSpec.from_dict(data, what, extra | seeded, required | seeded)
     template = HamiltonianTemplate(spec)
     dist = DistributionSpec.from_dict(data["dist"])
-    field = sample_field(template.sites, dist, RngStream(int(data["master_seed"]), 0))
-    site_values = field.array(template.sites)
+    return template, sample_field(template.sites, dist, RngStream(int(data["master_seed"]), 0))
+
+
+def _cmd_hamiltonian(args) -> int:
+    template, site_values = _sampled(_load_config(args.config, args.seed), "hamiltonian")
     matrix = template.assemble_values(site_values)
-    return template, site_values, matrix
-
-
-def _cmd_build_hamiltonian(args) -> int:
-    template, site_values, matrix = _assembled_from_config(args)
     payload = {
         "kind": "hamiltonian",
         "dim": template.dim,
@@ -254,11 +205,11 @@ def _cmd_build_hamiltonian(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    _, _, matrix = _assembled_from_config(args)
-    eigs = np.linalg.eigvalsh(matrix)
+    template, site_values = _sampled(_load_config(args.config, args.seed), "hamiltonian")
+    eigs = np.linalg.eigvalsh(template.assemble_values(site_values))
     payload = {
         "kind": "spectrum",
-        "source_dim": int(matrix.shape[0]),
+        "source_dim": template.dim,
         "eigenvalues": [float(v) for v in eigs],
     }
     write_report(payload, args.format, args.out)
@@ -296,9 +247,7 @@ def _function_from_config(data: Mapping) -> DMFunctionSpec:
 
 
 def _cmd_stollmann_check(args) -> int:
-    data = _load_config(args.config)
-    if args.seed is not None:
-        data = {**data, "master_seed": args.seed}
+    data = _load_config(args.config, args.seed)
     _check_keys(
         data,
         allowed={"function", "dist", "interval", "mode", "trials", "master_seed", "grid"},
@@ -361,9 +310,7 @@ def _cmd_stollmann_check(args) -> int:
 
 
 def _cmd_dm_check(args) -> int:
-    data = _load_config(args.config)
-    if args.seed is not None:
-        data = {**data, "master_seed": args.seed}
+    data = _load_config(args.config, args.seed)
     target = data.get("target", "function")
     if target == "function":
         _check_keys(
@@ -384,45 +331,14 @@ def _cmd_dm_check(args) -> int:
             tolerance=float(data.get("tolerance", 1e-12)),
         )
     elif target == "eigenvalues":
-        _check_keys(
-            data,
-            allowed={
-                "target",
-                "dimension",
-                "radius",
-                "center",
-                "interaction",
-                "coupling",
-                "hopping_norm",
-                "dist",
-                "trials",
-                "master_seed",
-                "tolerance",
-            },
-            required={"dimension", "radius", "center", "dist", "trials", "master_seed"},
-            what="dm eigenvalue",
+        template, site_values = _sampled(
+            data, "dm eigenvalue", extra={"target", "trials", "tolerance"}, required={"trials"}
         )
-        center = _pair(data["center"], "center")
-        if center.dimension != int(data["dimension"]):
-            raise ValueError("box centre must match the configured dimension")
-        spec = HamiltonianSpec(
-            box=make_box(center, int(data["radius"])),
-            interaction=InteractionSpec.from_dict(
-                data.get("interaction", {"entries": []}),
-                default_r_max=int(data["dimension"]),
-            ),
-            coupling=float(data.get("coupling", 1.0)),
-            hopping_norm=data.get("hopping_norm", "sup"),
-        )
-        template = HamiltonianTemplate(spec)
-        dist = DistributionSpec.from_dict(data["dist"])
-        seed = int(data["master_seed"])
-        field = sample_field(template.sites, dist, RngStream(seed, 0))
         report = verify_dm_eigenvalues(
-            spec,
-            field,
+            template.spec,
+            site_values,
             int(data["trials"]),
-            RngStream(seed, 1),
+            RngStream(int(data["master_seed"]), 1),
             tolerance=float(data.get("tolerance", 1e-9)),
         )
     else:
@@ -460,7 +376,7 @@ def _build_parser() -> _Parser:
         return p
 
     add("geometry-classify", _cmd_geometry_classify, "separation classes of two box centres")
-    add("build-hamiltonian", _cmd_build_hamiltonian, "assemble one sampled operator matrix")
+    add("build-hamiltonian", _cmd_hamiltonian, "assemble one sampled operator matrix")
     add("spectrum", _cmd_spectrum, "eigenvalues of one sampled operator")
     add("wegner-single", _cmd_wegner_single, "single-volume concentration bound experiment")
     add("wegner-two", _cmd_wegner_two, "two-volume conditional bound experiment")

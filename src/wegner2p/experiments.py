@@ -44,7 +44,7 @@ from typing import Mapping
 import numpy as np
 
 from ._version import __version__ as TOOL_VERSION
-from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, InteractionSpec
+from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, InteractionSpec, _pair
 from .lattice import (
     BoxSpec,
     PairPoint,
@@ -218,57 +218,45 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping, threads: int = 1) -> "ExperimentConfig":
-        known = {
-            "dimension",
-            "radius",
-            "center",
-            "center_prime",
-            "interaction",
-            "coupling",
-            "dist",
-            "energy",
-            "epsilon",
-            "trials",
-            "conditioning_rounds",
-            "master_seed",
-            "bound_mode",
-            "hopping_norm",
-        }
-        extra = set(data) - known
-        if extra:
-            raise ValueError(f"unknown keys in experiment config: {sorted(extra)}")
-        required = {"dimension", "radius", "center", "dist", "epsilon", "trials", "master_seed"}
-        missing = required - set(data)
-        if missing:
-            raise ValueError(f"experiment config lacks required keys: {sorted(missing)}")
-
-        def _pair(raw) -> PairPoint:
-            if len(raw) != 2:
-                raise ValueError("a box centre is a pair of coordinate lists")
-            return PairPoint.of(raw[0], raw[1])
-
-        return cls(
-            dimension=int(data["dimension"]),
-            radius=int(data["radius"]),
-            center=_pair(data["center"]),
-            center_prime=_pair(data["center_prime"]) if "center_prime" in data else None,
-            interaction=InteractionSpec.from_dict(
-                data.get("interaction", {"entries": []}),
-                default_r_max=int(data["dimension"]),
-            ),
-            coupling=float(data.get("coupling", 1.0)),
-            dist=DistributionSpec.from_dict(data["dist"]),
-            energy=float(data["energy"]) if "energy" in data else None,
-            epsilon=float(data["epsilon"]),
-            trials=int(data["trials"]),
-            conditioning_rounds=(
-                int(data["conditioning_rounds"]) if "conditioning_rounds" in data else None
-            ),
-            master_seed=int(data["master_seed"]),
-            bound_mode=data.get("bound_mode", "two_eps"),
-            hopping_norm=data.get("hopping_norm", "sup"),
-            threads=threads,
+        spec = HamiltonianSpec.from_dict(
+            data,
+            "experiment",
+            extra={
+                "center_prime",
+                "dist",
+                "energy",
+                "epsilon",
+                "trials",
+                "conditioning_rounds",
+                "master_seed",
+                "bound_mode",
+            },
+            required={"dist", "epsilon", "trials", "master_seed"},
         )
+        try:
+            return cls(
+                dimension=spec.box.dimension,
+                radius=spec.box.radius,
+                center=spec.box.center,
+                center_prime=(
+                    _pair(data["center_prime"], "center_prime") if "center_prime" in data else None
+                ),
+                interaction=spec.interaction,
+                coupling=spec.coupling,
+                hopping_norm=spec.hopping_norm,
+                dist=DistributionSpec.from_dict(data["dist"]),
+                energy=float(data["energy"]) if "energy" in data else None,
+                epsilon=float(data["epsilon"]),
+                trials=int(data["trials"]),
+                conditioning_rounds=(
+                    int(data["conditioning_rounds"]) if "conditioning_rounds" in data else None
+                ),
+                master_seed=int(data["master_seed"]),
+                bound_mode=data.get("bound_mode", "two_eps"),
+                threads=threads,
+            )
+        except TypeError as err:
+            raise ValueError(f"malformed experiment config: {err}") from None
 
 
 @dataclass(eq=False)
@@ -507,6 +495,18 @@ def _collect_distances(
     return np.concatenate(parts)
 
 
+def _template(config: ExperimentConfig, box: BoxSpec) -> HamiltonianTemplate:
+    """Operator template of one box under the config's interaction and coupling."""
+    return HamiltonianTemplate(
+        HamiltonianSpec(
+            box=box,
+            interaction=config.interaction,
+            coupling=config.coupling,
+            hopping_norm=config.hopping_norm,
+        )
+    )
+
+
 def run_single_volume(config: ExperimentConfig) -> WegnerReport:
     """Monte Carlo check of the single-volume concentration bound.
 
@@ -523,13 +523,7 @@ def run_single_volume(config: ExperimentConfig) -> WegnerReport:
             "single-volume experiment takes no second centre and no conditioning rounds"
         )
     box = make_box(config.center, config.radius)
-    spec = HamiltonianSpec(
-        box=box,
-        interaction=config.interaction,
-        coupling=config.coupling,
-        hopping_norm=config.hopping_norm,
-    )
-    template = HamiltonianTemplate(spec)
+    template = _template(config, box)
     bound = single_volume_bound(
         box, config.dist, config.epsilon, config.coupling, config.bound_mode
     )
@@ -625,19 +619,8 @@ def run_two_volume(config: ExperimentConfig) -> TwoVolumeReport:
         which,
         config.bound_mode,
     )
-
-    def _template(b: BoxSpec) -> HamiltonianTemplate:
-        return HamiltonianTemplate(
-            HamiltonianSpec(
-                box=b,
-                interaction=config.interaction,
-                coupling=config.coupling,
-                hopping_norm=config.hopping_norm,
-            )
-        )
-
-    free_template = _template(free_box)
-    cond_template = _template(cond_box)
+    free_template = _template(config, free_box)
+    cond_template = _template(config, cond_box)
     frozen_sites = cond_template.sites
     frozen_lookup = {s: k for k, s in enumerate(frozen_sites)}
     shared_dst = [i for i, s in enumerate(free_template.sites) if s in frozen_lookup]

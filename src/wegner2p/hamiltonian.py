@@ -17,12 +17,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import AbstractSet, Mapping
 
 import numpy as np
 
-from .lattice import BoxSpec, PairPoint, Site
-from .potential import PotentialField
+from .lattice import BoxSpec, PairPoint, Site, make_box
 
 _HOPPING_NORMS = ("sup", "l1")
 
@@ -90,6 +89,24 @@ class InteractionSpec:
         return cls(table=table, r_max=r_max)
 
 
+def _check_keys(data: Mapping, allowed: set[str], required: set[str], what: str) -> None:
+    extra = set(data) - allowed
+    if extra:
+        raise ValueError(f"unknown keys in {what} config: {sorted(extra)}")
+    missing = required - set(data)
+    if missing:
+        raise ValueError(f"{what} config lacks required keys: {sorted(missing)}")
+
+
+def _pair(raw, what: str) -> PairPoint:
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+        raise ValueError(f"{what} must be a pair of coordinate lists")
+    try:
+        return PairPoint.of(raw[0], raw[1])
+    except TypeError:
+        raise ValueError(f"{what} must be a pair of coordinate lists") from None
+
+
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Everything needed to assemble the operator except the field itself."""
@@ -106,6 +123,45 @@ class HamiltonianSpec:
             raise ValueError(
                 f"hopping_norm must be one of {_HOPPING_NORMS}, got {self.hopping_norm!r}"
             )
+
+    @classmethod
+    def from_dict(
+        cls,
+        data: Mapping,
+        what: str = "hamiltonian",
+        extra: AbstractSet[str] = frozenset(),
+        required: AbstractSet[str] = frozenset(),
+    ) -> "HamiltonianSpec":
+        """Parse the Hamiltonian keys of a config.
+
+        `extra` and `required` name the caller's own keys, which this parser
+        admits but leaves to the caller; any other key is an error reported
+        against `what`.  An omitted interaction is zero with cutoff r_max equal
+        to the dimension, coupling defaults to 1 and hopping to "sup".
+        Wrongly typed values raise ValueError like any other bad value.
+        """
+        _check_keys(
+            data,
+            allowed={"dimension", "radius", "center", "interaction", "coupling", "hopping_norm"}
+            | extra,
+            required={"dimension", "radius", "center"} | required,
+            what=what,
+        )
+        try:
+            dimension = int(data["dimension"])
+            center = _pair(data["center"], "center")
+            if center.dimension != dimension:
+                raise ValueError("box centre must match the configured dimension")
+            return cls(
+                box=make_box(center, int(data["radius"])),
+                interaction=InteractionSpec.from_dict(
+                    data.get("interaction", {"entries": []}), default_r_max=dimension
+                ),
+                coupling=float(data.get("coupling", 1.0)),
+                hopping_norm=data.get("hopping_norm", "sup"),
+            )
+        except TypeError as err:
+            raise ValueError(f"malformed {what} config: {err}") from None
 
 
 def neighbors(box: BoxSpec, x: PairPoint, hopping_norm: str = "sup") -> list[PairPoint]:
@@ -191,17 +247,3 @@ class HamiltonianTemplate:
         idx = np.arange(self.dim)
         H[idx, idx] += self.diagonal_shift(site_values)
         return H
-
-    def assemble(self, field: PotentialField) -> np.ndarray:
-        return self.assemble_values(field.array(self.sites))
-
-
-def build_hamiltonian(spec: HamiltonianSpec, field: PotentialField) -> np.ndarray:
-    """Assemble the dense symmetric matrix of the operator on the box.
-
-    The field must cover the union of the two projection cubes.  Rows and
-    columns follow the canonical ordering of box points (BoxSpec.points).
-    Callers assembling many realisations of one spec should keep a
-    HamiltonianTemplate instead of calling this in a loop.
-    """
-    return HamiltonianTemplate(spec).assemble(field)

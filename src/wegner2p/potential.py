@@ -239,71 +239,14 @@ def draw_values(dist: DistributionSpec, gen: np.random.Generator, n: int) -> np.
     return values[idx]
 
 
-@dataclass(frozen=True)
-class PotentialField:
-    """A realisation of the potential on a finite set of sites.
+def sample_field(sites: Sequence[Site], dist: DistributionSpec, rng: RngStream) -> np.ndarray:
+    """Realise the potential on `sites`: IID draws aligned with the site order.
 
-    `values` maps each site to its potential value; `frozen` marks the sites
-    whose values were imposed rather than drawn (used for conditioning).
-    Treat instances as immutable.
-    """
-
-    values: Mapping[Site, float]
-    frozen: frozenset[Site] = frozenset()
-
-    def __post_init__(self) -> None:
-        stray = set(self.frozen) - set(self.values)
-        if stray:
-            raise ValueError(f"frozen sites missing from the field: {sorted(stray)}")
-
-    def __getitem__(self, site: Site) -> float:
-        return self.values[site]
-
-    def __contains__(self, site: Site) -> bool:
-        return site in self.values
-
-    @property
-    def sites(self) -> list[Site]:
-        return sorted(self.values)
-
-    def array(self, sites: Sequence[Site]) -> np.ndarray:
-        """Field values over the given sites, in the given order."""
-        try:
-            return np.array([self.values[s] for s in sites], dtype=float)
-        except KeyError as err:
-            raise ValueError(f"field not defined at site {err.args[0]}") from None
-
-
-def sample_field(
-    sites: Sequence[Site],
-    dist: DistributionSpec,
-    rng: RngStream,
-    frozen: Mapping[Site, float] | None = None,
-) -> PotentialField:
-    """Realise the potential on `sites`, honouring frozen values.
-
-    Free sites receive IID draws in site order; frozen sites keep their given
-    values and consume no randomness.  The result is a pure function of the
-    site order, the law, the stream, and the frozen assignment, so re-running
-    with the same arguments reproduces the field bit for bit.  Frozen sites
-    outside `sites` are rejected.
+    The result is a pure function of the site order, the law and the stream,
+    so re-running with the same arguments reproduces the values bit for bit.
     """
     site_list = [tuple(int(c) for c in s) for s in sites]
     if len(set(site_list)) != len(site_list):
         raise ValueError("duplicate sites in field domain")
-    frozen_map = {tuple(int(c) for c in s): float(v) for s, v in (frozen or {}).items()}
-    stray = set(frozen_map) - set(site_list)
-    if stray:
-        raise ValueError(f"frozen sites outside the field domain: {sorted(stray)}")
-    dist = validate_distribution(dist)
-    free = [s for s in site_list if s not in frozen_map]
-    draws = draw_values(dist, rng.generator(), len(free))
-    values: dict[Site, float] = {}
-    k = 0
-    for s in site_list:
-        if s in frozen_map:
-            values[s] = frozen_map[s]
-        else:
-            values[s] = float(draws[k])
-            k += 1
-    return PotentialField(values=values, frozen=frozenset(frozen_map))
+    draws = draw_values(validate_distribution(dist), rng.generator(), len(site_list))
+    return draws.astype(float, copy=False)

@@ -1,66 +1,21 @@
-"""Spectra of finite-volume operators and distances between them.
+"""Gaps between spectra, and the eigenvalue monotonicity verifier.
 
-Also hosts the eigenvalue monotonicity verifier: sorted eigenvalues of the
-assembled operator, viewed as functions of the site potential values, must be
-nondecreasing under single-site increases and must shift by exactly 2*g*t
-when every site moves up by t (both particles feel the common field, so the
-diagonal gains 2*g*t uniformly and the whole spectrum translates).
+Sorted eigenvalues of the assembled operator, viewed as functions of the
+site potential values, must be nondecreasing under single-site increases and
+must shift by exactly 2*g*t when every site moves up by t (both particles feel
+the common field, so the diagonal gains 2*g*t uniformly and the whole
+spectrum translates).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .hamiltonian import HamiltonianSpec, HamiltonianTemplate
-from .potential import PotentialField, RngStream
+from .potential import RngStream
 from .stollmann import DMReport
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalues in nondecreasing order, with multiplicity."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("a spectrum is a nonempty 1-d array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("spectrum values must be finite")
-        if np.any(np.diff(arr) < 0):
-            raise ValueError("spectrum values must be nondecreasing")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def source_dim(self) -> int:
-        return int(self.values.size)
-
-
-def eigenvalues(matrix: np.ndarray) -> Spectrum:
-    """Full spectrum of a real symmetric matrix, ascending.
-
-    Rejects non-finite entries and matrices that are not exactly symmetric
-    (assembled operators are symmetric to the bit).
-    """
-    M = np.asarray(matrix, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
-        raise ValueError(f"expected a nonempty square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix entries must be finite")
-    if not np.array_equal(M, M.T):
-        raise ValueError("matrix must be symmetric")
-    return Spectrum(values=np.linalg.eigvalsh(M))
-
-
-def dist_to_energy(spectrum: Spectrum, energy: float) -> float:
-    """Distance from a reference energy to the nearest eigenvalue."""
-    if not math.isfinite(energy):
-        raise ValueError("energy must be finite")
-    return float(np.min(np.abs(spectrum.values - energy)))
 
 
 def min_gaps_to_sorted(rows: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -78,38 +33,29 @@ def min_gaps_to_sorted(rows: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return gaps.min(axis=-1)
 
 
-def dist_between_spectra(a: Spectrum, b: Spectrum) -> float:
-    """Smallest |lambda - mu| over eigenvalue pairs of two spectra.
-
-    Both inputs are sorted, so a merge-style pass via searchsorted does it in
-    O((m + n) log n) rather than comparing all pairs.
-    """
-    return float(min_gaps_to_sorted(a.values[None, :], b.values)[0])
-
-
 def verify_dm_eigenvalues(
     spec: HamiltonianSpec,
-    field: PotentialField,
+    values: np.ndarray,
     trials: int,
     rng: RngStream,
     tolerance: float = 1e-9,
 ) -> DMReport:
     """Check the eigenvalue monotonicity and diagonal-shift laws empirically.
 
-    Starting from the given field, each trial draws a diagonal shift t in
-    (0, 10] and checks that every sorted eigenvalue of the operator with all
-    site values raised by t equals the original eigenvalue plus 2*g*t, up to
-    `tolerance` relative error.  It also raises one random site by a random
-    amount and checks no sorted eigenvalue decreases by more than `tolerance`.
-    Requires a nonnegative coupling (raising the field must not lower the
-    diagonal).
+    Starting from `values`, aligned with the template's `sites`, each trial
+    draws a diagonal shift t in (0, 10] and checks that every sorted
+    eigenvalue of the operator with all site values raised by t equals the
+    original eigenvalue plus 2*g*t, up to `tolerance` relative error.  It also
+    raises one random site by a random amount and checks no sorted eigenvalue
+    decreases by more than `tolerance`.  Requires a nonnegative coupling
+    (raising the field must not lower the diagonal).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if spec.coupling < 0:
         raise ValueError("monotonicity holds for nonnegative coupling only")
     template = HamiltonianTemplate(spec)
-    base_vals = field.array(template.sites)
+    base_vals = np.asarray(values, dtype=float)
     base_eigs = np.linalg.eigvalsh(template.assemble_values(base_vals))
     scale = 1.0 + np.abs(base_eigs)
     gen = rng.generator()

@@ -1,6 +1,7 @@
 """Command line behaviour: configs in, reports out, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from importlib.metadata import EntryPoint, entry_points
@@ -183,10 +184,10 @@ def expected_matrix():
         hopping_norm="sup",
     )
     template = HamiltonianTemplate(spec)
-    field = sample_field(
+    values = sample_field(
         template.sites, DistributionSpec.uniform(0.0, 1.0), RngStream(4003, 0)
     )
-    return template, template.assemble(field)
+    return template, template.assemble_values(values)
 
 
 def test_build_hamiltonian_matches_library(tmp_path, capsys):
@@ -509,6 +510,108 @@ def test_dm_check_eigenvalue_target(tmp_path, capsys):
     assert payload["worst_diagonal_defect"] <= payload["tolerance"]
 
 
+def test_cli_field_draws_are_pinned(tmp_path, capsys):
+    # The CLI's field is substream (seed, 0) drawn over the sorted sites; the
+    # expected values are derived here with numpy alone, not with the library.
+    def draws(seed, stream, n):
+        return np.random.default_rng(np.random.SeedSequence((seed, stream))).uniform(0.0, 1.0, n)
+
+    cfg = write_config(tmp_path, "h.json", HAM_CFG)
+    code, out, _ = run_cli(capsys, "build-hamiltonian", "--config", cfg)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["sites"] == [[-1], [0], [1], [2], [3]]  # cubes around 0 and 2
+    assert payload["field"] == list(draws(4003, 0, 5))
+
+    # dm-check on a one-point box replays by hand: the particles sit at 3 and
+    # 0, so the operator is U(3) + g (V(3) + V(0)), and tolerance -1 makes
+    # every trial a witness.
+    g, u3, seed = 1.5, 0.25, 21
+    dm = {
+        "target": "eigenvalues",
+        "dimension": 1,
+        "radius": 0,
+        "center": [[3], [0]],
+        "interaction": {"entries": [[3, u3]]},
+        "coupling": g,
+        "dist": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+        "trials": 4,
+        "master_seed": seed,
+        "tolerance": -1.0,
+    }
+    code, out, _ = run_cli(capsys, "dm-check", "--config", write_config(tmp_path, "d.json", dm))
+    assert code == 2
+    payload = json.loads(out)
+    values = draws(seed, 0, 2)  # sites (0,), (3,)
+    base = u3 + g * (values[1] + values[0])
+    gen = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    witnesses = []
+    for k in range(4):
+        t = 10.0 * (1.0 - gen.random())
+        shift_err = abs(u3 + g * ((values[1] + t) + (values[0] + t)) - base - 2.0 * g * t)
+        shift_err /= 1.0 + abs(base)
+        site = int(gen.integers(2))
+        bump = 10.0 * (1.0 - gen.random())
+        bumped = values.copy()
+        bumped[site] += bump
+        mono = base - (u3 + g * (bumped[1] + bumped[0]))
+        witnesses.append(
+            {
+                "trial": k,
+                "t": t,
+                "site": [[0], [3]][site],
+                "bump": bump,
+                "shift_error": shift_err,
+                "monotonicity_gap": mono,
+            }
+        )
+    assert payload["witnesses"] == witnesses
+    assert payload["worst_diagonal_defect"] == max(w["shift_error"] for w in witnesses)
+    assert payload["worst_monotonicity_violation"] == max(
+        w["monotonicity_gap"] for w in witnesses
+    )
+
+
+DM_EIG_CFG = {
+    "target": "eigenvalues",
+    "dimension": 1,
+    "radius": 1,
+    "center": [[0], [0]],
+    "dist": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+    "trials": 5,
+    "master_seed": 5,
+}
+
+
+@pytest.mark.parametrize(
+    "command, base, bad",
+    [
+        ("wegner-single", SINGLE_CFG, {"center": 5}),
+        ("wegner-single", SINGLE_CFG, {"interaction": 5}),
+        ("wegner-two", TWO_CFG, {"center_prime": 7}),
+        ("build-hamiltonian", HAM_CFG, {"radius": None}),
+        ("spectrum", HAM_CFG, {"coupling": [1.0]}),
+        ("dm-check", DM_EIG_CFG, {"radius": None}),
+        ("dm-check", DM_EIG_CFG, {"center": [5, 6]}),
+    ],
+    ids=[
+        "single-center",
+        "single-interaction",
+        "two-center_prime",
+        "hamiltonian-radius",
+        "spectrum-coupling",
+        "dm-radius",
+        "dm-center",
+    ],
+)
+def test_wrongly_typed_hamiltonian_values_exit_1(tmp_path, capsys, command, base, bad):
+    cfg = write_config(tmp_path, "bad.json", {**base, **bad})
+    code, out, err = run_cli(capsys, command, "--config", cfg)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_dm_check_unknown_target(tmp_path, capsys):
     cfg = write_config(tmp_path, "d.json", {"target": "matrices"})
     code, _, err = run_cli(capsys, "dm-check", "--config", cfg)
@@ -544,6 +647,7 @@ def test_module_entry_point_runs(tmp_path):
         [sys.executable, "-m", "wegner2p.cli", "geometry-classify", "--config", cfg],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["separation_classes"] == ["completely_separated"]

@@ -11,9 +11,7 @@ from wegner2p import (
     HamiltonianTemplate,
     InteractionSpec,
     PairPoint,
-    PotentialField,
     RngStream,
-    build_hamiltonian,
     make_box,
     neighbors,
     sample_field,
@@ -115,8 +113,9 @@ def test_interaction_dict_round_trip():
 def test_radius_zero_box_is_one_by_one():
     box = box1d(2, 5, 0)
     spec = HamiltonianSpec(box, InteractionSpec.zero(), coupling=2.0)
-    field = PotentialField(values={(2,): 0.25, (5,): -1.0})
-    H = build_hamiltonian(spec, field)
+    template = HamiltonianTemplate(spec)
+    assert template.sites == [(2,), (5,)]
+    H = template.assemble_values(np.array([0.25, -1.0]))
     assert H.shape == (1, 1)
     assert H[0, 0] == pytest.approx(2.0 * (0.25 - 1.0))
 
@@ -125,7 +124,7 @@ def test_matrix_is_exactly_symmetric():
     box = make_box(PairPoint.of((0, 0), (1, 1)), 1)
     spec = HamiltonianSpec(box, InteractionSpec({0: 1.0, 1: 0.5}, r_max=2), 1.5, "sup")
     template = HamiltonianTemplate(spec)
-    H = template.assemble(random_field(template, 3))
+    H = template.assemble_values(random_field(template, 3))
     assert np.array_equal(H, H.T)
 
 
@@ -135,8 +134,9 @@ def test_entries_against_direct_rules():
     inter = InteractionSpec(table={0: 2.0, 1: -0.5}, r_max=1)
     spec = HamiltonianSpec(box, inter, coupling=0.7, hopping_norm="l1")
     template = HamiltonianTemplate(spec)
-    field = random_field(template, 9)
-    H = template.assemble(field)
+    values = random_field(template, 9)
+    field = dict(zip(template.sites, values))  # site -> value, for the direct rule
+    H = template.assemble_values(values)
     pts = template.points
     for i, x in enumerate(pts):
         for j, y in enumerate(pts):
@@ -156,9 +156,8 @@ def test_global_field_shift_moves_diagonal():
     template = HamiltonianTemplate(spec)
     field = random_field(template, 21)
     t = 0.37
-    shifted = PotentialField(values={s: field[s] + t for s in field.sites})
-    H0 = template.assemble(field)
-    H1 = template.assemble(shifted)
+    H0 = template.assemble_values(field)
+    H1 = template.assemble_values(field + t)
     assert np.allclose(H1, H0 + 2.0 * g * t * np.eye(template.dim), atol=1e-12)
 
 
@@ -171,10 +170,9 @@ def test_single_site_bump_is_psd_with_known_entries():
     template = HamiltonianTemplate(spec)
     field = random_field(template, 4)
     site = template.sites[1]
-    bumped = PotentialField(
-        values={s: field[s] + (t if s == site else 0.0) for s in field.sites}
-    )
-    delta = template.assemble(bumped) - template.assemble(field)
+    bumped = field.copy()
+    bumped[1] += t
+    delta = template.assemble_values(bumped) - template.assemble_values(field)
     assert np.array_equal(delta, np.diag(np.diag(delta)))
     counts = {0.0: 0, 1.0: 0, 2.0: 0}
     for k, pt in enumerate(template.points):
@@ -185,22 +183,16 @@ def test_single_site_bump_is_psd_with_known_entries():
     assert np.all(np.diag(delta) >= 0.0)
 
 
-def test_template_matches_one_shot_builder():
-    box = make_box(PairPoint.of((0, 0), (2, 2)), 1)
-    spec = HamiltonianSpec(box, InteractionSpec({1: 0.25}, r_max=1), 1.0, "l1")
-    template = HamiltonianTemplate(spec)
-    field = random_field(template, 8)
-    assert np.array_equal(template.assemble(field), build_hamiltonian(spec, field))
-
-
 def test_assemble_requires_full_field():
     box = box1d(0, 0, 1)
     spec = HamiltonianSpec(box, InteractionSpec.zero(), 1.0)
     template = HamiltonianTemplate(spec)
     with pytest.raises(ValueError):
-        template.assemble(PotentialField(values={(0,): 1.0}))
+        template.assemble_values(np.ones(1))
     with pytest.raises(ValueError):
         template.assemble_values(np.zeros(template.n_sites + 1))
+    with pytest.raises(ValueError):
+        template.assemble_values(np.zeros((1, template.n_sites)))
 
 
 def test_batched_diagonal_matches_looped():
@@ -262,7 +254,7 @@ def test_swap_conjugation_preserves_matrix(c1, c2, L, norm, seed):
     ta, tb = HamiltonianTemplate(spec_a), HamiltonianTemplate(spec_b)
     assert ta.sites == tb.sites
     field = random_field(ta, seed)
-    Ha, Hb = ta.assemble(field), tb.assemble(field)
+    Ha, Hb = ta.assemble_values(field), tb.assemble_values(field)
     pos_b = {pt: k for k, pt in enumerate(tb.points)}
     perm = np.array([pos_b[PairPoint(pt.second, pt.first)] for pt in ta.points])
     assert np.array_equal(Ha, Hb[np.ix_(perm, perm)])

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from wegner2p import (
     DistributionSpec,
-    PotentialField,
     RngStream,
     concentration,
     sample_field,
@@ -176,40 +175,19 @@ def test_sample_field_deterministic_in_site_order():
     law = DistributionSpec.uniform(0.0, 1.0)
     f1 = sample_field(sites, law, RngStream(11, 0))
     f2 = sample_field(sites, law, RngStream(11, 0))
-    assert all(f1[s] == f2[s] for s in sites)
+    assert f1.shape == (3,) and f1.dtype == float
+    assert np.array_equal(f1, f2)
     raw = draw_values(law, RngStream(11, 0).generator(), 3)
-    assert [f1[s] for s in sites] == list(raw)
-
-
-def test_sample_field_frozen_sites_consume_no_randomness():
-    sites = [(0,), (1,), (2,)]
-    law = DistributionSpec.uniform(0.0, 1.0)
-    partial = sample_field(sites, law, RngStream(11, 0), frozen={(1,): 9.0})
-    assert partial[(1,)] == 9.0
-    assert partial.frozen == {(1,)}
-    # the two free sites get the first two draws of the stream
-    raw = draw_values(law, RngStream(11, 0).generator(), 2)
-    assert [partial[(0,)], partial[(2,)]] == list(raw)
+    assert list(f1) == list(raw)
+    # integer outcomes still give float site values
+    coin = DistributionSpec(kind="bernoulli", values=(0, 1))
+    assert sample_field(sites, coin, RngStream(11, 0)).dtype == float
 
 
 def test_sample_field_rejects_bad_domains():
     law = DistributionSpec.uniform(0.0, 1.0)
     with pytest.raises(ValueError):
         sample_field([(0,), (0,)], law, RngStream(1, 0))
-    with pytest.raises(ValueError):
-        sample_field([(0,)], law, RngStream(1, 0), frozen={(5,): 1.0})
-
-
-def test_field_lookup_and_array():
-    field = PotentialField(values={(0,): 1.5, (1,): -2.0})
-    assert field[(0,)] == 1.5
-    assert (1,) in field and (2,) not in field
-    assert field.sites == [(0,), (1,)]
-    assert np.array_equal(field.array([(1,), (0,)]), np.array([-2.0, 1.5]))
-    with pytest.raises(ValueError):
-        field.array([(0,), (7,)])
-    with pytest.raises(ValueError):
-        PotentialField(values={(0,): 1.0}, frozen=frozenset({(9,)}))
 
 
 # ---------------------------------------------------------------------------

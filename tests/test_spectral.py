@@ -1,4 +1,4 @@
-"""Spectra, spectral distances, and the eigenvalue monotonicity verifier."""
+"""Spectra, spectral gaps, and the eigenvalue monotonicity verifier."""
 
 import math
 
@@ -13,12 +13,7 @@ from wegner2p import (
     HamiltonianTemplate,
     InteractionSpec,
     PairPoint,
-    PotentialField,
     RngStream,
-    Spectrum,
-    dist_between_spectra,
-    dist_to_energy,
-    eigenvalues,
     make_box,
     sample_field,
     verify_dm_eigenvalues,
@@ -32,42 +27,20 @@ from wegner2p.spectral import min_gaps_to_sorted
 
 
 def test_diagonal_matrix_spectrum():
-    s = eigenvalues(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(s.values, [1.0, 2.0, 3.0])
+    s = np.linalg.eigvalsh(np.diag([3.0, 1.0, 2.0]))
+    assert np.allclose(s, [1.0, 2.0, 3.0])
 
 
 def test_two_state_hopping_spectrum():
-    s = eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(s.values, [-1.0, 1.0], atol=1e-12)
+    s = np.linalg.eigvalsh(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.allclose(s, [-1.0, 1.0], atol=1e-12)
 
 
 def test_path_graph_spectrum():
     # 3-site path: eigenvalues -sqrt(2), 0, sqrt(2)
     H = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
-    s = eigenvalues(H)
-    assert np.allclose(s.values, [-math.sqrt(2), 0.0, math.sqrt(2)], atol=1e-12)
-
-
-def test_eigenvalues_input_validation():
-    with pytest.raises(ValueError):
-        eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not symmetric
-    with pytest.raises(ValueError):
-        eigenvalues(np.array([[np.inf, 0.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        eigenvalues(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        eigenvalues(np.zeros((0, 0)))
-
-
-def test_spectrum_validation():
-    with pytest.raises(ValueError):
-        Spectrum(values=np.array([1.0, 0.5]))
-    with pytest.raises(ValueError):
-        Spectrum(values=np.array([[1.0]]))
-    with pytest.raises(ValueError):
-        Spectrum(values=np.array([np.nan]))
-    s = Spectrum(values=np.array([0.0, 0.0, 1.0]))
-    assert s.source_dim == 3
+    s = np.linalg.eigvalsh(H)
+    assert np.allclose(s, [-math.sqrt(2), 0.0, math.sqrt(2)], atol=1e-12)
 
 
 def test_residual_backward_error():
@@ -78,36 +51,37 @@ def test_residual_backward_error():
     field = sample_field(
         template.sites, DistributionSpec.uniform(0.0, 1.0), RngStream(5, 0)
     )
-    H = template.assemble(field)
+    H = template.assemble_values(field)
     vals, vecs = np.linalg.eigh(H)
     norm = np.linalg.norm(H, 2)
     resid = np.linalg.norm(H @ vecs - vecs * vals, axis=0)
     assert np.all(resid <= 1e-12 * (1.0 + norm))
-    assert np.allclose(vals, eigenvalues(H).values)
+    assert np.allclose(vals, np.linalg.eigvalsh(H))
 
 
 # ---------------------------------------------------------------------------
-# distances
+# distances, as min_gaps_to_sorted measures them for the two experiments
 # ---------------------------------------------------------------------------
+
+
+def dist(a, b):
+    """Smallest |lambda - mu| over eigenvalue pairs of one spectrum and a sorted one."""
+    return float(min_gaps_to_sorted(np.array([a], dtype=float), np.array(b, dtype=float))[0])
 
 
 def test_dist_to_energy_examples():
-    s = Spectrum(values=np.array([-1.0, 0.0, 2.0]))
-    assert dist_to_energy(s, 3.0) == 1.0
-    assert dist_to_energy(s, 0.0) == 0.0
-    assert dist_to_energy(s, 0.9) == pytest.approx(0.9)
-    with pytest.raises(ValueError):
-        dist_to_energy(s, float("inf"))
+    # the single-volume distance: a spectrum against the one-point reference [E]
+    s = [-1.0, 0.0, 2.0]
+    assert dist(s, [3.0]) == 1.0
+    assert dist(s, [0.0]) == 0.0
+    assert dist(s, [0.9]) == pytest.approx(0.9)
+    assert dist(s, [-5.0]) == 4.0
 
 
 def test_dist_between_spectra_examples():
-    a = Spectrum(values=np.array([0.0, 4.0]))
-    b = Spectrum(values=np.array([-4.0, 1.0]))
-    assert dist_between_spectra(a, b) == 1.0
-    assert dist_between_spectra(a, a) == 0.0
-    c = Spectrum(values=np.array([math.sqrt(2.0)]))
-    d = Spectrum(values=np.array([1.0]))
-    assert dist_between_spectra(c, d) == pytest.approx(math.sqrt(2.0) - 1.0)
+    assert dist([0.0, 4.0], [-4.0, 1.0]) == 1.0
+    assert dist([0.0, 4.0], [0.0, 4.0]) == 0.0
+    assert dist([math.sqrt(2.0)], [1.0]) == pytest.approx(math.sqrt(2.0) - 1.0)
 
 
 @given(
@@ -116,11 +90,10 @@ def test_dist_between_spectra_examples():
 )
 @settings(max_examples=80)
 def test_dist_between_spectra_matches_all_pairs(xs, ys):
-    a = Spectrum(values=np.sort(np.array(xs)))
-    b = Spectrum(values=np.sort(np.array(ys)))
-    brute = min(abs(x - y) for x in a.values for y in b.values)
-    assert dist_between_spectra(a, b) == pytest.approx(brute, abs=1e-12)
-    assert dist_between_spectra(b, a) == pytest.approx(brute, abs=1e-12)
+    a, b = sorted(xs), sorted(ys)
+    brute = min(abs(x - y) for x in a for y in b)
+    assert dist(a, b) == pytest.approx(brute, abs=1e-12)
+    assert dist(b, a) == pytest.approx(brute, abs=1e-12)
 
 
 @given(
@@ -183,13 +156,14 @@ def test_verifier_rejects_bad_arguments():
     neg = HamiltonianSpec(spec.box, spec.interaction, -1.0)
     with pytest.raises(ValueError):
         verify_dm_eigenvalues(neg, field, 5, RngStream(0, 0))
+    with pytest.raises(ValueError):
+        verify_dm_eigenvalues(spec, field[:-1], 5, RngStream(0, 0))
 
 
 def test_weyl_continuity_under_bounded_perturbation():
     # |lambda_k(H + D) - lambda_k(H)| <= ||D||; push every site by delta
-    spec, field = small_setup(1.5)
+    spec, vals = small_setup(1.5)
     template = HamiltonianTemplate(spec)
-    vals = field.array(template.sites)
     base = np.linalg.eigvalsh(template.assemble_values(vals))
     gen = RngStream(77, 0).generator()
     for _ in range(25):
@@ -209,6 +183,7 @@ def test_spectrum_invariant_under_particle_swap():
         spec_b = HamiltonianSpec(make_box(PairPoint(u.second, u.first), 1), inter, 1.0)
         ta, tb = HamiltonianTemplate(spec_a), HamiltonianTemplate(spec_b)
         field = sample_field(ta.sites, law, RngStream(seed, 0))
-        ea = eigenvalues(ta.assemble(field)).values
-        eb = eigenvalues(tb.assemble(field)).values
+        assert ta.sites == tb.sites
+        ea = np.linalg.eigvalsh(ta.assemble_values(field))
+        eb = np.linalg.eigvalsh(tb.assemble_values(field))
         assert np.allclose(ea, eb, atol=1e-10)
