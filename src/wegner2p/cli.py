@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
@@ -24,8 +25,8 @@ from .experiments import (
     run_two_volume,
 )
 from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _check_keys, _pair
-from .lattice import classify_separation
-from .potential import DistributionSpec, RngStream, sample_field
+from .lattice import classify_separation, projection_sites
+from .potential import DistributionSpec, RngStream, _malformed, sample_field
 from .spectral import verify_dm_eigenvalues
 from .stollmann import (
     DMFunctionSpec,
@@ -154,13 +155,14 @@ def _cmd_geometry_classify(args) -> int:
     )
     u = _pair(data["center"], "center")
     u_prime = _pair(data["center_prime"], "center_prime")
-    radius = int(data["radius"])
-    if u.dimension != int(data["dimension"]):
+    with _malformed("geometry"):
+        radius, dimension = int(data["radius"]), int(data["dimension"])
+    if u.dimension != dimension:
         raise ValueError("box centres must match the configured dimension")
     classes = classify_separation(u, u_prime, radius)
     payload = {
         "kind": "geometry",
-        "dimension": int(data["dimension"]),
+        "dimension": dimension,
         "radius": radius,
         "center": [list(u.first), list(u.second)],
         "center_prime": [list(u_prime.first), list(u_prime.second)],
@@ -176,21 +178,23 @@ def _sampled(
     what: str,
     extra: AbstractSet[str] = frozenset(),
     required: AbstractSet[str] = frozenset(),
-) -> tuple[HamiltonianTemplate, np.ndarray]:
-    """Template of the configured box and field values in its site order.
+) -> tuple[HamiltonianSpec, np.ndarray]:
+    """Spec of the configured box and field values on its projection sites.
 
     The values come from substream 0 of `master_seed`.  `extra` and
     `required` name the caller's own config keys besides dist and master_seed.
     """
     seeded = {"dist", "master_seed"}
     spec = HamiltonianSpec.from_dict(data, what, extra | seeded, required | seeded)
-    template = HamiltonianTemplate(spec)
     dist = DistributionSpec.from_dict(data["dist"])
-    return template, sample_field(template.sites, dist, RngStream(int(data["master_seed"]), 0))
+    with _malformed(what):
+        rng = RngStream(int(data["master_seed"]), 0)
+    return spec, sample_field(projection_sites(spec.box), dist, rng)
 
 
 def _cmd_hamiltonian(args) -> int:
-    template, site_values = _sampled(_load_config(args.config, args.seed), "hamiltonian")
+    spec, site_values = _sampled(_load_config(args.config, args.seed), "hamiltonian")
+    template = HamiltonianTemplate(spec)
     matrix = template.assemble_values(site_values)
     payload = {
         "kind": "hamiltonian",
@@ -205,7 +209,8 @@ def _cmd_hamiltonian(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    template, site_values = _sampled(_load_config(args.config, args.seed), "hamiltonian")
+    spec, site_values = _sampled(_load_config(args.config, args.seed), "hamiltonian")
+    template = HamiltonianTemplate(spec)
     eigs = np.linalg.eigvalsh(template.assemble_values(site_values))
     payload = {
         "kind": "spectrum",
@@ -216,6 +221,7 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
+@_malformed("function")
 def _function_from_config(data: Mapping) -> DMFunctionSpec:
     if "form" not in data:
         raise ValueError("function config needs a 'form'")
@@ -259,54 +265,36 @@ def _cmd_stollmann_check(args) -> int:
     raw_interval = data["interval"]
     if not isinstance(raw_interval, (list, tuple)) or len(raw_interval) != 2:
         raise ValueError("interval must be [lower, upper]")
-    interval = IntervalSpec(lower=float(raw_interval[0]), upper=float(raw_interval[1]))
     mode = data.get("mode", "exact")
+    with _malformed("stollmann"):
+        interval = IntervalSpec(lower=float(raw_interval[0]), upper=float(raw_interval[1]))
+        if mode == "mc":
+            if "trials" not in data or "master_seed" not in data:
+                raise ValueError("mc mode needs trials and master_seed")
+            trials, rng = int(data["trials"]), RngStream(int(data["master_seed"]), 0)
+        elif mode == "layers":
+            if "grid" not in data:
+                raise ValueError("layers mode needs a grid")
+            grid = [float(x) for x in data["grid"]]
+        elif mode != "exact":
+            raise ValueError(f"unknown mode {mode!r}; pick exact, mc, or layers")
     if mode == "exact":
         res = stollmann_exact(f, dist, interval)
-        payload = {
-            "kind": "stollmann_exact",
-            "function": f.name,
-            "interval": [interval.lower, interval.upper],
-            "probability": res.probability,
-            "bound": res.bound,
-            "holds": res.holds,
-        }
-        write_report(payload, args.format, args.out)
-        return 0 if res.holds else 2
-    if mode == "mc":
-        if "trials" not in data or "master_seed" not in data:
-            raise ValueError("mc mode needs trials and master_seed")
-        res = stollmann_mc(
-            f, dist, interval, int(data["trials"]), RngStream(int(data["master_seed"]), 0)
-        )
-        payload = {
-            "kind": "stollmann_mc",
-            "function": f.name,
-            "interval": [interval.lower, interval.upper],
-            "estimate": res.estimate,
-            "std_error": res.std_error,
-            "bound": res.bound,
-            "holds_within_3sigma": res.holds_within_3sigma,
-        }
-        write_report(payload, args.format, args.out)
-        return 0 if res.holds_within_3sigma else 2
-    if mode == "layers":
-        if "grid" not in data:
-            raise ValueError("layers mode needs a grid")
-        res = layer_sets_check(f, [float(x) for x in data["grid"]], interval)
-        payload = {
-            "kind": "stollmann_layers",
-            "function": f.name,
-            "interval": [interval.lower, interval.upper],
-            "passed": res.passed,
-            "chain_ok": res.chain_ok,
-            "inclusion_ok": res.inclusion_ok,
-            "inclusion_failures": res.inclusion_failures,
-            "grid_points": res.grid_points,
-        }
-        write_report(payload, args.format, args.out)
-        return 0 if res.passed else 2
-    raise ValueError(f"unknown mode {mode!r}; pick exact, mc, or layers")
+        holds = res.holds
+    elif mode == "mc":
+        res = stollmann_mc(f, dist, interval, trials, rng)
+        holds = res.holds_within_3sigma
+    else:
+        res = layer_sets_check(f, grid, interval)
+        holds = res.passed
+    payload = {
+        "kind": f"stollmann_{mode}",
+        "function": f.name,
+        "interval": [interval.lower, interval.upper],
+        **asdict(res),
+    }
+    write_report(payload, args.format, args.out)
+    return 0 if holds else 2
 
 
 def _cmd_dm_check(args) -> int:
@@ -323,36 +311,22 @@ def _cmd_dm_check(args) -> int:
         domain = data["domain"]
         if not isinstance(domain, (list, tuple)) or len(domain) != 2:
             raise ValueError("domain must be [lo, hi]")
-        report = check_dm_function(
-            f,
-            (float(domain[0]), float(domain[1])),
-            int(data["samples"]),
-            RngStream(int(data["master_seed"]), 0),
-            tolerance=float(data.get("tolerance", 1e-12)),
-        )
+        with _malformed("dm function"):
+            domain = (float(domain[0]), float(domain[1]))
+            samples, rng = int(data["samples"]), RngStream(int(data["master_seed"]), 0)
+            tolerance = float(data.get("tolerance", 1e-12))
+        report = check_dm_function(f, domain, samples, rng, tolerance=tolerance)
     elif target == "eigenvalues":
-        template, site_values = _sampled(
+        spec, site_values = _sampled(
             data, "dm eigenvalue", extra={"target", "trials", "tolerance"}, required={"trials"}
         )
-        report = verify_dm_eigenvalues(
-            template.spec,
-            site_values,
-            int(data["trials"]),
-            RngStream(int(data["master_seed"]), 1),
-            tolerance=float(data.get("tolerance", 1e-9)),
-        )
+        with _malformed("dm eigenvalue"):
+            trials, rng = int(data["trials"]), RngStream(int(data["master_seed"]), 1)
+            tolerance = float(data.get("tolerance", 1e-9))
+        report = verify_dm_eigenvalues(spec, site_values, trials, rng, tolerance=tolerance)
     else:
         raise ValueError(f"unknown dm-check target {target!r}")
-    payload = {
-        "kind": "dm_check",
-        "name": report.name,
-        "passed": report.passed,
-        "checks": report.checks,
-        "worst_monotonicity_violation": report.worst_monotonicity_violation,
-        "worst_diagonal_defect": report.worst_diagonal_defect,
-        "tolerance": report.tolerance,
-        "witnesses": report.witnesses,
-    }
+    payload = {"kind": "dm_check", **asdict(report)}
     write_report(payload, args.format, args.out)
     return 0 if report.passed else 2
 

@@ -53,7 +53,7 @@ from .lattice import (
     make_box,
     projections,
 )
-from .potential import DistributionSpec, RngStream, concentration, draw_values
+from .potential import DistributionSpec, RngStream, _malformed, concentration, draw_values
 from .spectral import min_gaps_to_sorted
 
 SCHEMA_VERSION = 1
@@ -233,7 +233,7 @@ class ExperimentConfig:
             },
             required={"dist", "epsilon", "trials", "master_seed"},
         )
-        try:
+        with _malformed("experiment"):
             return cls(
                 dimension=spec.box.dimension,
                 radius=spec.box.radius,
@@ -255,8 +255,6 @@ class ExperimentConfig:
                 bound_mode=data.get("bound_mode", "two_eps"),
                 threads=threads,
             )
-        except TypeError as err:
-            raise ValueError(f"malformed experiment config: {err}") from None
 
 
 @dataclass(eq=False)

@@ -21,7 +21,8 @@ from typing import AbstractSet, Mapping
 
 import numpy as np
 
-from .lattice import BoxSpec, PairPoint, Site, make_box
+from .lattice import BoxSpec, PairPoint, Site, make_box, projection_sites
+from .potential import _malformed
 
 _HOPPING_NORMS = ("sup", "l1")
 
@@ -147,7 +148,7 @@ class HamiltonianSpec:
             required={"dimension", "radius", "center"} | required,
             what=what,
         )
-        try:
+        with _malformed(what):
             dimension = int(data["dimension"])
             center = _pair(data["center"], "center")
             if center.dimension != dimension:
@@ -160,8 +161,6 @@ class HamiltonianSpec:
                 coupling=float(data.get("coupling", 1.0)),
                 hopping_norm=data.get("hopping_norm", "sup"),
             )
-        except TypeError as err:
-            raise ValueError(f"malformed {what} config: {err}") from None
 
 
 def neighbors(box: BoxSpec, x: PairPoint, hopping_norm: str = "sup") -> list[PairPoint]:
@@ -220,8 +219,7 @@ class HamiltonianTemplate:
             r = max(abs(a - b) for a, b in zip(pt.first, pt.second))
             fixed[i, i] = spec.interaction.value(r)
         self.fixed = fixed
-        c1, c2 = spec.box.projections()
-        self.sites: list[Site] = sorted(c1.point_set() | c2.point_set())
+        self.sites: list[Site] = projection_sites(spec.box)
         site_index = {s: k for k, s in enumerate(self.sites)}
         self.first_index = np.array([site_index[pt.first] for pt in self.points])
         self.second_index = np.array([site_index[pt.second] for pt in self.points])

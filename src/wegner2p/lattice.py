@@ -13,9 +13,11 @@ relative geometries exhaustively to confirm that.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -187,6 +189,16 @@ def make_box(center: PairPoint, radius: int) -> BoxSpec:
     return BoxSpec(center=center, radius=radius)
 
 
+def projection_sites(box: BoxSpec) -> list[Site]:
+    """The union of the box's two projection cubes, sorted.
+
+    These are the sites whose potential values enter the box operator, in
+    the order every field array aligned with a box follows.
+    """
+    c1, c2 = box.projections()
+    return sorted(c1.point_set() | c2.point_set())
+
+
 def projections(box: BoxSpec) -> tuple[Cube, Cube, int]:
     """Both projection cubes of a box and the exact size of their union.
 
@@ -195,8 +207,7 @@ def projections(box: BoxSpec) -> tuple[Cube, Cube, int]:
     coincident centres.
     """
     c1, c2 = box.projections()
-    union = c1.point_set() | c2.point_set()
-    return c1, c2, len(union)
+    return c1, c2, len(projection_sites(box))
 
 
 class SeparationClass(Enum):
@@ -261,7 +272,14 @@ def classify_separation(
 # relative geometry over Z is reproduced, threshold-for-threshold, by one with
 # all four axis coordinates within a window of width 3*(8L+1) + 1, and a scan
 # over a grid of side 40L+20 sees every geometry class that exists at all.
-# The same argument applies per axis in d = 2.
+#
+# Per axis, a geometry enters the classifier only through its threshold
+# profile: two bits for each of the six centre pairs (gap above 2L, gap at
+# least max(8L, 1)), and axes combine by OR-ing profiles.  Both surveys walk
+# the realisable profiles of the d=1 grid (one axis for the line, ordered
+# pairs for the plane), classify one witness per admissible combination
+# set-wise against the profile's predicted classes, and add its weight: the
+# profile's grid count on the line, one per profile pair on the plane.
 # ---------------------------------------------------------------------------
 
 
@@ -281,47 +299,115 @@ class SeparationSurvey:
         return self.empty == 0
 
 
-def survey_separation_line(L: int, side: int | None = None) -> SeparationSurvey:
-    """Classify every admissible centre geometry on a d=1 grid.
+# Index order of the six centre pairs in a profile, two bits each:
+# (u1,u2), (u1,q1), (u1,q2), (u2,q1), (u2,q2), (q1,q2)
+_PAIR_U1U2, _PAIR_U1Q1, _PAIR_U1Q2, _PAIR_U2Q1, _PAIR_U2Q2, _PAIR_Q1Q2 = range(6)
 
-    Fixes the first particle of the first centre at the origin (classification
-    is translation invariant) and sweeps the remaining three coordinates over
-    a centred grid of the given side (default 40L+20, wide enough to realise
-    every geometry class, see the gap-compression note above).  Each
-    admissible geometry is classified; empty classifications are collected as
-    counterexamples.
+# Centre pairs whose cubes must be disjoint, per separation class.
+_CLASS_PAIRS = {
+    SeparationClass.COMPLETELY_SEPARATED: (_PAIR_U1Q1, _PAIR_U1Q2, _PAIR_U2Q1, _PAIR_U2Q2),
+    SeparationClass.FIRST_PARTICLE1_ISOLATED: (_PAIR_U1U2, _PAIR_U1Q1, _PAIR_U1Q2),
+    SeparationClass.FIRST_PARTICLE2_ISOLATED: (_PAIR_U1U2, _PAIR_U2Q1, _PAIR_U2Q2),
+    SeparationClass.SECOND_PARTICLE1_ISOLATED: (_PAIR_Q1Q2, _PAIR_U1Q1, _PAIR_U2Q1),
+    SeparationClass.SECOND_PARTICLE2_ISOLATED: (_PAIR_Q1Q2, _PAIR_U1Q2, _PAIR_U2Q2),
+}
+
+# Grid geometries the line survey classifies set-wise besides the witnesses.
+_SPOT_CHECKS = 1000
+
+# A per-axis profile: packed code, witness (w, a, b) and weight.
+_Profile = tuple[int, tuple[int, int, int], int]
+
+
+def _profile_codes(w, a, b, L: int):
+    """Packed per-axis profiles of the geometries u = (0, w), u' = (a, b).
+
+    Bit 2k of the code is set when the coordinate gap of centre pair k
+    exceeds 2L (the cubes of the pair do not overlap on that axis), and bit
+    2k+1 when it reaches the admissibility threshold max(8L, 1).  Works
+    elementwise on broadcastable integer arrays.
     """
-    if L < 0:
-        raise ValueError("radius must be nonnegative")
-    side = 40 * L + 20 if side is None else side
-    lo = -(side // 2)
-    coords = range(lo, lo + side)
+    gaps = (np.abs(w), np.abs(a), np.abs(b), np.abs(a - w), np.abs(b - w), np.abs(a - b))
     threshold = max(8 * L, 1)
+    codes = 0
+    for k, g in enumerate(gaps):
+        codes = codes | (((g > 2 * L) | (g >= threshold) << 1).astype(np.int64) << (2 * k))
+    return codes
+
+
+def _axis_profiles(L: int, side: int) -> list[_Profile]:
+    """Realisable per-axis profiles, each with a witness (w, a, b) and its grid count.
+
+    Realisability is read off a full scan of (w, a, b) over the grid with the
+    first coordinate fixed at 0; the count is the number of grid geometries
+    with that profile, and the witness is the first of them.
+    """
+    vals = np.arange(side) - side // 2
+    codes = _profile_codes(vals[:, None, None], vals[None, :, None], vals[None, None, :], L)
+    uniq, first, counts = np.unique(codes.ravel(), return_index=True, return_counts=True)
+    iw, ia, ib = np.unravel_index(first, codes.shape)
+    return [
+        (code, (int(vals[i]), int(vals[j]), int(vals[k])), count)
+        for code, i, j, k, count in zip(uniq.tolist(), iw, ia, ib, counts.tolist())
+    ]
+
+
+@lru_cache(maxsize=4**6)  # every packed six-pair profile
+def _predict_classes(profile: int) -> frozenset[SeparationClass] | None:
+    """Separation classes implied by a packed threshold profile, None if inadmissible.
+
+    Cubes of a pair are disjoint when the pair's gap exceeds 2L on some axis
+    (bit 0); centres are far when it reaches the admissibility threshold on
+    some axis (bit 1).  This route never touches point sets, so it
+    cross-checks the set-based classifier.
+    """
+    disjoint = [bool(profile >> (2 * k) & 1) for k in range(6)]
+    far = [bool(profile >> (2 * k) & 2) for k in range(6)]
+    if not ((far[_PAIR_U1Q1] or far[_PAIR_U2Q2]) and (far[_PAIR_U1Q2] or far[_PAIR_U2Q1])):
+        return None
+    return frozenset(c for c, pairs in _CLASS_PAIRS.items() if all(disjoint[k] for k in pairs))
+
+
+def _checked_classes(u: PairPoint, u_prime: PairPoint, L: int, predicted) -> frozenset:
+    """Set-based classes of one geometry; raises if they differ from `predicted`."""
+    found = classify_separation(u, u_prime, L)
+    if found != predicted:
+        raise RuntimeError(
+            f"axis-profile prediction {predicted} disagrees with "
+            f"set-based classification {found} at u={u}, u'={u_prime}, L={L}"
+        )
+    return found
+
+
+def _survey(L: int, axes: list[list[_Profile]]) -> SeparationSurvey:
+    """Weighted classification of every admissible combination of axis profiles.
+
+    `axes` holds one list of (profile, witness, weight) per lattice axis.  A
+    combination's profile is the OR of its axes' profiles, its witness puts
+    each axis's witness on that axis, and its weight is the product.
+    """
+    d = len(axes)
     counts: dict[SeparationClass, int] = {c: 0 for c in SeparationClass}
     geometries = 0
     empty = 0
     empty_examples: list[tuple[PairPoint, PairPoint]] = []
-    for w in coords:
-        for a in coords:
-            gap_11 = abs(a)
-            gap_21 = abs(a - w)
-            for b in coords:
-                direct = max(gap_11, abs(b - w))
-                swapped = max(gap_21, abs(b))
-                if min(direct, swapped) < threshold:
-                    continue
-                geometries += 1
-                u = PairPoint((0,), (w,))
-                u_prime = PairPoint((a,), (b,))
-                found = classify_separation(u, u_prime, L)
-                for c in found:
-                    counts[c] += 1
-                if not found:
-                    empty += 1
-                    if len(empty_examples) < 5:
-                        empty_examples.append((u, u_prime))
+    for combo in itertools.product(*axes):
+        predicted = _predict_classes(reduce(operator.or_, (c[0] for c in combo)))
+        if predicted is None:
+            continue
+        w, a, b = zip(*(c[1] for c in combo))
+        u, u_prime = PairPoint((0,) * d, w), PairPoint(a, b)
+        found = _checked_classes(u, u_prime, L, predicted)
+        weight = math.prod(c[2] for c in combo)
+        geometries += weight
+        for c in found:
+            counts[c] += weight
+        if not found:
+            empty += weight
+            if len(empty_examples) < 5:
+                empty_examples.append((u, u_prime))
     return SeparationSurvey(
-        dimension=1,
+        dimension=d,
         radius=L,
         geometries=geometries,
         empty=empty,
@@ -330,143 +416,46 @@ def survey_separation_line(L: int, side: int | None = None) -> SeparationSurvey:
     )
 
 
-# Index order of the six centre pairs used by the axis-profile reduction:
-# (u1,u2), (u1,q1), (u1,q2), (u2,q1), (u2,q2), (q1,q2)
-_PAIR_U1U2, _PAIR_U1Q1, _PAIR_U1Q2, _PAIR_U2Q1, _PAIR_U2Q2, _PAIR_Q1Q2 = range(6)
+def survey_separation_line(L: int, side: int | None = None) -> SeparationSurvey:
+    """Classify every admissible centre geometry on a d=1 grid.
 
-
-def _axis_profiles(L: int, side: int) -> list[tuple[tuple[int, ...], tuple[int, int, int]]]:
-    """All realisable per-axis threshold profiles with a witness triple.
-
-    A profile assigns to each of the six centre pairs a two-bit code for one
-    axis: bit 0 set when the coordinate gap exceeds 2L (the cubes of the pair
-    do not overlap on that axis) and bit 1 set when the gap reaches the
-    admissibility threshold max(8L, 1).  Realisability is read off a full
-    scan of (w, a, b) with the first coordinate fixed at 0, exactly as in the
-    line survey.
+    Fixes the first particle of the first centre at the origin (classification
+    is translation invariant) and covers the remaining three coordinates over
+    a centred grid of the given side (default 40L+20, wide enough to realise
+    every geometry class, see the gap-compression note above).  Counts are
+    per grid geometry, gathered profile by profile; a strided sample of grid
+    geometries is also classified set-wise, and any disagreement with the
+    profile prediction raises.
     """
-    lo = -(side // 2)
-    vals = np.arange(lo, lo + side)
-    w = vals[:, None, None]
-    a = vals[None, :, None]
-    b = vals[None, None, :]
-    shape = (side, side, side)
-    # coordinate gaps for the six centre pairs, in the fixed index order
-    gaps = [
-        np.broadcast_to(np.abs(w), shape),
-        np.broadcast_to(np.abs(a), shape),
-        np.broadcast_to(np.abs(b), shape),
-        np.broadcast_to(np.abs(a - w), shape),
-        np.broadcast_to(np.abs(b - w), shape),
-        np.broadcast_to(np.abs(a - b), shape),
-    ]
-    threshold = max(8 * L, 1)
-    codes = np.zeros(shape, dtype=np.int64)
-    for k, g in enumerate(gaps):
-        code = (g > 2 * L).astype(np.int64) | ((g >= threshold).astype(np.int64) << 1)
-        codes |= code << (2 * k)
-    flat = codes.ravel()
-    uniq, first = np.unique(flat, return_index=True)
-    n = side
-    profiles = []
-    for encoded, idx in zip(uniq.tolist(), first.tolist()):
-        iw, rem = divmod(idx, n * n)
-        ia, ib = divmod(rem, n)
-        witness = (int(vals[iw]), int(vals[ia]), int(vals[ib]))
-        profile = tuple((encoded >> (2 * k)) & 3 for k in range(6))
-        profiles.append((profile, witness))
-    return profiles
-
-
-def _predict_classes(
-    px: tuple[int, ...], py: tuple[int, ...]
-) -> frozenset[SeparationClass]:
-    """Separation classes implied by two per-axis threshold profiles.
-
-    Cubes of a pair are disjoint when some axis gap exceeds 2L (bit 0 on
-    either axis); a pair of centres is far when some axis gap reaches the
-    admissibility threshold (bit 1).  This route never touches point sets,
-    so it cross-checks the set-based classifier.
-    """
-    disjoint = [bool((px[k] | py[k]) & 1) for k in range(6)]
-    far = [bool((px[k] | py[k]) & 2) for k in range(6)]
-    direct_far = far[_PAIR_U1Q1] or far[_PAIR_U2Q2]
-    swapped_far = far[_PAIR_U1Q2] or far[_PAIR_U2Q1]
-    if not (direct_far and swapped_far):
-        raise ValueError("profile pair violates the 8L separation condition")
-    cross = (
-        disjoint[_PAIR_U1Q1]
-        and disjoint[_PAIR_U1Q2]
-        and disjoint[_PAIR_U2Q1]
-        and disjoint[_PAIR_U2Q2]
-    )
-    classes: set[SeparationClass] = set()
-    if cross:
-        classes.add(SeparationClass.COMPLETELY_SEPARATED)
-    if disjoint[_PAIR_U1U2] and disjoint[_PAIR_U1Q1] and disjoint[_PAIR_U1Q2]:
-        classes.add(SeparationClass.FIRST_PARTICLE1_ISOLATED)
-    if disjoint[_PAIR_U1U2] and disjoint[_PAIR_U2Q1] and disjoint[_PAIR_U2Q2]:
-        classes.add(SeparationClass.FIRST_PARTICLE2_ISOLATED)
-    if disjoint[_PAIR_Q1Q2] and disjoint[_PAIR_U1Q1] and disjoint[_PAIR_U2Q1]:
-        classes.add(SeparationClass.SECOND_PARTICLE1_ISOLATED)
-    if disjoint[_PAIR_Q1Q2] and disjoint[_PAIR_U1Q2] and disjoint[_PAIR_U2Q2]:
-        classes.add(SeparationClass.SECOND_PARTICLE2_ISOLATED)
-    return frozenset(classes)
-
-
-def _profile_pair_admissible(px: tuple[int, ...], py: tuple[int, ...]) -> bool:
-    far = [bool((px[k] | py[k]) & 2) for k in range(6)]
-    return (far[_PAIR_U1Q1] or far[_PAIR_U2Q2]) and (
-        far[_PAIR_U1Q2] or far[_PAIR_U2Q1]
-    )
+    if L < 0:
+        raise ValueError("radius must be nonnegative")
+    side = 40 * L + 20 if side is None else side
+    survey = _survey(L, [_axis_profiles(L, side)])
+    stride = max(1, side**3 // _SPOT_CHECKS)
+    while math.gcd(stride, side) > 1:  # so the sample reaches every b column
+        stride += 1
+    sample = np.unravel_index(np.arange(0, side**3, stride), (side,) * 3)
+    w, a, b = (i - side // 2 for i in sample)
+    codes = _profile_codes(w, a, b, L).tolist()
+    for code, wi, ai, bi in zip(codes, w.tolist(), a.tolist(), b.tolist()):
+        predicted = _predict_classes(code)
+        if predicted is not None:
+            _checked_classes(PairPoint((0,), (wi,)), PairPoint((ai,), (bi,)), L, predicted)
+    return survey
 
 
 def survey_separation_plane(L: int, side: int | None = None) -> SeparationSurvey:
     """Classify every admissible centre geometry over Z^2.
 
-    All classifier predicates depend on each axis only through the two-bit
-    threshold profile of that axis, and the two axes are independent.  The
-    survey therefore enumerates the realisable per-axis profiles (from the
-    exhaustive d=1 scan), then walks every ordered pair of profiles, builds a
-    witness geometry with those profiles as its x and y axes, and classifies
-    it set-wise.  The set-based answer is compared against the profile-based
-    prediction; a mismatch means the reduction or the classifier is wrong and
-    raises.  Coverage is exact for all of Z^2, not just a finite grid, by the
+    The two axes are independent, so the survey walks every ordered pair of
+    realisable per-axis profiles (from the d=1 grid scan) and classifies a
+    witness geometry with those profiles as its x and y axes set-wise,
+    raising if the profile prediction disagrees.  Each profile pair counts
+    once.  Coverage is exact for all of Z^2, not just a finite grid, by the
     gap-compression argument above.
     """
     if L < 0:
         raise ValueError("radius must be nonnegative")
     side = 40 * L + 20 if side is None else side
-    profiles = _axis_profiles(L, side)
-    counts: dict[SeparationClass, int] = {c: 0 for c in SeparationClass}
-    geometries = 0
-    empty = 0
-    empty_examples: list[tuple[PairPoint, PairPoint]] = []
-    for px, (wx, ax, bx) in profiles:
-        for py, (wy, ay, by) in profiles:
-            if not _profile_pair_admissible(px, py):
-                continue
-            geometries += 1
-            u = PairPoint((0, 0), (wx, wy))
-            u_prime = PairPoint((ax, ay), (bx, by))
-            found = classify_separation(u, u_prime, L)
-            predicted = _predict_classes(px, py)
-            if found != predicted:
-                raise RuntimeError(
-                    f"axis-profile prediction {predicted} disagrees with "
-                    f"set-based classification {found} at u={u}, u'={u_prime}, L={L}"
-                )
-            for c in found:
-                counts[c] += 1
-            if not found:
-                empty += 1
-                if len(empty_examples) < 5:
-                    empty_examples.append((u, u_prime))
-    return SeparationSurvey(
-        dimension=2,
-        radius=L,
-        geometries=geometries,
-        empty=empty,
-        class_counts=counts,
-        empty_examples=empty_examples,
-    )
+    axis = [(code, witness, 1) for code, witness, _ in _axis_profiles(L, side)]
+    return _survey(L, [axis, axis])

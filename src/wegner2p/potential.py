@@ -10,6 +10,7 @@ substreams so that a trial is a pure function of (master seed, stream index).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -18,6 +19,20 @@ import numpy as np
 from .lattice import Site
 
 _KINDS = ("uniform", "gaussian", "bernoulli", "discrete")
+
+
+@contextmanager
+def _malformed(what: str):
+    """Turn a wrongly typed config value into a ValueError naming `what`.
+
+    Config parsers convert with int() and float() and test keys with `in`;
+    a null or a list in the wrong place makes those raise TypeError, which
+    this reports like any other bad value.  Usable as a decorator too.
+    """
+    try:
+        yield
+    except TypeError as err:
+        raise ValueError(f"malformed {what} config: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -78,6 +93,7 @@ class DistributionSpec:
         return {"kind": "discrete", "atoms": [list(a) for a in self.atoms]}
 
     @classmethod
+    @_malformed("distribution")
     def from_dict(cls, data: Mapping) -> "DistributionSpec":
         if "kind" not in data:
             raise ValueError("distribution config needs a 'kind'")

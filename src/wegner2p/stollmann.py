@@ -23,44 +23,49 @@ from .potential import DistributionSpec, RngStream, _atoms, concentration, draw_
 
 @dataclass(frozen=True)
 class DMFunctionSpec:
-    """A candidate DM function: arity plus a vectorised evaluator.
+    """A candidate DM function: arity plus a batch evaluator.
 
-    The evaluator takes a length-p array (one value per coordinate) and
-    returns a float.  `name` labels reports.
+    The evaluator maps an (N, p) array, one point per row, to the N values.
+    A point's value must not depend on the batch it arrives in: f(V)[i]
+    equals f(V[i]) bit for bit, so reductions run along each row
+    (np.sum(V * w, axis=-1), never V @ w).  `name` labels reports.
     """
 
     arity: int
-    evaluator: Callable[[np.ndarray], float]
+    evaluator: Callable[[np.ndarray], np.ndarray]
     name: str = "dm_function"
 
     def __post_init__(self) -> None:
         if self.arity < 1:
             raise ValueError("arity must be at least 1")
 
-    def __call__(self, v: np.ndarray) -> float:
+    def __call__(self, v: np.ndarray) -> float | np.ndarray:
+        """Phi at one point of shape (p,) as a float, or at each row of an (N, p) array."""
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.arity,):
-            raise ValueError(f"expected {self.arity} coordinates, got shape {v.shape}")
-        return float(self.evaluator(v))
+        if v.ndim not in (1, 2) or v.shape[-1] != self.arity:
+            raise ValueError(f"expected {self.arity} coordinates per point, got shape {v.shape}")
+        rows = v.reshape(-1, self.arity)
+        out = np.asarray(self.evaluator(rows), dtype=float)
+        if out.shape != (len(rows),):
+            raise ValueError(f"evaluator gave shape {out.shape} for {len(rows)} points")
+        return float(out[0]) if v.ndim == 1 else out
 
 
 def coordinate_sum(p: int) -> DMFunctionSpec:
     """Phi(v) = v_1 + ... + v_p.  DM: each unit diagonal step adds p >= 1."""
-    return DMFunctionSpec(arity=p, evaluator=lambda v: float(np.sum(v)), name=f"sum_p{p}")
+    return DMFunctionSpec(arity=p, evaluator=lambda V: np.sum(V, axis=-1), name=f"sum_p{p}")
 
 
 def coordinate_max(p: int) -> DMFunctionSpec:
     """Phi(v) = max_j v_j.  DM: the max moves by exactly t along the diagonal."""
-    return DMFunctionSpec(arity=p, evaluator=lambda v: float(np.max(v)), name=f"max_p{p}")
+    return DMFunctionSpec(arity=p, evaluator=lambda V: np.max(V, axis=-1), name=f"max_p{p}")
 
 
 def single_coordinate(p: int, index: int = 0) -> DMFunctionSpec:
     """Phi(v) = v_index.  The degenerate DM function that ignores the rest."""
     if not 0 <= index < p:
         raise ValueError("coordinate index out of range")
-    return DMFunctionSpec(
-        arity=p, evaluator=lambda v: float(v[index]), name=f"coordinate{index}_p{p}"
-    )
+    return DMFunctionSpec(arity=p, evaluator=lambda V: V[:, index], name=f"coordinate{index}_p{p}")
 
 
 def positive_linear(coeffs: Sequence[float]) -> DMFunctionSpec:
@@ -78,7 +83,7 @@ def positive_linear(coeffs: Sequence[float]) -> DMFunctionSpec:
         raise ValueError("coefficient sum below 1 breaks the diagonal growth bound")
     return DMFunctionSpec(
         arity=int(w.size),
-        evaluator=lambda v: float(np.dot(w, v)),
+        evaluator=lambda V: np.sum(V * w, axis=-1),
         name=f"linear_p{w.size}",
     )
 
@@ -95,11 +100,19 @@ def order_statistic(p: int, k: int, shifts: Sequence[float] | None = None) -> DM
     off = np.zeros(p) if shifts is None else np.array([float(s) for s in shifts])
     if off.shape != (p,):
         raise ValueError("need one shift per coordinate")
+    return DMFunctionSpec(
+        arity=p, evaluator=lambda V: np.sort(V + off, axis=-1)[:, k - 1], name=f"order{k}_p{p}"
+    )
 
-    def _eval(v: np.ndarray) -> float:
-        return float(np.sort(v + off)[k - 1])
 
-    return DMFunctionSpec(arity=p, evaluator=_eval, name=f"order{k}_p{p}")
+# Points per evaluator call in the checks that enumerate or sample in
+# chunks; fixed, however many points there are.
+_CHUNK = 1 << 16
+
+
+def _lex_indices(n: int, p: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the lexicographic enumeration of {0, ..., n-1}^p."""
+    return np.stack(np.unravel_index(np.arange(start, stop), (n,) * p), axis=1)
 
 
 @dataclass
@@ -147,25 +160,32 @@ def check_dm_function(
     worst_mono = -math.inf
     worst_diag = -math.inf
     witnesses: list[dict] = []
-    for _ in range(samples):
-        v = gen.uniform(lo, hi, size=f.arity)
-        r = gen.uniform(0.0, span, size=f.arity)
-        t = span * (1.0 - gen.random())  # lands in (0, span]
+    for start in range(0, samples, _CHUNK):
+        n = min(_CHUNK, samples - start)
+        v = np.empty((n, f.arity))
+        r = np.empty((n, f.arity))
+        t = np.empty(n)
+        for i in range(n):  # per-sample draw order: v, then r, then t
+            v[i] = gen.uniform(lo, hi, size=f.arity)
+            r[i] = gen.uniform(0.0, span, size=f.arity)
+            t[i] = span * (1.0 - gen.random())  # lands in (0, span]
         base = f(v)
         mono_gap = base - f(v + r)
-        diag_gap = t - (f(v + t) - base)
-        worst_mono = max(worst_mono, mono_gap)
-        worst_diag = max(worst_diag, diag_gap)
-        if (mono_gap > tolerance or diag_gap > tolerance) and len(witnesses) < 5:
-            witnesses.append(
-                {
-                    "v": v.tolist(),
-                    "r": r.tolist(),
-                    "t": t,
-                    "monotonicity_gap": mono_gap,
-                    "diagonal_gap": diag_gap,
-                }
-            )
+        diag_gap = t - (f(v + t[:, None]) - base)
+        # fmax skips NaN gaps instead of propagating them
+        worst_mono = float(np.fmax.reduce(mono_gap, initial=worst_mono))
+        worst_diag = float(np.fmax.reduce(diag_gap, initial=worst_diag))
+        flagged = np.flatnonzero((mono_gap > tolerance) | (diag_gap > tolerance))
+        witnesses += [
+            {
+                "v": v[i].tolist(),
+                "r": r[i].tolist(),
+                "t": float(t[i]),
+                "monotonicity_gap": float(mono_gap[i]),
+                "diagonal_gap": float(diag_gap[i]),
+            }
+            for i in flagged[: 5 - len(witnesses)]
+        ]
     passed = worst_mono <= tolerance and worst_diag <= tolerance
     return DMReport(
         name=f.name,
@@ -195,8 +215,9 @@ class IntervalSpec:
     def length(self) -> float:
         return self.upper - self.lower
 
-    def contains(self, x: float) -> bool:
-        return self.lower < x < self.upper
+    def contains(self, x):
+        """Whether x lies strictly inside; elementwise for an array."""
+        return (self.lower < x) & (x < self.upper)
 
 
 @dataclass(frozen=True)
@@ -225,30 +246,22 @@ def stollmann_exact(
     Continuous laws and enumerations beyond 10^7 combinations are rejected.
     """
     atoms = _atoms(dist)  # raises for continuous laws
-    if len(atoms) ** f.arity > 10**7:
-        raise ValueError(
-            f"{len(atoms)}^{f.arity} atom combinations exceed the enumeration limit"
-        )
-    values = [v for v, _ in atoms]
-    weights = [w for _, w in atoms]
+    n, p = len(atoms), f.arity
+    if n**p > 10**7:
+        raise ValueError(f"{n}^{p} atom combinations exceed the enumeration limit")
+    values = np.array([v for v, _ in atoms])
+    weights = np.array([w for _, w in atoms])
     prob = 0.0
-    idx = [0] * f.arity
-    coords = np.empty(f.arity)
-    # odometer over atom indices, lexicographic, deterministic summation order
-    while True:
-        w = 1.0
-        for j, i in enumerate(idx):
-            coords[j] = values[i]
-            w *= weights[i]
-        if interval.contains(f(coords)):
-            prob += w
-        j = f.arity - 1
-        while j >= 0 and idx[j] == len(atoms) - 1:
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            break
-        idx[j] += 1
+    # Lexicographic chunks of atom indices.  Weights multiply coordinate by
+    # coordinate and the in-interval weights add one at a time (cumsum) onto
+    # the running total, so the sum is bit for bit the odometer's.
+    for start in range(0, n**p, _CHUNK):
+        idx = _lex_indices(n, p, start, min(start + _CHUNK, n**p))
+        hits = idx[interval.contains(f(values[idx]))]
+        w = np.ones(len(hits))
+        for j in range(p):
+            w *= weights[hits[:, j]]
+        prob = float(np.cumsum(np.concatenate(([prob], w)))[-1])
     bound = f.arity * concentration(dist, interval.length)
     return StollmannExactResult(probability=prob, bound=bound, holds=prob <= bound + 1e-12)
 
@@ -269,10 +282,7 @@ def stollmann_mc(
         raise ValueError("need at least 1000 trials for a meaningful estimate")
     gen = rng.generator()
     draws = draw_values(dist, gen, trials * f.arity).reshape(trials, f.arity)
-    hits = 0
-    for row in draws:
-        if interval.contains(f(row)):
-            hits += 1
+    hits = int(np.count_nonzero(interval.contains(f(draws))))
     estimate = hits / trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
     bound = f.arity * concentration(dist, interval.length)
@@ -341,10 +351,7 @@ def layer_sets_check(
 
     p = f.arity
     shape = (n,) * p
-    values = np.empty(shape)
-    for flat_idx in range(n**p):
-        multi = np.unravel_index(flat_idx, shape)
-        values[multi] = f(pts[np.array(multi)])
+    values = f(pts[_lex_indices(n, p, 0, n**p)]).reshape(shape)
 
     base = values <= interval.lower
     # ray structure: membership may only be lost when a coordinate grows

@@ -510,6 +510,21 @@ def test_dm_check_eigenvalue_target(tmp_path, capsys):
     assert payload["worst_diagonal_defect"] <= payload["tolerance"]
 
 
+def test_dm_check_eigenvalue_target_builds_one_template(tmp_path, capsys, monkeypatch):
+    built = []
+    init = HamiltonianTemplate.__init__
+
+    def counting_init(self, spec):
+        built.append(spec)
+        init(self, spec)
+
+    monkeypatch.setattr(HamiltonianTemplate, "__init__", counting_init)
+    cfg = write_config(tmp_path, "d.json", {**DM_EIG_CFG, "center": [[0], [3]]})
+    code, out, _ = run_cli(capsys, "dm-check", "--config", cfg)
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert len(built) == 1
+
+
 def test_cli_field_draws_are_pinned(tmp_path, capsys):
     # The CLI's field is substream (seed, 0) drawn over the sorted sites; the
     # expected values are derived here with numpy alone, not with the library.
@@ -582,6 +597,24 @@ DM_EIG_CFG = {
     "master_seed": 5,
 }
 
+GEO_CFG = {"dimension": 1, "radius": 1, "center": [[0], [0]], "center_prime": [[100], [100]]}
+
+STOLLMANN_MC_CFG = {
+    "function": {"form": "max", "arity": 3},
+    "dist": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+    "interval": [0.5, 0.6],
+    "mode": "mc",
+    "trials": 5000,
+    "master_seed": 11,
+}
+
+DM_FN_CFG = {
+    "function": {"form": "sum", "arity": 2},
+    "domain": [0.0, 1.0],
+    "samples": 10,
+    "master_seed": 3,
+}
+
 
 @pytest.mark.parametrize(
     "command, base, bad",
@@ -593,6 +626,14 @@ DM_EIG_CFG = {
         ("spectrum", HAM_CFG, {"coupling": [1.0]}),
         ("dm-check", DM_EIG_CFG, {"radius": None}),
         ("dm-check", DM_EIG_CFG, {"center": [5, 6]}),
+        ("geometry-classify", GEO_CFG, {"radius": None}),
+        ("build-hamiltonian", HAM_CFG, {"dist": None}),
+        ("spectrum", HAM_CFG, {"dist": {"kind": "uniform", "lo": None, "hi": 1.0}}),
+        ("stollmann-check", STOLLMANN_MC_CFG, {"trials": None}),
+        ("stollmann-check", STOLLMANN_MC_CFG, {"master_seed": None}),
+        ("stollmann-check", STOLLMANN_MC_CFG, {"function": {"form": "sum", "arity": None}}),
+        ("stollmann-check", STOLLMANN_MC_CFG, {"interval": [0.5, None]}),
+        ("dm-check", DM_FN_CFG, {"samples": None}),
     ],
     ids=[
         "single-center",
@@ -602,6 +643,14 @@ DM_EIG_CFG = {
         "spectrum-coupling",
         "dm-radius",
         "dm-center",
+        "geometry-radius",
+        "hamiltonian-dist",
+        "spectrum-uniform-lo",
+        "stollmann-trials",
+        "stollmann-master_seed",
+        "stollmann-arity",
+        "stollmann-interval",
+        "dm-samples",
     ],
 )
 def test_wrongly_typed_hamiltonian_values_exit_1(tmp_path, capsys, command, base, bad):

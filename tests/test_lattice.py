@@ -20,6 +20,7 @@ from wegner2p import (
     survey_separation_line,
     survey_separation_plane,
 )
+from wegner2p import lattice
 
 CS = SeparationClass.COMPLETELY_SEPARATED
 A = SeparationClass.FIRST_PARTICLE1_ISOLATED
@@ -353,3 +354,68 @@ def test_line_survey_matches_direct_recount():
                     geoms += 1
     assert res.geometries == geoms == 6**3 - 11
     assert res.empty == 0
+
+
+# Geometry and per-class counts (CS, A, B, C, D) of the line survey as the
+# geometry-by-geometry scan of the whole grid gives them.
+LINE_SURVEY_COUNTS = {
+    0: (7961, (6517, 6859, 6859, 6859, 6859)),
+    1: (192935, (144365, 152525, 153575, 153385, 153385)),
+    2: (842551, (622567, 654467, 661247, 659707, 659707)),
+}
+
+
+@pytest.mark.parametrize("L", [0, 1, 2])
+def test_line_survey_counts_are_pinned(L):
+    res = survey_separation_line(L)
+    geometries, per_class = LINE_SURVEY_COUNTS[L]
+    assert res.geometries == geometries
+    assert [res.class_counts[c] for c in (CS, A, B, C, D)] == list(per_class)
+    assert res.empty == 0 and res.dimension == 1 and res.radius == L
+
+
+def test_plane_survey_counts_are_pinned():
+    res = survey_separation_plane(0)
+    assert res.geometries == 218
+    assert [res.class_counts[c] for c in (CS, A, B, C, D)] == [146, 161, 161, 161, 161]
+
+
+def test_line_survey_counts_match_direct_scan_on_small_grid():
+    # every geometry of a side-9 grid, classified one at a time
+    counts = dict.fromkeys(SeparationClass, 0)
+    geometries = 0
+    for w, a, b in itertools.product(range(-4, 5), repeat=3):
+        u, up = PairPoint.of((0,), (w,)), PairPoint.of((a,), (b,))
+        if distance_condition(u, up, 0):
+            geometries += 1
+            for c in classify_separation(u, up, 0):
+                counts[c] += 1
+    res = survey_separation_line(0, side=9)
+    assert res.geometries == geometries
+    assert res.class_counts == counts
+
+
+def test_line_survey_spot_check_catches_a_non_witness_disagreement(monkeypatch):
+    # A classifier that is wrong only away from the profile witnesses passes
+    # the witness checks; the strided set-based sample must still catch it.
+    witnesses = {(0, w, a, b) for _, (w, a, b), _ in lattice._axis_profiles(1, 60)}
+    honest = lattice.classify_separation
+
+    def wrong_off_witness(u, u_prime, L):
+        found = honest(u, u_prime, L)
+        if u.first + u.second + u_prime.first + u_prime.second in witnesses:
+            return found
+        return found - {CS}
+
+    monkeypatch.setattr(lattice, "classify_separation", wrong_off_witness)
+    with pytest.raises(RuntimeError, match="disagrees"):
+        survey_separation_line(1)
+
+
+def test_surveys_raise_when_classifier_and_profiles_disagree(monkeypatch):
+    honest = lattice.classify_separation
+    monkeypatch.setattr(
+        lattice, "classify_separation", lambda u, up, L: honest(u, up, L) | {CS}
+    )
+    with pytest.raises(RuntimeError, match="disagrees"):
+        survey_separation_plane(0)

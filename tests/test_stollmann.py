@@ -15,6 +15,7 @@ from wegner2p import (
     stollmann_exact,
     stollmann_mc,
 )
+from wegner2p import stollmann
 from wegner2p.stollmann import (
     coordinate_max,
     coordinate_sum,
@@ -56,7 +57,7 @@ def test_true_dm_functions_pass(f):
 
 
 def test_decreasing_function_fails_monotonicity():
-    bad = DMFunctionSpec(arity=1, evaluator=lambda v: -float(v[0]), name="negated")
+    bad = DMFunctionSpec(arity=1, evaluator=lambda V: -V[:, 0], name="negated")
     report = check_dm_function(bad, (0.0, 1.0), 200, RngStream(0, 0))
     assert not report.passed
     assert report.worst_monotonicity_violation > report.tolerance
@@ -67,7 +68,7 @@ def test_decreasing_function_fails_monotonicity():
 
 
 def test_slope_deficient_function_fails_diagonal():
-    flat = DMFunctionSpec(arity=1, evaluator=lambda v: 0.5 * float(v[0]), name="half")
+    flat = DMFunctionSpec(arity=1, evaluator=lambda V: 0.5 * V[:, 0], name="half")
     report = check_dm_function(flat, (0.0, 1.0), 200, RngStream(0, 0))
     assert not report.passed
     assert report.worst_monotonicity_violation <= report.tolerance
@@ -91,7 +92,7 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         single_coordinate(2, index=2)
     with pytest.raises(ValueError):
-        DMFunctionSpec(arity=0, evaluator=lambda v: 0.0)
+        DMFunctionSpec(arity=0, evaluator=lambda V: np.zeros(len(V)))
 
 
 def test_function_call_checks_shape():
@@ -99,6 +100,84 @@ def test_function_call_checks_shape():
     assert f(np.array([1.0, 2.0])) == 3.0
     with pytest.raises(ValueError):
         f(np.array([1.0, 2.0, 3.0]))
+
+
+def test_function_call_takes_one_point_or_a_batch():
+    f = coordinate_max(2)
+    assert isinstance(f([1.0, 4.0]), float)
+    out = f(np.array([[1.0, 4.0], [3.0, 2.0], [0.0, 0.0]]))
+    assert isinstance(out, np.ndarray) and out.tolist() == [4.0, 3.0, 0.0]
+    assert f(np.empty((0, 2))).shape == (0,)
+    for bad in (np.ones((3, 3)), np.ones((2, 2, 2)), np.float64(1.0)):
+        with pytest.raises(ValueError):
+            f(bad)
+    # an evaluator must give one value per row
+    with pytest.raises(ValueError):
+        DMFunctionSpec(arity=2, evaluator=lambda V: V)(np.ones((3, 2)))
+    with pytest.raises(ValueError):
+        DMFunctionSpec(arity=2, evaluator=lambda V: V.sum())(np.ones((3, 2)))
+
+
+LIBRARY_FAMILIES = [
+    coordinate_sum(1),
+    coordinate_sum(3),
+    coordinate_sum(12),
+    coordinate_max(5),
+    single_coordinate(4, index=2),
+    positive_linear([0.3, 0.45, 0.55]),
+    positive_linear(np.linspace(0.05, 0.3, 11)),
+    order_statistic(4, 3),
+    order_statistic(6, 2, shifts=[0.1, -2.0, 3.5, 0.0, -0.7, 1e-9]),
+]
+
+
+@pytest.mark.parametrize("f", LIBRARY_FAMILIES, ids=lambda f: f.name)
+def test_batch_values_equal_pointwise_values_bitwise(f):
+    # A point's value must not depend on its batch: rounding-sensitive inputs
+    # spanning many magnitudes, compared as raw bits.
+    gen = np.random.default_rng(2024)
+    V = gen.standard_normal((300, f.arity)) * 10.0 ** gen.integers(-8, 9, (300, f.arity))
+    batch = f(V)
+    pointwise = np.array([f(v) for v in V])
+    assert batch.view(np.int64).tolist() == pointwise.view(np.int64).tolist()
+    for lo, hi in ((0, 1), (17, 64), (5, 300)):
+        assert f(V[lo:hi]).view(np.int64).tolist() == batch[lo:hi].view(np.int64).tolist()
+
+
+def pointwise_dm_report(f, domain, samples, rng, tolerance):
+    """The DM check one sample at a time, each point evaluated on its own."""
+    lo, hi = domain
+    span = hi - lo
+    gen = rng.generator()
+    worst_mono = worst_diag = -math.inf
+    witnesses = []
+    for _ in range(samples):
+        v = gen.uniform(lo, hi, size=f.arity)
+        r = gen.uniform(0.0, span, size=f.arity)
+        t = span * (1.0 - gen.random())
+        base = f(v)
+        mono_gap = base - f(v + r)
+        diag_gap = t - (f(v + t) - base)
+        worst_mono = max(worst_mono, mono_gap)
+        worst_diag = max(worst_diag, diag_gap)
+        if (mono_gap > tolerance or diag_gap > tolerance) and len(witnesses) < 5:
+            witnesses.append(
+                {"v": v.tolist(), "r": r.tolist(), "t": t,
+                 "monotonicity_gap": mono_gap, "diagonal_gap": diag_gap}
+            )
+    return worst_mono, worst_diag, witnesses
+
+
+@pytest.mark.parametrize("chunk", [3, 1 << 16])
+@pytest.mark.parametrize("tolerance", [1e-12, -1.0])
+def test_checker_matches_pointwise_loop(monkeypatch, chunk, tolerance):
+    monkeypatch.setattr(stollmann, "_CHUNK", chunk)
+    for f in (coordinate_sum(3), order_statistic(3, 2, shifts=[0.0, -1.5, 2.0])):
+        report = check_dm_function(f, (-2.0, 2.0), 50, RngStream(8, 0), tolerance=tolerance)
+        want = pointwise_dm_report(f, (-2.0, 2.0), 50, RngStream(8, 0), tolerance)
+        assert (report.worst_monotonicity_violation, report.worst_diagonal_defect) == want[:2]
+        assert report.witnesses == want[2]
+        assert len(report.witnesses) == (5 if tolerance < 0 else 0)
 
 
 def test_checker_argument_validation():
@@ -112,7 +191,7 @@ def test_checker_argument_validation():
 def test_dm_closed_under_constant_shift():
     base = coordinate_max(2)
     shifted = DMFunctionSpec(
-        arity=2, evaluator=lambda v: base(v) + 7.25, name="max_plus_const"
+        arity=2, evaluator=lambda V: base(V) + 7.25, name="max_plus_const"
     )
     assert check_dm_function(shifted, (-1.0, 1.0), 200, RngStream(9, 0)).passed
 
@@ -192,6 +271,64 @@ def test_exact_probability_against_direct_enumeration():
     assert res.probability == pytest.approx(want, abs=1e-15)
 
 
+def odometer_probability(f, law, interval):
+    """Interval probability by a point-by-point odometer over the atom indices."""
+    atoms = law.atoms
+    values = [v for v, _ in atoms]
+    weights = [w for _, w in atoms]
+    prob = 0.0
+    idx = [0] * f.arity
+    coords = np.empty(f.arity)
+    while True:
+        w = 1.0
+        for j, i in enumerate(idx):
+            coords[j] = values[i]
+            w *= weights[i]
+        if interval.contains(f(coords)):
+            prob += w
+        j = f.arity - 1
+        while j >= 0 and idx[j] == len(atoms) - 1:
+            idx[j] = 0
+            j -= 1
+        if j < 0:
+            return prob
+        idx[j] += 1
+
+
+CRITERION_4_LAWS = (
+    DistributionSpec.discrete(((0.0, 0.5), (1.0, 0.5))),
+    DistributionSpec.discrete(((0.0, 0.3), (0.7, 0.45), (2.0, 0.25))),
+    FOUR_ATOMS,
+)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_exact_probability_matches_odometer_bitwise(p):
+    rng = np.random.default_rng(400 + p)
+    for law in CRITERION_4_LAWS:
+        for f in (coordinate_sum(p), coordinate_max(p), single_coordinate(p, p - 1)):
+            for _ in range(4):
+                lower = float(rng.uniform(-1.0, 3.5))
+                iv = IntervalSpec(lower, lower + float(rng.uniform(1e-6, 4.0)))
+                assert stollmann_exact(f, law, iv).probability == odometer_probability(f, law, iv)
+
+
+def test_exact_probability_across_chunks_matches_odometer_bitwise():
+    law = DistributionSpec.discrete([(0.1 * k, 0.1) for k in range(10)])
+    f = positive_linear([0.3, 0.45, 0.55, 0.2, 0.1])
+    assert 10**f.arity > stollmann._CHUNK  # the enumeration spans two chunks
+    iv = IntervalSpec(1.0, 2.5)
+    res = stollmann_exact(f, law, iv)
+    assert res.probability == odometer_probability(f, law, iv)
+    assert 0.0 < res.probability < 1.0
+
+
+def test_exact_probability_at_the_enumeration_limit():
+    ten = DistributionSpec.discrete([(float(k), 0.1) for k in range(10)])
+    res = stollmann_exact(coordinate_sum(7), ten, IntervalSpec(10, 20))
+    assert res.probability == 0.05582790000057543
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo bound
 # ---------------------------------------------------------------------------
@@ -235,6 +372,22 @@ def test_mc_deterministic_and_guarded():
         stollmann_mc(coordinate_sum(2), law, IntervalSpec(0.5, 1.0), 999, RngStream(7, 0))
 
 
+def test_mc_evaluates_all_draws_in_one_call():
+    seen = []
+    base = coordinate_max(3)
+
+    def evaluator(V):
+        seen.append(V.shape)
+        return base.evaluator(V)
+
+    f = DMFunctionSpec(arity=3, evaluator=evaluator)
+    law = DistributionSpec.uniform(0.0, 1.0)
+    iv = IntervalSpec(0.5, 0.6)
+    res = stollmann_mc(f, law, iv, 5000, RngStream(3, 0))
+    assert seen == [(5000, 3)]
+    assert res.estimate == stollmann_mc(base, law, iv, 5000, RngStream(3, 0)).estimate
+
+
 def test_mc_agrees_with_exact_on_atomic_law():
     law = DistributionSpec.discrete([(0.0, 0.5), (1.0, 0.5)])
     f = coordinate_sum(2)
@@ -272,7 +425,7 @@ def test_layer_sets_pass_for_dm_functions(f):
 
 
 def test_layer_sets_flag_decreasing_function():
-    bad = DMFunctionSpec(arity=1, evaluator=lambda v: -float(v[0]), name="negated")
+    bad = DMFunctionSpec(arity=1, evaluator=lambda V: -V[:, 0], name="negated")
     grid = list(range(11))
     res = layer_sets_check(bad, grid, IntervalSpec(-5.0, -3.0))
     assert not res.passed
@@ -282,7 +435,7 @@ def test_layer_sets_flag_decreasing_function():
 
 
 def test_layer_sets_flag_slope_deficit():
-    flat = DMFunctionSpec(arity=1, evaluator=lambda v: 0.5 * float(v[0]), name="half")
+    flat = DMFunctionSpec(arity=1, evaluator=lambda V: 0.5 * V[:, 0], name="half")
     grid = list(range(11))
     res = layer_sets_check(flat, grid, IntervalSpec(2.0, 4.0))
     assert res.chain_ok  # still monotone
