@@ -6,7 +6,7 @@ within eps of a fixed energy, and compare against the analytic ceiling
 minus three standard errors to stay below the ceiling.
 """
 
-from wegner2p import ExperimentConfig, make_box, run_single_volume, single_volume_bound
+from wegner2p import ExperimentConfig, run_single_volume, single_volume_bound
 
 config = ExperimentConfig.from_dict(
     {
@@ -50,5 +50,5 @@ for eps in (0.05, 0.02, 0.01, 0.005):
         threads=2,
     )
     rep = run_single_volume(cfg)
-    bound = single_volume_bound(make_box(cfg.center, cfg.radius), cfg.dist, eps)
+    bound = single_volume_bound(cfg.hamiltonian.box, cfg.dist, eps)
     print(f"eps={eps:<6g} p_hat={rep.empirical_probability:.4f}  ceiling={bound:.4f}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
@@ -20,6 +20,7 @@ import numpy as np
 from ._version import __version__
 from .experiments import (
     ExperimentConfig,
+    RoundRecord,
     choose_bound,
     run_single_volume,
     run_two_volume,
@@ -76,17 +77,7 @@ def _csv_lines(payload: dict) -> list[str]:
             lines.append(f"{i},{d!r}")
         return lines
     if kind == "two_volume":
-        cols = [
-            "round_index",
-            "frozen_digest",
-            "trials",
-            "hits",
-            "empirical_probability",
-            "std_error",
-            "verdict",
-            "dist_min",
-            "dist_mean",
-        ]
+        cols = [f.name for f in fields(RoundRecord)]
         lines = [",".join(cols)]
         for r in payload["rounds"]:
             lines.append(",".join(str(r[c]) for c in cols))

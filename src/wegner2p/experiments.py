@@ -37,14 +37,14 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 
 from ._version import __version__ as TOOL_VERSION
-from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, InteractionSpec, _pair
+from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _pair
 from .lattice import (
     BoxSpec,
     PairPoint,
@@ -55,6 +55,7 @@ from .lattice import (
 )
 from .potential import DistributionSpec, RngStream, _malformed, concentration, draw_values
 from .spectral import min_gaps_to_sorted
+from .stollmann import binomial_verdict
 
 SCHEMA_VERSION = 1
 
@@ -142,48 +143,41 @@ def two_volume_bound(
 class ExperimentConfig:
     """Complete description of one bound-verification run.
 
+    `hamiltonian` holds the (first) box and the operator on it.
     `center_prime` and `conditioning_rounds` belong to the two-volume
     experiment, `energy` to the single-volume one; the runners enforce the
     split.  `threads` only parallelises the work and never changes results,
     so it is left out of the serialised echo.
     """
 
-    dimension: int
-    radius: int
-    center: PairPoint
+    hamiltonian: HamiltonianSpec
     dist: DistributionSpec
     epsilon: float
     trials: int
     master_seed: int
     center_prime: PairPoint | None = None
-    interaction: InteractionSpec = InteractionSpec.zero()
-    coupling: float = 1.0
     energy: float | None = None
     conditioning_rounds: int | None = None
     bound_mode: str = "two_eps"
-    hopping_norm: str = "sup"
     threads: int = 1
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError("dimension must be at least 1")
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
-        for centre in (self.center, self.center_prime):
-            if centre is not None and (
-                centre.dimension != self.dimension or len(centre.second) != self.dimension
-            ):
-                raise ValueError("box centres must match the configured dimension")
+        box = self.hamiltonian.box
+        if self.center_prime is not None and (
+            self.center_prime.dimension != box.dimension
+            or len(self.center_prime.second) != box.dimension
+        ):
+            raise ValueError("box centres must match the configured dimension")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError("epsilon must be positive and finite")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.trials >= 2**32:
+            raise ValueError("trials must be below 2**32, the per-round trial index range")
         if not 0 <= int(self.master_seed) < 2**64:
             raise ValueError("master seed must fit in an unsigned 64-bit integer")
         if self.bound_mode not in _BOUND_MODES:
             raise ValueError(f"bound_mode must be one of {_BOUND_MODES}")
-        if self.hopping_norm not in ("sup", "l1"):
-            raise ValueError("hopping_norm must be 'sup' or 'l1'")
         if self.conditioning_rounds is not None and self.conditioning_rounds < 1:
             raise ValueError("need at least one conditioning round")
         if self.energy is not None and not math.isfinite(self.energy):
@@ -192,18 +186,19 @@ class ExperimentConfig:
             raise ValueError("threads must be at least 1")
 
     def to_dict(self) -> dict:
+        spec = self.hamiltonian
         out: dict = {
-            "dimension": self.dimension,
-            "radius": self.radius,
-            "center": [list(self.center.first), list(self.center.second)],
-            "interaction": self.interaction.to_dict(),
-            "coupling": self.coupling,
+            "dimension": spec.box.dimension,
+            "radius": spec.box.radius,
+            "center": [list(spec.box.center.first), list(spec.box.center.second)],
+            "interaction": spec.interaction.to_dict(),
+            "coupling": spec.coupling,
             "dist": self.dist.to_dict(),
             "epsilon": self.epsilon,
             "trials": self.trials,
             "master_seed": self.master_seed,
             "bound_mode": self.bound_mode,
-            "hopping_norm": self.hopping_norm,
+            "hopping_norm": spec.hopping_norm,
         }
         if self.center_prime is not None:
             out["center_prime"] = [
@@ -235,15 +230,10 @@ class ExperimentConfig:
         )
         with _malformed("experiment"):
             return cls(
-                dimension=spec.box.dimension,
-                radius=spec.box.radius,
-                center=spec.box.center,
+                hamiltonian=spec,
                 center_prime=(
                     _pair(data["center_prime"], "center_prime") if "center_prime" in data else None
                 ),
-                interaction=spec.interaction,
-                coupling=spec.coupling,
-                hopping_norm=spec.hopping_norm,
                 dist=DistributionSpec.from_dict(data["dist"]),
                 energy=float(data["energy"]) if "energy" in data else None,
                 epsilon=float(data["epsilon"]),
@@ -257,9 +247,36 @@ class ExperimentConfig:
             )
 
 
+class _Report:
+    """Report dataclass serialised from its fields, in declaration order.
+
+    The JSON object starts with `kind`, `schema_version` and `tool_version`;
+    nested dataclasses become objects.
+    """
+
+    KIND: ClassVar[str]
+
+    def to_dict(self) -> dict:
+        body = asdict(self)
+        return {
+            "kind": self.KIND,
+            "schema_version": body.pop("schema_version"),
+            "tool_version": body.pop("tool_version"),
+            **body,
+        }
+
+    @classmethod
+    def _fields_from(cls, data: Mapping) -> dict:
+        if data.get("kind") != cls.KIND:
+            raise ValueError(f"not a {cls.KIND.replace('_', '-')} report")
+        return {f.name: data[f.name] for f in fields(cls)}
+
+
 @dataclass(eq=False)
-class WegnerReport:
+class WegnerReport(_Report):
     """Outcome of a single-volume run, with per-trial distances retained."""
+
+    KIND = "single_volume"
 
     config: dict
     analytic_bound: float
@@ -277,44 +294,12 @@ class WegnerReport:
     tool_version: str = TOOL_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "single_volume",
-            "schema_version": self.schema_version,
-            "tool_version": self.tool_version,
-            "config": self.config,
-            "analytic_bound": self.analytic_bound,
-            "trials": self.trials,
-            "hits": self.hits,
-            "empirical_probability": self.empirical_probability,
-            "std_error": self.std_error,
-            "verdict": self.verdict,
-            "low_power": self.low_power,
-            "dist_min": self.dist_min,
-            "dist_mean": self.dist_mean,
-            "dist_max": self.dist_max,
-            "per_trial_dist": [float(x) for x in self.per_trial_dist],
-        }
+        return {**super().to_dict(), "per_trial_dist": self.per_trial_dist.tolist()}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "WegnerReport":
-        if data.get("kind") != "single_volume":
-            raise ValueError("not a single-volume report")
-        return cls(
-            config=dict(data["config"]),
-            analytic_bound=data["analytic_bound"],
-            trials=data["trials"],
-            hits=data["hits"],
-            empirical_probability=data["empirical_probability"],
-            std_error=data["std_error"],
-            verdict=data["verdict"],
-            low_power=data["low_power"],
-            dist_min=data["dist_min"],
-            dist_mean=data["dist_mean"],
-            dist_max=data["dist_max"],
-            per_trial_dist=np.array(data["per_trial_dist"], dtype=float),
-            schema_version=data["schema_version"],
-            tool_version=data["tool_version"],
-        )
+        kwargs = cls._fields_from(data)
+        return cls(**{**kwargs, "per_trial_dist": np.array(kwargs["per_trial_dist"], dtype=float)})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WegnerReport):
@@ -336,37 +321,12 @@ class RoundRecord:
     dist_min: float
     dist_mean: float
 
-    def to_dict(self) -> dict:
-        return {
-            "round_index": self.round_index,
-            "frozen_digest": self.frozen_digest,
-            "trials": self.trials,
-            "hits": self.hits,
-            "empirical_probability": self.empirical_probability,
-            "std_error": self.std_error,
-            "verdict": self.verdict,
-            "dist_min": self.dist_min,
-            "dist_mean": self.dist_mean,
-        }
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RoundRecord":
-        return cls(**{k: data[k] for k in (
-            "round_index",
-            "frozen_digest",
-            "trials",
-            "hits",
-            "empirical_probability",
-            "std_error",
-            "verdict",
-            "dist_min",
-            "dist_mean",
-        )})
-
-
-@dataclass(eq=False)
-class TwoVolumeReport:
+@dataclass
+class TwoVolumeReport(_Report):
     """Outcome of a two-volume run: one record per conditioning round."""
+
+    KIND = "two_volume"
 
     config: dict
     separation_classes: list[str]
@@ -378,78 +338,10 @@ class TwoVolumeReport:
     schema_version: int = SCHEMA_VERSION
     tool_version: str = TOOL_VERSION
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "two_volume",
-            "schema_version": self.schema_version,
-            "tool_version": self.tool_version,
-            "config": self.config,
-            "separation_classes": list(self.separation_classes),
-            "bound_choice": self.bound_choice,
-            "analytic_bound": self.analytic_bound,
-            "rounds": [r.to_dict() for r in self.rounds],
-            "verdict": self.verdict,
-            "low_power": self.low_power,
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping) -> "TwoVolumeReport":
-        if data.get("kind") != "two_volume":
-            raise ValueError("not a two-volume report")
-        return cls(
-            config=dict(data["config"]),
-            separation_classes=list(data["separation_classes"]),
-            bound_choice=data["bound_choice"],
-            analytic_bound=data["analytic_bound"],
-            rounds=[RoundRecord.from_dict(r) for r in data["rounds"]],
-            verdict=data["verdict"],
-            low_power=data["low_power"],
-            schema_version=data["schema_version"],
-            tool_version=data["tool_version"],
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TwoVolumeReport):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-
-def _batch_distances(
-    template: HamiltonianTemplate,
-    dist: DistributionSpec,
-    master_seed: int,
-    round_index: int,
-    trial_lo: int,
-    trial_hi: int,
-    reference: np.ndarray,
-    base_values: np.ndarray,
-    free_positions: np.ndarray,
-) -> np.ndarray:
-    """Distances for trials trial_lo..trial_hi (inclusive), one batch.
-
-    Each trial draws fresh values for `free_positions` on top of
-    `base_values` (the frozen part), assembles the operator, and records the
-    minimum gap between its spectrum and the sorted `reference` values.
-    """
-    count = trial_hi - trial_lo + 1
-    values = np.tile(base_values, (count, 1))
-    n_free = free_positions.size
-    for i in range(count):
-        gen = derive_trial_rng(master_seed, round_index, trial_lo + i).generator()
-        values[i, free_positions] = draw_values(dist, gen, n_free)
-    diag = template.diagonal_shift(values)
-    bad = ~np.isfinite(diag).all(axis=1)
-    if bad.any():
-        raise RuntimeError(f"trial {trial_lo + int(np.argmax(bad))}: non-finite field values")
-    m = template.dim
-    H = np.broadcast_to(template.fixed, (count, m, m)).copy()
-    idx = np.arange(m)
-    H[:, idx, idx] += diag
-    try:
-        eigs = np.linalg.eigvalsh(H)
-    except np.linalg.LinAlgError as err:
-        raise RuntimeError(f"trials {trial_lo}..{trial_hi}: eigensolver failed: {err}") from err
-    return min_gaps_to_sorted(eigs, reference)
+        kwargs = cls._fields_from(data)
+        return cls(**{**kwargs, "rounds": [RoundRecord(**r) for r in kwargs["rounds"]]})
 
 
 def _collect_distances(
@@ -465,6 +357,9 @@ def _collect_distances(
 ) -> np.ndarray:
     """Per-trial distances for trials 1..n_trials of one round.
 
+    Each trial draws fresh values for `free_positions` on top of
+    `base_values` (the frozen part), assembles the operator, and records the
+    minimum gap between its spectrum and the sorted `reference` values.
     Work is cut into fixed-size batches and reassembled in batch order, so
     the output array is identical for every thread count.
     """
@@ -472,37 +367,34 @@ def _collect_distances(
         (lo, min(lo + _BATCH - 1, n_trials)) for lo in range(1, n_trials + 1, _BATCH)
     ]
 
-    def job(span: tuple[int, int]) -> np.ndarray:
-        return _batch_distances(
-            template,
-            dist,
-            master_seed,
-            round_index,
-            span[0],
-            span[1],
-            reference,
-            base_values,
-            free_positions,
-        )
+    def batch(span: tuple[int, int]) -> np.ndarray:
+        trial_lo, trial_hi = span
+        count = trial_hi - trial_lo + 1
+        values = np.tile(base_values, (count, 1))
+        n_free = free_positions.size
+        for i in range(count):
+            gen = derive_trial_rng(master_seed, round_index, trial_lo + i).generator()
+            values[i, free_positions] = draw_values(dist, gen, n_free)
+        diag = template.diagonal_shift(values)
+        bad = ~np.isfinite(diag).all(axis=1)
+        if bad.any():
+            raise RuntimeError(f"trial {trial_lo + int(np.argmax(bad))}: non-finite field values")
+        m = template.dim
+        H = np.broadcast_to(template.fixed, (count, m, m)).copy()
+        idx = np.arange(m)
+        H[:, idx, idx] += diag
+        try:
+            eigs = np.linalg.eigvalsh(H)
+        except np.linalg.LinAlgError as err:
+            raise RuntimeError(f"trials {trial_lo}..{trial_hi}: eigensolver failed: {err}") from err
+        return min_gaps_to_sorted(eigs, reference)
 
     if threads > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(job, bounds))
+            parts = list(pool.map(batch, bounds))
     else:
-        parts = [job(span) for span in bounds]
+        parts = [batch(span) for span in bounds]
     return np.concatenate(parts)
-
-
-def _template(config: ExperimentConfig, box: BoxSpec) -> HamiltonianTemplate:
-    """Operator template of one box under the config's interaction and coupling."""
-    return HamiltonianTemplate(
-        HamiltonianSpec(
-            box=box,
-            interaction=config.interaction,
-            coupling=config.coupling,
-            hopping_norm=config.hopping_norm,
-        )
-    )
 
 
 def run_single_volume(config: ExperimentConfig) -> WegnerReport:
@@ -520,10 +412,10 @@ def run_single_volume(config: ExperimentConfig) -> WegnerReport:
         raise ValueError(
             "single-volume experiment takes no second centre and no conditioning rounds"
         )
-    box = make_box(config.center, config.radius)
-    template = _template(config, box)
+    spec = config.hamiltonian
+    template = HamiltonianTemplate(spec)
     bound = single_volume_bound(
-        box, config.dist, config.epsilon, config.coupling, config.bound_mode
+        spec.box, config.dist, config.epsilon, spec.coupling, config.bound_mode
     )
     dists = _collect_distances(
         template,
@@ -537,9 +429,7 @@ def run_single_volume(config: ExperimentConfig) -> WegnerReport:
         free_positions=np.arange(template.n_sites),
     )
     hits = int(np.count_nonzero(dists <= config.epsilon))
-    estimate = hits / config.trials
-    std_error = math.sqrt(estimate * (1.0 - estimate) / config.trials)
-    verdict = "holds" if estimate - 3.0 * std_error <= bound else "violated"
+    estimate, std_error, holds = binomial_verdict(hits, config.trials, bound)
     return WegnerReport(
         config=config.to_dict(),
         analytic_bound=bound,
@@ -547,7 +437,7 @@ def run_single_volume(config: ExperimentConfig) -> WegnerReport:
         hits=hits,
         empirical_probability=estimate,
         std_error=std_error,
-        verdict=verdict,
+        verdict="holds" if holds else "violated",
         low_power=config.trials < _LOW_POWER_TRIALS,
         dist_min=float(dists.min()),
         dist_mean=float(dists.mean()),
@@ -596,14 +486,15 @@ def run_two_volume(config: ExperimentConfig) -> TwoVolumeReport:
         raise ValueError("two-volume experiment needs conditioning_rounds")
     if config.energy is not None:
         raise ValueError("two-volume experiment measures spectra against each other, not an energy")
-    classes = classify_separation(config.center, config.center_prime, config.radius)
+    spec = config.hamiltonian
+    classes = classify_separation(spec.box.center, config.center_prime, spec.box.radius)
     if not classes:
         raise RuntimeError(
             "separation dichotomy failed: no class applies to an admissible geometry"
         )
     which = choose_bound(classes)
-    box = make_box(config.center, config.radius)
-    box_prime = make_box(config.center_prime, config.radius)
+    box = spec.box
+    box_prime = make_box(config.center_prime, box.radius)
     if which is TwoVolumeBound.CONDITION_ON_SECOND:
         free_box, cond_box = box, box_prime
     else:
@@ -613,12 +504,12 @@ def run_two_volume(config: ExperimentConfig) -> TwoVolumeReport:
         box_prime,
         config.dist,
         config.epsilon,
-        config.coupling,
+        spec.coupling,
         which,
         config.bound_mode,
     )
-    free_template = _template(config, free_box)
-    cond_template = _template(config, cond_box)
+    free_template = HamiltonianTemplate(replace(spec, box=free_box))
+    cond_template = HamiltonianTemplate(replace(spec, box=cond_box))
     frozen_sites = cond_template.sites
     frozen_lookup = {s: k for k, s in enumerate(frozen_sites)}
     shared_dst = [i for i, s in enumerate(free_template.sites) if s in frozen_lookup]
@@ -651,10 +542,8 @@ def run_two_volume(config: ExperimentConfig) -> TwoVolumeReport:
             free_positions=free_positions,
         )
         hits = int(np.count_nonzero(dists <= config.epsilon))
-        estimate = hits / config.trials
-        std_error = math.sqrt(estimate * (1.0 - estimate) / config.trials)
-        verdict = "holds" if estimate - 3.0 * std_error <= bound else "violated"
-        all_hold = all_hold and verdict == "holds"
+        estimate, std_error, holds = binomial_verdict(hits, config.trials, bound)
+        all_hold = all_hold and holds
         rounds.append(
             RoundRecord(
                 round_index=r,
@@ -663,7 +552,7 @@ def run_two_volume(config: ExperimentConfig) -> TwoVolumeReport:
                 hits=hits,
                 empirical_probability=estimate,
                 std_error=std_error,
-                verdict=verdict,
+                verdict="holds" if holds else "violated",
                 dist_min=float(dists.min()),
                 dist_mean=float(dists.mean()),
             )

@@ -317,6 +317,19 @@ def test_wegner_single_violation_exits_2(tmp_path, capsys):
     assert payload["empirical_probability"] == 1.0
 
 
+def test_wegner_single_rejects_trials_beyond_index_range(tmp_path, capsys, monkeypatch):
+    # trial indices are 32-bit; the config is refused before any trial runs
+    def must_not_run(config):
+        raise AssertionError("the experiment started")
+
+    monkeypatch.setattr(cli, "run_single_volume", must_not_run)
+    cfg = write_config(tmp_path, "big.json", {**SINGLE_CFG, "trials": 2**32})
+    code, out, err = run_cli(capsys, "wegner-single", "--config", cfg)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: trials must be below 2**32")
+
+
 def test_wegner_single_rejects_two_volume_config(tmp_path, capsys):
     cfg = write_config(tmp_path, "w.json", TWO_CFG)
     code, _, err = run_cli(capsys, "wegner-single", "--config", cfg)
@@ -346,7 +359,11 @@ def test_wegner_two_csv_rows(tmp_path, capsys):
     assert code == 0
     rows = out.splitlines()
     assert len(rows) == 3  # header plus one row per round
-    assert rows[0].startswith("round_index,frozen_digest")
+    assert rows[0] == (
+        "round_index,frozen_digest,trials,hits,empirical_probability,"
+        "std_error,verdict,dist_min,dist_mean"
+    )
+    assert all(len(row.split(",")) == 9 for row in rows)
 
 
 def test_wegner_two_rejects_single_volume_config(tmp_path, capsys):

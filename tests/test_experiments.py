@@ -1,5 +1,6 @@
 """Single-volume and two-volume bound experiments: formulas, runners, replay."""
 
+import dataclasses
 import json
 import math
 
@@ -30,35 +31,40 @@ from wegner2p.potential import draw_values
 UNIFORM01 = DistributionSpec.uniform(0.0, 1.0)
 
 
+def _config(base: dict, overrides: dict) -> ExperimentConfig:
+    """Config parsed from `base` updated with `overrides`; a None drops a key."""
+    threads = overrides.pop("threads", 1)
+    data = {k: v for k, v in {**base, **overrides}.items() if v is not None}
+    return ExperimentConfig.from_dict(data, threads=threads)
+
+
 def config_1v(**overrides):
     base = dict(
         dimension=1,
         radius=1,
-        center=PairPoint.of((0,), (0,)),
-        dist=UNIFORM01,
+        center=[[0], [0]],
+        dist=UNIFORM01.to_dict(),
         epsilon=0.05,
         trials=200,
         master_seed=12345,
         energy=0.0,
     )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+    return _config(base, overrides)
 
 
 def config_2v(**overrides):
     base = dict(
         dimension=1,
         radius=1,
-        center=PairPoint.of((0,), (0,)),
-        center_prime=PairPoint.of((100,), (100,)),
-        dist=UNIFORM01,
+        center=[[0], [0]],
+        center_prime=[[100], [100]],
+        dist=UNIFORM01.to_dict(),
         epsilon=0.05,
         trials=150,
         conditioning_rounds=3,
         master_seed=777,
     )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+    return _config(base, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +170,23 @@ def test_config_validation():
         config_1v(threads=0)
 
 
+def test_config_holds_one_hamiltonian_spec():
+    spec = HamiltonianSpec(make_box(PairPoint.of((0,), (0,)), 1), InteractionSpec.zero(1), 1.0)
+    direct = ExperimentConfig(
+        hamiltonian=spec, dist=UNIFORM01, epsilon=0.05, trials=200, master_seed=12345, energy=0.0
+    )
+    assert direct == config_1v()
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert not names & {"dimension", "radius", "center", "interaction", "coupling", "hopping_norm"}
+
+
+def test_config_rejects_trials_beyond_trial_index_range():
+    # trial indices are 32-bit, so a round holds at most 2**32 - 1 trials
+    assert config_1v(trials=2**32 - 1).trials == 2**32 - 1
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        config_1v(trials=2**32)
+
+
 def test_config_dict_round_trip_excludes_threads():
     cfg = config_1v(threads=4, coupling=2.0, bound_mode="eps_over_g")
     echo = cfg.to_dict()
@@ -194,8 +217,85 @@ def test_config_interaction_defaults_to_dimension_cutoff():
     data = config_1v().to_dict()
     del data["interaction"]
     cfg = ExperimentConfig.from_dict(data)
-    assert cfg.interaction.r_max == 1
-    assert cfg.interaction.table == {}
+    assert cfg.hamiltonian.interaction.r_max == 1
+    assert cfg.hamiltonian.interaction.table == {}
+
+
+# Key order is part of the report schema (SCHEMA_VERSION 1); the JSON bytes
+# depend on it.
+CONFIG_KEYS = [
+    "dimension",
+    "radius",
+    "center",
+    "interaction",
+    "coupling",
+    "dist",
+    "epsilon",
+    "trials",
+    "master_seed",
+    "bound_mode",
+    "hopping_norm",
+]
+ROUND_KEYS = [
+    "round_index",
+    "frozen_digest",
+    "trials",
+    "hits",
+    "empirical_probability",
+    "std_error",
+    "verdict",
+    "dist_min",
+    "dist_mean",
+]
+
+
+def test_report_key_order_is_pinned():
+    single = run_single_volume(config_1v(trials=10)).to_dict()
+    assert list(single) == [
+        "kind",
+        "schema_version",
+        "tool_version",
+        "config",
+        "analytic_bound",
+        "trials",
+        "hits",
+        "empirical_probability",
+        "std_error",
+        "verdict",
+        "low_power",
+        "dist_min",
+        "dist_mean",
+        "dist_max",
+        "per_trial_dist",
+    ]
+    assert (single["kind"], single["schema_version"]) == ("single_volume", 1)
+    assert list(single["config"]) == CONFIG_KEYS + ["energy"]
+    two = run_two_volume(config_2v(trials=10, conditioning_rounds=1)).to_dict()
+    assert list(two) == [
+        "kind",
+        "schema_version",
+        "tool_version",
+        "config",
+        "separation_classes",
+        "bound_choice",
+        "analytic_bound",
+        "rounds",
+        "verdict",
+        "low_power",
+    ]
+    assert (two["kind"], two["schema_version"]) == ("two_volume", 1)
+    assert list(two["config"]) == CONFIG_KEYS + ["center_prime", "conditioning_rounds"]
+    assert list(two["rounds"][0]) == ROUND_KEYS
+
+
+def test_frozen_digest_is_pinned():
+    # the frozen field is pure RNG output, so its digest is the same on
+    # every BLAS build
+    report = run_two_volume(config_2v(trials=10, conditioning_rounds=2))
+    assert [r.frozen_digest for r in report.rounds] == [
+        "5b07de460ff15716090466e8a61238016f9e60ca7ab668b3238530c699c4f2af",
+        "21ac05f1a829bed7c3303562b7aa4ee9a8ca90c21210127ce7e57611dd0e7073",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +316,7 @@ def test_single_volume_runs_and_reports():
     assert report.dist_mean == pytest.approx(report.per_trial_dist.mean())
     assert report.config == cfg.to_dict()
     assert report.analytic_bound == pytest.approx(
-        single_volume_bound(make_box(cfg.center, 1), UNIFORM01, cfg.epsilon)
+        single_volume_bound(cfg.hamiltonian.box, UNIFORM01, cfg.epsilon)
     )
 
 
@@ -225,14 +325,7 @@ def test_single_volume_trial_replay_by_hand():
     # trial 3's distance from scratch and compare with the report entry
     cfg = config_1v(trials=5)
     report = run_single_volume(cfg)
-    template = HamiltonianTemplate(
-        HamiltonianSpec(
-            box=make_box(cfg.center, cfg.radius),
-            interaction=cfg.interaction,
-            coupling=cfg.coupling,
-            hopping_norm=cfg.hopping_norm,
-        )
-    )
+    template = HamiltonianTemplate(cfg.hamiltonian)
     gen = derive_trial_rng(cfg.master_seed, 0, 3).generator()
     vals = draw_values(cfg.dist, gen, template.n_sites)
     eigs = np.linalg.eigvalsh(template.assemble_values(vals))
@@ -293,7 +386,7 @@ def test_single_volume_rejects_two_volume_fields():
         run_single_volume(config_1v(energy=None))
     with pytest.raises(ValueError):
         run_single_volume(
-            config_1v(center_prime=PairPoint.of((50,), (50,)))
+            config_1v(center_prime=[[50], [50]])
         )
 
 
@@ -343,7 +436,7 @@ def test_two_volume_completely_separated_run():
 
 
 def test_two_volume_single_class_geometry_conditions_on_first():
-    cfg = config_2v(center_prime=PairPoint.of((2,), (50,)), trials=120)
+    cfg = config_2v(center_prime=[[2], [50]], trials=120)
     report = run_two_volume(cfg)
     assert report.separation_classes == ["second_particle2_isolated"]
     assert report.bound_choice == "condition_on_first"
@@ -364,15 +457,9 @@ def test_two_volume_round_digest_replay():
 
     cfg = config_2v(conditioning_rounds=1, trials=50)
     report = run_two_volume(cfg)
-    cond_box = make_box(cfg.center_prime, cfg.radius)  # CS conditions the second
-    template = HamiltonianTemplate(
-        HamiltonianSpec(
-            box=cond_box,
-            interaction=cfg.interaction,
-            coupling=cfg.coupling,
-            hopping_norm=cfg.hopping_norm,
-        )
-    )
+    # complete separation conditions the second box
+    cond_box = make_box(cfg.center_prime, cfg.hamiltonian.box.radius)
+    template = HamiltonianTemplate(dataclasses.replace(cfg.hamiltonian, box=cond_box))
     gen = derive_trial_rng(cfg.master_seed, 1, 0).generator()
     frozen = draw_values(cfg.dist, gen, len(template.sites))
     assert report.rounds[0].frozen_digest == hashlib.sha256(frozen.tobytes()).hexdigest()
@@ -387,7 +474,7 @@ def test_two_volume_rejects_misconfigured_runs():
         run_two_volume(config_2v(energy=1.0))
     with pytest.raises(ValueError):
         # violates the distance condition
-        run_two_volume(config_2v(center_prime=PairPoint.of((3,), (0,))))
+        run_two_volume(config_2v(center_prime=[[3], [0]]))
 
 
 def test_two_volume_report_round_trip():
@@ -404,10 +491,10 @@ def test_two_volume_tracks_unconditional_frequency():
     # inline unconditional estimate computed over fresh pairs
     cfg = config_2v(epsilon=0.25, trials=4000, conditioning_rounds=2, master_seed=5150)
     report = run_two_volume(cfg)
-    box = make_box(cfg.center, cfg.radius)
-    box_p = make_box(cfg.center_prime, cfg.radius)
-    t_free = HamiltonianTemplate(HamiltonianSpec(box, cfg.interaction, 1.0, "sup"))
-    t_cond = HamiltonianTemplate(HamiltonianSpec(box_p, cfg.interaction, 1.0, "sup"))
+    box = cfg.hamiltonian.box
+    box_p = make_box(cfg.center_prime, box.radius)
+    t_free = HamiltonianTemplate(HamiltonianSpec(box, cfg.hamiltonian.interaction, 1.0, "sup"))
+    t_cond = HamiltonianTemplate(HamiltonianSpec(box_p, cfg.hamiltonian.interaction, 1.0, "sup"))
     gen = np.random.default_rng(4242)
     hits = 0
     n = 4000

@@ -76,6 +76,22 @@ def test_slope_deficient_function_fails_diagonal():
     assert report.witnesses
 
 
+def test_nan_values_fail_the_dm_check():
+    nan = DMFunctionSpec(arity=1, evaluator=lambda V: np.full(len(V), np.nan), name="nan")
+    report = check_dm_function(nan, (0.0, 1.0), 100, RngStream(0, 0))
+    assert not report.passed
+    assert len(report.witnesses) == 5
+    assert all(math.isnan(w["monotonicity_gap"]) for w in report.witnesses)
+    # a function that is NaN at one corner of the domain only
+    holey = DMFunctionSpec(
+        arity=1, evaluator=lambda V: np.where(V[:, 0] > 0.9, np.nan, V[:, 0]), name="holey"
+    )
+    report = check_dm_function(holey, (0.0, 1.0), 200, RngStream(0, 0))
+    assert not report.passed
+    assert report.witnesses
+    assert report.worst_monotonicity_violation <= report.tolerance
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         positive_linear([0.4, 0.4])  # sum below 1
@@ -332,6 +348,16 @@ def test_exact_probability_at_the_enumeration_limit():
 # ---------------------------------------------------------------------------
 # Monte Carlo bound
 # ---------------------------------------------------------------------------
+
+
+def test_binomial_verdict_three_sigma_rule():
+    assert stollmann.binomial_verdict(0, 10, 0.0) == (0.0, 0.0, True)
+    estimate, std_error, holds = stollmann.binomial_verdict(5, 10, 0.0)
+    assert (estimate, std_error) == (0.5, math.sqrt(0.5 * 0.5 / 10))
+    assert not holds
+    # inside three standard errors of the bound still holds
+    assert stollmann.binomial_verdict(5, 10, 0.5 - 3.0 * std_error)[2]
+    assert not stollmann.binomial_verdict(5, 10, 0.49 - 3.0 * std_error)[2]
 
 
 def test_mc_max_of_three_uniform():
