@@ -1,10 +1,11 @@
 """Command line front end.
 
 Subcommands read a JSON config file, run one library operation, and write a
-report to stdout or --out as JSON (full fidelity, byte-stable) or CSV (the
-tabular core of the same report).  Exit codes: 0 when the requested check or
-bound holds (or the command is purely informational), 2 when a bound or check
-is violated beyond statistical slack, 1 for usage, config, or I/O errors.
+report to stdout or --out as JSON (the whole report, byte-stable, strict: a
+non-finite number is an error) or CSV (the tabular core of the same report).
+Exit codes: 0 when the requested check or bound holds (or the command is
+purely informational), 2 when a bound or check is violated beyond statistical
+slack, 1 for usage, config, or I/O errors.
 """
 
 from __future__ import annotations
@@ -71,11 +72,6 @@ def _load_config(path: str, seed: int | None = None) -> dict:
 
 def _csv_lines(payload: dict) -> list[str]:
     kind = payload.get("kind")
-    if kind == "single_volume":
-        lines = ["trial,distance"]
-        for i, d in enumerate(payload["per_trial_dist"], start=1):
-            lines.append(f"{i},{d!r}")
-        return lines
     if kind == "two_volume":
         cols = [f.name for f in fields(RoundRecord)]
         lines = [",".join(cols)]
@@ -104,11 +100,13 @@ def write_report(report, fmt: str, out: str | None) -> None:
     """Serialise a report (object with to_dict, or a plain dict) and write it.
 
     JSON output is the full report with a trailing newline; identical reports
-    serialise to identical bytes.  CSV output carries the tabular core only.
+    serialise to identical bytes.  A NaN or infinity has no JSON form, so it
+    raises ValueError before anything is written.  CSV output carries the
+    tabular core only.
     """
     payload = report.to_dict() if hasattr(report, "to_dict") else report
     if fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     elif fmt == "csv":
         text = "\n".join(_csv_lines(payload)) + "\n"
     else:
@@ -330,23 +328,32 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    def add(name: str, handler, help_text: str):
+    # Each subcommand takes only the flags its handler reads.
+    seed = ("--seed", {"type": int, "default": None, "help": "override master_seed"})
+    threads = ("--threads", {"type": int, "default": 1, "help": "worker threads"})
+
+    def add(name: str, handler, help_text: str, *options) -> None:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=None, help="override master_seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
         p.set_defaults(handler=handler)
-        return p
 
     add("geometry-classify", _cmd_geometry_classify, "separation classes of two box centres")
-    add("build-hamiltonian", _cmd_hamiltonian, "assemble one sampled operator matrix")
-    add("spectrum", _cmd_spectrum, "eigenvalues of one sampled operator")
-    add("wegner-single", _cmd_wegner_single, "single-volume concentration bound experiment")
-    add("wegner-two", _cmd_wegner_two, "two-volume conditional bound experiment")
-    add("stollmann-check", _cmd_stollmann_check, "interval probability vs DM bound")
-    add("dm-check", _cmd_dm_check, "diagonal monotonicity checks")
+    add("build-hamiltonian", _cmd_hamiltonian, "assemble one sampled operator matrix", seed)
+    add("spectrum", _cmd_spectrum, "eigenvalues of one sampled operator", seed)
+    add(
+        "wegner-single",
+        _cmd_wegner_single,
+        "single-volume concentration bound experiment",
+        seed,
+        threads,
+    )
+    add("wegner-two", _cmd_wegner_two, "two-volume conditional bound experiment", seed, threads)
+    add("stollmann-check", _cmd_stollmann_check, "interval probability vs DM bound", seed)
+    add("dm-check", _cmd_dm_check, "diagonal monotonicity checks", seed)
     return parser
 
 
@@ -372,10 +379,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     try:
         return args.handler(args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as err:
+    except (_UsageError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except KeyError as err:

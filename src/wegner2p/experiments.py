@@ -57,7 +57,7 @@ from .potential import DistributionSpec, RngStream, _malformed, concentration, d
 from .spectral import min_gaps_to_sorted
 from .stollmann import binomial_verdict
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _BATCH = 1024
 
@@ -266,15 +266,20 @@ class _Report:
         }
 
     @classmethod
-    def _fields_from(cls, data: Mapping) -> dict:
+    def from_dict(cls, data: Mapping):
         if data.get("kind") != cls.KIND:
             raise ValueError(f"not a {cls.KIND.replace('_', '-')} report")
-        return {f.name: data[f.name] for f in fields(cls)}
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
-@dataclass(eq=False)
+@dataclass
 class WegnerReport(_Report):
-    """Outcome of a single-volume run, with per-trial distances retained."""
+    """Outcome of a single-volume run.
+
+    `dist_digest` is the sha256 hex of the per-trial distances as float64 in
+    trial order; any trial can be replayed from `derive_trial_rng` and the
+    whole run checked against it.
+    """
 
     KIND = "single_volume"
 
@@ -289,22 +294,9 @@ class WegnerReport(_Report):
     dist_min: float
     dist_mean: float
     dist_max: float
-    per_trial_dist: np.ndarray
+    dist_digest: str
     schema_version: int = SCHEMA_VERSION
     tool_version: str = TOOL_VERSION
-
-    def to_dict(self) -> dict:
-        return {**super().to_dict(), "per_trial_dist": self.per_trial_dist.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "WegnerReport":
-        kwargs = cls._fields_from(data)
-        return cls(**{**kwargs, "per_trial_dist": np.array(kwargs["per_trial_dist"], dtype=float)})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WegnerReport):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
 
 
 @dataclass(frozen=True)
@@ -320,6 +312,8 @@ class RoundRecord:
     verdict: str
     dist_min: float
     dist_mean: float
+    dist_max: float
+    dist_digest: str
 
 
 @dataclass
@@ -340,8 +334,9 @@ class TwoVolumeReport(_Report):
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TwoVolumeReport":
-        kwargs = cls._fields_from(data)
-        return cls(**{**kwargs, "rounds": [RoundRecord(**r) for r in kwargs["rounds"]]})
+        report = super().from_dict(data)
+        report.rounds = [RoundRecord(**r) for r in report.rounds]
+        return report
 
 
 def _collect_distances(
@@ -355,7 +350,7 @@ def _collect_distances(
     base_values: np.ndarray,
     free_positions: np.ndarray,
 ) -> np.ndarray:
-    """Per-trial distances for trials 1..n_trials of one round.
+    """Per-trial distances (float64) for trials 1..n_trials of one round.
 
     Each trial draws fresh values for `free_positions` on top of
     `base_values` (the frozen part), assembles the operator, and records the
@@ -397,6 +392,27 @@ def _collect_distances(
     return np.concatenate(parts)
 
 
+def _tally(dists: np.ndarray, epsilon: float, bound: float) -> dict:
+    """The statistics a report carries for one run's or round's distances.
+
+    A trial hits when its distance is at most epsilon; the verdict is
+    `binomial_verdict`'s.  `dist_digest` fingerprints every distance bit for
+    bit, in trial order, the way `frozen_digest` fingerprints a frozen field.
+    """
+    hits = int(np.count_nonzero(dists <= epsilon))
+    estimate, std_error, holds = binomial_verdict(hits, dists.size, bound)
+    return {
+        "hits": hits,
+        "empirical_probability": estimate,
+        "std_error": std_error,
+        "verdict": "holds" if holds else "violated",
+        "dist_min": float(dists.min()),
+        "dist_mean": float(dists.mean()),
+        "dist_max": float(dists.max()),
+        "dist_digest": hashlib.sha256(dists.tobytes()).hexdigest(),
+    }
+
+
 def run_single_volume(config: ExperimentConfig) -> WegnerReport:
     """Monte Carlo check of the single-volume concentration bound.
 
@@ -428,21 +444,12 @@ def run_single_volume(config: ExperimentConfig) -> WegnerReport:
         base_values=np.zeros(template.n_sites),
         free_positions=np.arange(template.n_sites),
     )
-    hits = int(np.count_nonzero(dists <= config.epsilon))
-    estimate, std_error, holds = binomial_verdict(hits, config.trials, bound)
     return WegnerReport(
         config=config.to_dict(),
         analytic_bound=bound,
         trials=config.trials,
-        hits=hits,
-        empirical_probability=estimate,
-        std_error=std_error,
-        verdict="holds" if holds else "violated",
         low_power=config.trials < _LOW_POWER_TRIALS,
-        dist_min=float(dists.min()),
-        dist_mean=float(dists.mean()),
-        dist_max=float(dists.max()),
-        per_trial_dist=dists,
+        **_tally(dists, config.epsilon, bound),
     )
 
 
@@ -522,7 +529,6 @@ def run_two_volume(config: ExperimentConfig) -> TwoVolumeReport:
         raise RuntimeError("conditioning froze the whole free box; geometry cannot be admissible")
 
     rounds: list[RoundRecord] = []
-    all_hold = True
     for r in range(1, config.conditioning_rounds + 1):
         gen = derive_trial_rng(config.master_seed, r, 0).generator()
         frozen_vals = draw_values(config.dist, gen, len(frozen_sites))
@@ -541,20 +547,12 @@ def run_two_volume(config: ExperimentConfig) -> TwoVolumeReport:
             base_values=base_values,
             free_positions=free_positions,
         )
-        hits = int(np.count_nonzero(dists <= config.epsilon))
-        estimate, std_error, holds = binomial_verdict(hits, config.trials, bound)
-        all_hold = all_hold and holds
         rounds.append(
             RoundRecord(
                 round_index=r,
                 frozen_digest=digest,
                 trials=config.trials,
-                hits=hits,
-                empirical_probability=estimate,
-                std_error=std_error,
-                verdict="holds" if holds else "violated",
-                dist_min=float(dists.min()),
-                dist_mean=float(dists.mean()),
+                **_tally(dists, config.epsilon, bound),
             )
         )
     return TwoVolumeReport(
@@ -563,6 +561,6 @@ def run_two_volume(config: ExperimentConfig) -> TwoVolumeReport:
         bound_choice=which.value,
         analytic_bound=bound,
         rounds=rounds,
-        verdict="holds" if all_hold else "violated",
+        verdict="holds" if all(rec.verdict == "holds" for rec in rounds) else "violated",
         low_power=config.trials < _LOW_POWER_TRIALS,
     )

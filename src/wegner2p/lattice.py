@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, reduce
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -177,9 +177,6 @@ class BoxSpec:
         if x.dimension != self.dimension or len(x.second) != self.dimension:
             return False
         return sup_norm_pair(x, self.center) <= self.radius
-
-    def __iter__(self) -> Iterator[PairPoint]:
-        return iter(self.points())
 
 
 def make_box(center: PairPoint, radius: int) -> BoxSpec:

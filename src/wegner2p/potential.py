@@ -79,10 +79,6 @@ class DistributionSpec:
         normalized = tuple((float(v), float(w)) for v, w in atoms)
         return validate_distribution(cls(kind="discrete", atoms=normalized))
 
-    @property
-    def is_atomic(self) -> bool:
-        return self.kind in ("bernoulli", "discrete")
-
     def to_dict(self) -> dict:
         if self.kind == "uniform":
             return {"kind": "uniform", "lo": self.lo, "hi": self.hi}

@@ -22,8 +22,9 @@ def min_gaps_to_sorted(rows: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Per-row minimum |row entry - reference entry| against a sorted reference.
 
     Vectorised over a batch: rows has shape (..., m), reference is sorted 1-d.
-    Used by the two-volume driver to measure distances between one frozen
-    spectrum and many sampled ones without a Python loop.
+    Both experiment runners use it to measure, without a Python loop, the
+    distance from each sampled spectrum to a fixed energy (single volume) or
+    to one frozen spectrum (two volumes).
     """
     ref = np.asarray(reference, dtype=float)
     pos = np.searchsorted(ref, rows)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from importlib.metadata import EntryPoint, entry_points
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 
 import wegner2p.cli as cli
 from wegner2p import (
+    DMFunctionSpec,
     DistributionSpec,
     ExperimentConfig,
     HamiltonianSpec,
@@ -21,6 +23,7 @@ from wegner2p import (
     RngStream,
     __version__,
     _version,
+    check_dm_function,
     make_box,
     run_single_volume,
     sample_field,
@@ -31,6 +34,15 @@ def write_config(tmp_path, name, data):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_loads(text):
+    """Parse a report as strict JSON: NaN and the infinities are refused."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +134,18 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "unknown keys" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value", [("geometry-classify", "--seed", "5"), ("spectrum", "--threads", "2")]
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, command, flag, value):
+    # only the handlers that read --seed or --threads register them
+    cfg = write_config(tmp_path, "c.json", HAM_CFG)
+    code, out, err = run_cli(capsys, command, "--config", cfg, flag, value)
+    assert code == 1
+    assert out == ""
+    assert f"error: unrecognized arguments: {flag} {value}" in err
+
+
 def test_version_and_help(capsys):
     assert run_cli(capsys, "--version")[0] == 0
     assert run_cli(capsys, "--help")[0] == 0
@@ -140,7 +164,7 @@ def test_geometry_classify_json(tmp_path, capsys):
     )
     code, out, _ = run_cli(capsys, "geometry-classify", "--config", cfg)
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_loads(out)
     assert payload["kind"] == "geometry"
     assert payload["separation_classes"] == [
         "completely_separated",
@@ -194,7 +218,7 @@ def test_build_hamiltonian_matches_library(tmp_path, capsys):
     cfg = write_config(tmp_path, "h.json", HAM_CFG)
     code, out, _ = run_cli(capsys, "build-hamiltonian", "--config", cfg)
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_loads(out)
     template, want = expected_matrix()
     got = np.array(payload["matrix"])
     assert payload["dim"] == template.dim == 9
@@ -217,7 +241,7 @@ def test_spectrum_matches_matrix(tmp_path, capsys):
     cfg = write_config(tmp_path, "h.json", HAM_CFG)
     code, out, _ = run_cli(capsys, "spectrum", "--config", cfg)
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_loads(out)
     _, matrix = expected_matrix()
     want = np.linalg.eigvalsh(matrix)
     assert np.allclose(payload["eigenvalues"], want, atol=1e-14)
@@ -244,18 +268,22 @@ def test_interaction_cutoff_beyond_dimension_needs_r_max(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
+DIST_KEYS = ("hits", "dist_min", "dist_mean", "dist_max", "dist_digest")
+
+
 def test_wegner_single_json_report(tmp_path, capsys):
     cfg = write_config(tmp_path, "w.json", SINGLE_CFG)
     code, out, _ = run_cli(capsys, "wegner-single", "--config", cfg)
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_loads(out)
     assert payload["kind"] == "single_volume"
     assert payload["verdict"] == "holds"
-    assert len(payload["per_trial_dist"]) == 60
+    assert payload["trials"] == 60
+    assert not any(isinstance(v, list) for v in payload.values())  # no per-trial array
     assert payload["config"]["master_seed"] == 4001
-    # parsed floats match the in-memory run bit for bit
+    # parsed floats and the digest of every trial match the in-memory run
     report = run_single_volume(ExperimentConfig.from_dict(SINGLE_CFG))
-    assert payload["per_trial_dist"] == [float(x) for x in report.per_trial_dist]
+    assert {k: payload[k] for k in DIST_KEYS} == {k: getattr(report, k) for k in DIST_KEYS}
     assert payload["analytic_bound"] == report.analytic_bound
 
 
@@ -263,26 +291,25 @@ def test_wegner_single_seed_override(tmp_path, capsys):
     cfg = write_config(tmp_path, "w.json", SINGLE_CFG)
     code, out, _ = run_cli(capsys, "wegner-single", "--config", cfg, "--seed", "99")
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_loads(out)
     assert payload["config"]["master_seed"] == 99
+    assert not any(isinstance(v, list) for v in payload.values())  # no per-trial array
     report = run_single_volume(
         ExperimentConfig.from_dict({**SINGLE_CFG, "master_seed": 99})
     )
-    assert payload["per_trial_dist"] == [float(x) for x in report.per_trial_dist]
+    assert {k: payload[k] for k in DIST_KEYS} == {k: getattr(report, k) for k in DIST_KEYS}
 
 
 def test_wegner_single_csv(tmp_path, capsys):
     cfg = write_config(tmp_path, "w.json", SINGLE_CFG)
     code, out, _ = run_cli(capsys, "wegner-single", "--config", cfg, "--format", "csv")
     assert code == 0
-    rows = out.splitlines()
-    assert rows[0] == "trial,distance"
-    assert len(rows) == 61
-    assert rows[1].startswith("1,")
-    # repr round trip: every distance parses back to the exact double
+    lines = out.splitlines()
+    assert lines[0] == "field,value"
+    rows = dict(line.split(",", 1) for line in lines[1:])
     report = run_single_volume(ExperimentConfig.from_dict(SINGLE_CFG))
-    for row, want in zip(rows[1:], report.per_trial_dist):
-        assert float(row.split(",")[1]) == want
+    assert rows["hits"] == str(report.hits)
+    assert rows["dist_digest"] == report.dist_digest
 
 
 def test_wegner_single_out_file_and_threads_identical(tmp_path, capsys):
@@ -312,7 +339,7 @@ def test_wegner_single_violation_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "v.json", violated)
     code, out, _ = run_cli(capsys, "wegner-single", "--config", cfg)
     assert code == 2
-    payload = json.loads(out)
+    payload = strict_loads(out)
     assert payload["verdict"] == "violated"
     assert payload["empirical_probability"] == 1.0
 
@@ -345,7 +372,7 @@ def test_wegner_two_json_report(tmp_path, capsys):
     cfg = write_config(tmp_path, "w2.json", TWO_CFG)
     code, out, _ = run_cli(capsys, "wegner-two", "--config", cfg)
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_loads(out)
     assert payload["kind"] == "two_volume"
     assert payload["separation_classes"] == ["completely_separated"]
     assert payload["bound_choice"] == "condition_on_second"
@@ -361,9 +388,9 @@ def test_wegner_two_csv_rows(tmp_path, capsys):
     assert len(rows) == 3  # header plus one row per round
     assert rows[0] == (
         "round_index,frozen_digest,trials,hits,empirical_probability,"
-        "std_error,verdict,dist_min,dist_mean"
+        "std_error,verdict,dist_min,dist_mean,dist_max,dist_digest"
     )
-    assert all(len(row.split(",")) == 9 for row in rows)
+    assert all(len(row.split(",")) == 11 for row in rows)
 
 
 def test_wegner_two_rejects_single_volume_config(tmp_path, capsys):
@@ -404,7 +431,7 @@ def test_stollmann_exact_identity(tmp_path, capsys):
     )
     code, out, _ = run_cli(capsys, "stollmann-check", "--config", cfg)
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_loads(out)
     assert payload["probability"] == 0.25
     assert payload["bound"] == 0.25
     assert payload["holds"] is True
@@ -425,7 +452,7 @@ def test_stollmann_mc_mode(tmp_path, capsys):
     )
     code, out, _ = run_cli(capsys, "stollmann-check", "--config", cfg)
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_loads(out)
     assert payload["kind"] == "stollmann_mc"
     assert payload["holds_within_3sigma"] is True
     assert 0.0 <= payload["estimate"] <= 1.0
@@ -461,7 +488,7 @@ def test_stollmann_layers_mode(tmp_path, capsys):
     )
     code, out, _ = run_cli(capsys, "stollmann-check", "--config", cfg)
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_loads(out)
     assert payload["passed"] is True and payload["inclusion_failures"] == 0
 
 
@@ -481,7 +508,7 @@ def test_stollmann_layers_boundary_interval_exits_2(tmp_path, capsys):
     )
     code, out, _ = run_cli(capsys, "stollmann-check", "--config", cfg)
     assert code == 2
-    payload = json.loads(out)
+    payload = strict_loads(out)
     assert payload["passed"] is False
     assert payload["inclusion_failures"] >= 1
 
@@ -499,7 +526,7 @@ def test_dm_check_function_target(tmp_path, capsys):
     )
     code, out, _ = run_cli(capsys, "dm-check", "--config", cfg)
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_loads(out)
     assert payload["kind"] == "dm_check"
     assert payload["passed"] is True
     assert payload["checks"] == 300
@@ -522,7 +549,7 @@ def test_dm_check_eigenvalue_target(tmp_path, capsys):
     )
     code, out, _ = run_cli(capsys, "dm-check", "--config", cfg)
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_loads(out)
     assert payload["passed"] is True
     assert payload["worst_diagonal_defect"] <= payload["tolerance"]
 
@@ -538,7 +565,7 @@ def test_dm_check_eigenvalue_target_builds_one_template(tmp_path, capsys, monkey
     monkeypatch.setattr(HamiltonianTemplate, "__init__", counting_init)
     cfg = write_config(tmp_path, "d.json", {**DM_EIG_CFG, "center": [[0], [3]]})
     code, out, _ = run_cli(capsys, "dm-check", "--config", cfg)
-    assert code == 0 and json.loads(out)["passed"] is True
+    assert code == 0 and strict_loads(out)["passed"] is True
     assert len(built) == 1
 
 
@@ -551,7 +578,7 @@ def test_cli_field_draws_are_pinned(tmp_path, capsys):
     cfg = write_config(tmp_path, "h.json", HAM_CFG)
     code, out, _ = run_cli(capsys, "build-hamiltonian", "--config", cfg)
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_loads(out)
     assert payload["sites"] == [[-1], [0], [1], [2], [3]]  # cubes around 0 and 2
     assert payload["field"] == list(draws(4003, 0, 5))
 
@@ -573,7 +600,7 @@ def test_cli_field_draws_are_pinned(tmp_path, capsys):
     }
     code, out, _ = run_cli(capsys, "dm-check", "--config", write_config(tmp_path, "d.json", dm))
     assert code == 2
-    payload = json.loads(out)
+    payload = strict_loads(out)
     values = draws(seed, 0, 2)  # sites (0,), (3,)
     base = u3 + g * (values[1] + values[0])
     gen = np.random.default_rng(np.random.SeedSequence((seed, 1)))
@@ -602,6 +629,17 @@ def test_cli_field_draws_are_pinned(tmp_path, capsys):
     assert payload["worst_monotonicity_violation"] == max(
         w["monotonicity_gap"] for w in witnesses
     )
+
+
+def test_non_finite_report_is_refused_and_writes_nothing(tmp_path):
+    # a function that is NaN everywhere fails the check with NaN and -inf in
+    # its report, which strict JSON cannot carry
+    nan_everywhere = DMFunctionSpec(1, lambda V: np.full(len(V), np.nan))
+    report = check_dm_function(nan_everywhere, (0.0, 1.0), 100, RngStream(0, 0))
+    out = tmp_path / "dm.json"
+    with pytest.raises(ValueError):
+        cli.write_report({"kind": "dm_check", **asdict(report)}, "json", str(out))
+    assert not out.exists()
 
 
 DM_EIG_CFG = {
@@ -716,7 +754,7 @@ def test_module_entry_point_runs(tmp_path):
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["separation_classes"] == ["completely_separated"]
+    assert strict_loads(proc.stdout)["separation_classes"] == ["completely_separated"]
 
 
 def test_console_script_version():

@@ -1,6 +1,7 @@
 """Single-volume and two-volume bound experiments: formulas, runners, replay."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -25,7 +26,7 @@ from wegner2p import (
     single_volume_bound,
     two_volume_bound,
 )
-from wegner2p.experiments import choose_bound
+from wegner2p.experiments import _collect_distances, choose_bound
 from wegner2p.potential import draw_values
 
 UNIFORM01 = DistributionSpec.uniform(0.0, 1.0)
@@ -221,7 +222,7 @@ def test_config_interaction_defaults_to_dimension_cutoff():
     assert cfg.hamiltonian.interaction.table == {}
 
 
-# Key order is part of the report schema (SCHEMA_VERSION 1); the JSON bytes
+# Key order is part of the report schema (SCHEMA_VERSION 2); the JSON bytes
 # depend on it.
 CONFIG_KEYS = [
     "dimension",
@@ -246,6 +247,8 @@ ROUND_KEYS = [
     "verdict",
     "dist_min",
     "dist_mean",
+    "dist_max",
+    "dist_digest",
 ]
 
 
@@ -266,9 +269,9 @@ def test_report_key_order_is_pinned():
         "dist_min",
         "dist_mean",
         "dist_max",
-        "per_trial_dist",
+        "dist_digest",
     ]
-    assert (single["kind"], single["schema_version"]) == ("single_volume", 1)
+    assert (single["kind"], single["schema_version"]) == ("single_volume", 2)
     assert list(single["config"]) == CONFIG_KEYS + ["energy"]
     two = run_two_volume(config_2v(trials=10, conditioning_rounds=1)).to_dict()
     assert list(two) == [
@@ -283,7 +286,7 @@ def test_report_key_order_is_pinned():
         "verdict",
         "low_power",
     ]
-    assert (two["kind"], two["schema_version"]) == ("two_volume", 1)
+    assert (two["kind"], two["schema_version"]) == ("two_volume", 2)
     assert list(two["config"]) == CONFIG_KEYS + ["center_prime", "conditioning_rounds"]
     assert list(two["rounds"][0]) == ROUND_KEYS
 
@@ -303,17 +306,35 @@ def test_frozen_digest_is_pinned():
 # ---------------------------------------------------------------------------
 
 
+def single_volume_distances(cfg):
+    """The runner's per-trial distances, from the runner's own arguments."""
+    template = HamiltonianTemplate(cfg.hamiltonian)
+    return _collect_distances(
+        template,
+        cfg.dist,
+        cfg.master_seed,
+        round_index=0,
+        n_trials=cfg.trials,
+        threads=cfg.threads,
+        reference=np.array([float(cfg.energy)]),
+        base_values=np.zeros(template.n_sites),
+        free_positions=np.arange(template.n_sites),
+    )
+
+
 def test_single_volume_runs_and_reports():
     cfg = config_1v()
     report = run_single_volume(cfg)
-    assert report.trials == 200
-    assert report.hits == int(np.count_nonzero(report.per_trial_dist <= cfg.epsilon))
+    dists = single_volume_distances(cfg)
+    assert report.trials == dists.size == 200
+    assert report.hits == int(np.count_nonzero(dists <= cfg.epsilon))
     assert report.empirical_probability == report.hits / 200
     assert report.verdict == "holds"
     assert not report.low_power
-    assert report.dist_min == report.per_trial_dist.min()
-    assert report.dist_max == report.per_trial_dist.max()
-    assert report.dist_mean == pytest.approx(report.per_trial_dist.mean())
+    assert report.dist_min == dists.min()
+    assert report.dist_max == dists.max()
+    assert report.dist_mean == dists.mean()
+    assert report.dist_digest == hashlib.sha256(dists.tobytes()).hexdigest()
     assert report.config == cfg.to_dict()
     assert report.analytic_bound == pytest.approx(
         single_volume_bound(cfg.hamiltonian.box, UNIFORM01, cfg.epsilon)
@@ -322,15 +343,17 @@ def test_single_volume_runs_and_reports():
 
 def test_single_volume_trial_replay_by_hand():
     # trial k is a pure function of (master_seed, round 0, trial k): reproduce
-    # trial 3's distance from scratch and compare with the report entry
+    # trial 3's distance from scratch and compare with the digested run
     cfg = config_1v(trials=5)
     report = run_single_volume(cfg)
+    dists = single_volume_distances(cfg)
+    assert report.dist_digest == hashlib.sha256(dists.tobytes()).hexdigest()
     template = HamiltonianTemplate(cfg.hamiltonian)
     gen = derive_trial_rng(cfg.master_seed, 0, 3).generator()
     vals = draw_values(cfg.dist, gen, template.n_sites)
     eigs = np.linalg.eigvalsh(template.assemble_values(vals))
     want = np.min(np.abs(eigs - cfg.energy))
-    assert report.per_trial_dist[2] == pytest.approx(want, abs=1e-14)
+    assert dists[2] == pytest.approx(want, abs=1e-14)
 
 
 def test_single_volume_deterministic_and_thread_invariant():
@@ -339,7 +362,7 @@ def test_single_volume_deterministic_and_thread_invariant():
     r2 = run_single_volume(cfg1)
     r3 = run_single_volume(config_1v(trials=2100, threads=3))
     assert r1 == r2 == r3
-    assert np.array_equal(r1.per_trial_dist, r3.per_trial_dist)
+    assert r1.dist_digest == r3.dist_digest
     assert json.dumps(r1.to_dict()) == json.dumps(r3.to_dict())
 
 
@@ -347,7 +370,7 @@ def test_single_volume_epsilon_monotone_under_shared_seed():
     tight = run_single_volume(config_1v(epsilon=0.01))
     loose = run_single_volume(config_1v(epsilon=0.1))
     # identical trials, so widening the window can only add hits
-    assert np.array_equal(tight.per_trial_dist, loose.per_trial_dist)
+    assert tight.dist_digest == loose.dist_digest
     assert tight.hits <= loose.hits
 
 
@@ -453,8 +476,6 @@ def test_two_volume_deterministic_and_thread_invariant():
 
 def test_two_volume_round_digest_replay():
     # round r's frozen field comes from substream (r, 0) verbatim
-    import hashlib
-
     cfg = config_2v(conditioning_rounds=1, trials=50)
     report = run_two_volume(cfg)
     # complete separation conditions the second box
@@ -463,6 +484,39 @@ def test_two_volume_round_digest_replay():
     gen = derive_trial_rng(cfg.master_seed, 1, 0).generator()
     frozen = draw_values(cfg.dist, gen, len(template.sites))
     assert report.rounds[0].frozen_digest == hashlib.sha256(frozen.tobytes()).hexdigest()
+
+
+def test_two_volume_round_dist_digest_is_that_rounds_distances():
+    # complete separation: the second box is frozen and shares no site with
+    # the first, so every site of the first box is redrawn in each trial
+    cfg = config_2v(conditioning_rounds=2, trials=1100)
+    report = run_two_volume(cfg)
+    free = HamiltonianTemplate(cfg.hamiltonian)
+    cond_box = make_box(cfg.center_prime, cfg.hamiltonian.box.radius)
+    cond = HamiltonianTemplate(dataclasses.replace(cfg.hamiltonian, box=cond_box))
+    assert not set(free.sites) & set(cond.sites)
+    for rec in report.rounds:
+        gen = derive_trial_rng(cfg.master_seed, rec.round_index, 0).generator()
+        frozen = draw_values(cfg.dist, gen, cond.n_sites)
+        dists = _collect_distances(
+            free,
+            cfg.dist,
+            cfg.master_seed,
+            round_index=rec.round_index,
+            n_trials=cfg.trials,
+            threads=cfg.threads,
+            reference=np.linalg.eigvalsh(cond.assemble_values(frozen)),
+            base_values=np.zeros(free.n_sites),
+            free_positions=np.arange(free.n_sites),
+        )
+        assert rec.dist_digest == hashlib.sha256(dists.tobytes()).hexdigest()
+        assert rec.hits == int(np.count_nonzero(dists <= cfg.epsilon))
+        assert (rec.dist_min, rec.dist_mean, rec.dist_max) == (
+            dists.min(),
+            dists.mean(),
+            dists.max(),
+        )
+    assert report.rounds[0].dist_digest != report.rounds[1].dist_digest
 
 
 def test_two_volume_rejects_misconfigured_runs():
