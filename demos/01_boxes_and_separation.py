@@ -1,9 +1,9 @@
-"""Tour of pair boxes, projection cubes, and the separation classifier.
+"""Tour of pair boxes, projection sites, and the separation classifier.
 
 A configuration of two particles on Z^d lives at a pair point (x1, x2).  A
-box is the product of two cubes of the same radius; its projections are the
-cubes themselves, and how the four cubes of two boxes overlap decides which
-conditional bound applies.
+box is the product of two cubes of the same radius; its projection sites are
+the sorted union of the two cubes, and how the four cubes of two boxes
+overlap decides which conditional bound applies.
 """
 
 from wegner2p import (
@@ -12,19 +12,19 @@ from wegner2p import (
     classify_separation,
     distance_condition,
     make_box,
-    projections,
+    projection_sites,
     survey_separation_line,
 )
 from wegner2p.experiments import choose_bound
 
 u = PairPoint.of((0,), (3,))
 box = make_box(u, radius=2)
-cube1, cube2, union = projections(box)
+sites = projection_sites(box)
 
 print("box centred at", u, "radius 2")
 print("  matrix dimension", box.size)
-print("  projection cubes", sorted(cube1.point_set()), sorted(cube2.point_set()))
-print("  union of projections covers", union, "lattice sites")
+print("  projection sites", sites)
+print("  the union of the two cubes covers", len(sites), "lattice sites")
 print("  swap image", apply_symmetry(u))
 print()
 

@@ -7,9 +7,9 @@ boxes) against exact enumeration or seeded Monte Carlo.
 
 Modules
 -------
-lattice      pair points, boxes, projection cubes, separation classifier
+lattice      pair points, boxes, projection sites, separation classifier
 potential    disorder laws, concentration function, field sampling
-hamiltonian  hopping + interaction + potential assembly
+hamiltonian  hopping graph by Kronecker products, interaction, potential assembly
 stollmann    diagonally monotone functions and Stollmann-type bounds
 spectral     spectral gaps, eigenvalue monotonicity checks
 experiments  single-volume and two-volume bound experiments
@@ -20,7 +20,6 @@ from ._version import __version__
 
 from .lattice import (
     BoxSpec,
-    Cube,
     PairPoint,
     SeparationClass,
     SeparationSurvey,
@@ -28,7 +27,7 @@ from .lattice import (
     classify_separation,
     distance_condition,
     make_box,
-    projections,
+    projection_sites,
     sup_norm_pair,
     survey_separation_line,
     survey_separation_plane,
@@ -38,13 +37,11 @@ from .potential import (
     RngStream,
     concentration,
     sample_field,
-    validate_distribution,
 )
 from .hamiltonian import (
     HamiltonianSpec,
     HamiltonianTemplate,
     InteractionSpec,
-    neighbors,
 )
 from .stollmann import (
     DMFunctionSpec,
@@ -71,7 +68,6 @@ from .experiments import (
 __all__ = [
     "__version__",
     "BoxSpec",
-    "Cube",
     "PairPoint",
     "SeparationClass",
     "SeparationSurvey",
@@ -79,7 +75,7 @@ __all__ = [
     "classify_separation",
     "distance_condition",
     "make_box",
-    "projections",
+    "projection_sites",
     "sup_norm_pair",
     "survey_separation_line",
     "survey_separation_plane",
@@ -87,11 +83,9 @@ __all__ = [
     "RngStream",
     "concentration",
     "sample_field",
-    "validate_distribution",
     "HamiltonianSpec",
     "HamiltonianTemplate",
     "InteractionSpec",
-    "neighbors",
     "DMFunctionSpec",
     "DMReport",
     "IntervalSpec",

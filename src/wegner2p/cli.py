@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, fields
 from typing import AbstractSet, Mapping, Sequence
@@ -56,11 +57,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"config holds the non-finite number {literal}")
+    return value
+
+
 def _load_config(path: str, seed: int | None = None) -> dict:
-    """The JSON object at `path`, with `master_seed` overridden by `seed`."""
+    """The JSON object at `path`, with `master_seed` overridden by `seed`.
+
+    Strict JSON only: NaN, Infinity and literals that overflow a float, such
+    as 1e400, are refused before any work starts.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=_finite, parse_float=_finite)
         except json.JSONDecodeError as err:
             raise ValueError(f"config is not valid JSON: {err}") from None
     if not isinstance(data, dict):

@@ -49,9 +49,10 @@ from .lattice import (
     BoxSpec,
     PairPoint,
     SeparationClass,
+    _site_positions,
     classify_separation,
     make_box,
-    projections,
+    projection_sites,
 )
 from .potential import DistributionSpec, RngStream, _malformed, concentration, draw_values
 from .spectral import min_gaps_to_sorted
@@ -60,6 +61,10 @@ from .stollmann import binomial_verdict
 SCHEMA_VERSION = 2
 
 _BATCH = 1024
+
+# Bytes of dense matrices one batch may hold; batches shrink below _BATCH
+# rows to fit, and a run whose single matrix exceeds it is refused.
+_BATCH_BYTES = 128 * 2**20
 
 _BOUND_MODES = ("two_eps", "eps_over_g")
 
@@ -111,7 +116,7 @@ def single_volume_bound(
     bound_mode: str = "two_eps",
 ) -> float:
     """Analytic ceiling for P(spectrum comes within eps of a fixed energy)."""
-    _, _, union = projections(box)
+    union = len(projection_sites(box))
     return box.size * union * concentration(dist, _window(epsilon, coupling, bound_mode))
 
 
@@ -130,7 +135,7 @@ def two_volume_bound(
     first box under CONDITION_ON_SECOND, the second under CONDITION_ON_FIRST.
     """
     free_box = box if which is TwoVolumeBound.CONDITION_ON_SECOND else box_prime
-    _, _, union = projections(free_box)
+    union = len(projection_sites(free_box))
     return (
         box.size
         * box_prime.size
@@ -339,6 +344,20 @@ class TwoVolumeReport(_Report):
         return report
 
 
+def _batch_rows(m: int) -> int:
+    """Trials per batch of m x m matrices: at most _BATCH, within _BATCH_BYTES.
+
+    Raises ValueError when a single matrix exceeds the budget.
+    """
+    rows = min(_BATCH, _BATCH_BYTES // (8 * m * m))
+    if rows < 1:
+        raise ValueError(
+            f"one {m}x{m} matrix takes {8 * m * m / 2**20:.0f} MiB, "
+            f"over the {_BATCH_BYTES >> 20} MiB batch budget"
+        )
+    return rows
+
+
 def _collect_distances(
     template: HamiltonianTemplate,
     dist: DistributionSpec,
@@ -355,12 +374,13 @@ def _collect_distances(
     Each trial draws fresh values for `free_positions` on top of
     `base_values` (the frozen part), assembles the operator, and records the
     minimum gap between its spectrum and the sorted `reference` values.
-    Work is cut into fixed-size batches and reassembled in batch order, so
-    the output array is identical for every thread count.
+    Work is cut into batches of `_batch_rows(template.dim)` trials and
+    reassembled in trial order.  A trial's distance depends on its own stream
+    only, so the output array is identical for every thread count and batch
+    size.
     """
-    bounds = [
-        (lo, min(lo + _BATCH - 1, n_trials)) for lo in range(1, n_trials + 1, _BATCH)
-    ]
+    rows = _batch_rows(template.dim)
+    bounds = [(lo, min(lo + rows - 1, n_trials)) for lo in range(1, n_trials + 1, rows)]
 
     def batch(span: tuple[int, int]) -> np.ndarray:
         trial_lo, trial_hi = span
@@ -429,6 +449,7 @@ def run_single_volume(config: ExperimentConfig) -> WegnerReport:
             "single-volume experiment takes no second centre and no conditioning rounds"
         )
     spec = config.hamiltonian
+    _batch_rows(spec.box.size)  # refuse an oversized box before building it
     template = HamiltonianTemplate(spec)
     bound = single_volume_bound(
         spec.box, config.dist, config.epsilon, spec.coupling, config.bound_mode
@@ -515,23 +536,20 @@ def run_two_volume(config: ExperimentConfig) -> TwoVolumeReport:
         which,
         config.bound_mode,
     )
+    _batch_rows(box.size)  # refuse oversized boxes before building them
     free_template = HamiltonianTemplate(replace(spec, box=free_box))
     cond_template = HamiltonianTemplate(replace(spec, box=cond_box))
-    frozen_sites = cond_template.sites
-    frozen_lookup = {s: k for k, s in enumerate(frozen_sites)}
-    shared_dst = [i for i, s in enumerate(free_template.sites) if s in frozen_lookup]
-    shared_src = [frozen_lookup[free_template.sites[i]] for i in shared_dst]
-    free_positions = np.array(
-        [i for i, s in enumerate(free_template.sites) if s not in frozen_lookup],
-        dtype=int,
-    )
+    frozen_at = _site_positions(np.array(free_template.sites), np.array(cond_template.sites))
+    shared_dst = np.flatnonzero(frozen_at >= 0)
+    shared_src = frozen_at[shared_dst]
+    free_positions = np.flatnonzero(frozen_at < 0)
     if free_positions.size == 0:
         raise RuntimeError("conditioning froze the whole free box; geometry cannot be admissible")
 
     rounds: list[RoundRecord] = []
     for r in range(1, config.conditioning_rounds + 1):
         gen = derive_trial_rng(config.master_seed, r, 0).generator()
-        frozen_vals = draw_values(config.dist, gen, len(frozen_sites))
+        frozen_vals = draw_values(config.dist, gen, cond_template.n_sites)
         digest = hashlib.sha256(frozen_vals.tobytes()).hexdigest()
         cond_eigs = np.linalg.eigvalsh(cond_template.assemble_values(frozen_vals))
         base_values = np.zeros(free_template.n_sites)

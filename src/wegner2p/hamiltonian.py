@@ -14,14 +14,14 @@ by the canonical (lexicographic) enumeration of box points.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import AbstractSet, Mapping
 
 import numpy as np
 
-from .lattice import BoxSpec, PairPoint, Site, make_box, projection_sites
+from .lattice import BoxSpec, PairPoint, Site, _site_positions, make_box, projection_sites
 from .potential import _malformed
 
 _HOPPING_NORMS = ("sup", "l1")
@@ -163,39 +163,6 @@ class HamiltonianSpec:
             )
 
 
-def neighbors(box: BoxSpec, x: PairPoint, hopping_norm: str = "sup") -> list[PairPoint]:
-    """Box points one hop away from x, in canonical (lexicographic) order.
-
-    "sup" hopping connects points whose concatenated coordinates differ by at
-    most one in every component (and in at least one); "l1" hopping moves a
-    single coordinate of a single particle by one step.  Points outside the
-    box are dropped, so corners have fewer neighbours.
-    """
-    if hopping_norm not in _HOPPING_NORMS:
-        raise ValueError(f"hopping_norm must be one of {_HOPPING_NORMS}")
-    if x not in box:
-        raise ValueError(f"point {x} lies outside the box")
-    d = box.dimension
-    cat = x.first + x.second
-    found: list[tuple[int, ...]] = []
-    if hopping_norm == "l1":
-        for i in range(2 * d):
-            for step in (-1, 1):
-                cand = cat[:i] + (cat[i] + step,) + cat[i + 1 :]
-                found.append(cand)
-    else:
-        for offset in itertools.product((-1, 0, 1), repeat=2 * d):
-            if all(o == 0 for o in offset):
-                continue
-            found.append(tuple(c + o for c, o in zip(cat, offset)))
-    out = []
-    for cand in sorted(found):
-        pt = PairPoint(cand[:d], cand[d:])
-        if pt in box:
-            out.append(pt)
-    return out
-
-
 class HamiltonianTemplate:
     """Precomputed assembly data for one spec.
 
@@ -209,20 +176,33 @@ class HamiltonianTemplate:
 
     def __init__(self, spec: HamiltonianSpec):
         self.spec = spec
-        self.points = spec.box.points()
-        self.dim = len(self.points)
-        index = {pt: i for i, pt in enumerate(self.points)}
-        fixed = np.zeros((self.dim, self.dim))
-        for i, pt in enumerate(self.points):
-            for nb in neighbors(spec.box, pt, spec.hopping_norm):
-                fixed[i, index[nb]] = 1.0
-            r = max(abs(a - b) for a, b in zip(pt.first, pt.second))
-            fixed[i, i] = spec.interaction.value(r)
+        box = spec.box
+        coords = box.coordinates()
+        d, n = box.dimension, 2 * box.radius + 1
+        self.points = [PairPoint(tuple(p[:d]), tuple(p[d:])) for p in coords.tolist()]
+        self.dim = box.size
+        # Box points run over the product of 2d coordinate ranges in
+        # lexicographic order, which is np.kron's index order, so the hopping
+        # graph is a Kronecker product of paths on 2L+1 points.
+        eye, path = np.eye(n), np.eye(n, k=1) + np.eye(n, k=-1)
+        if spec.hopping_norm == "sup":
+            fixed = reduce(np.kron, [eye + path] * (2 * d)) - np.eye(self.dim)
+        else:
+            fixed = sum(
+                reduce(np.kron, [path if j == k else eye for j in range(2 * d)])
+                for k in range(2 * d)
+            )
+        first, second = coords[:, :d], coords[:, d:]
+        r = np.abs(first - second).max(axis=1)
+        diagonal = np.zeros(self.dim)
+        for dist in spec.interaction.table:
+            diagonal[r == dist] = spec.interaction.value(dist)
+        np.fill_diagonal(fixed, diagonal)
         self.fixed = fixed
-        self.sites: list[Site] = projection_sites(spec.box)
-        site_index = {s: k for k, s in enumerate(self.sites)}
-        self.first_index = np.array([site_index[pt.first] for pt in self.points])
-        self.second_index = np.array([site_index[pt.second] for pt in self.points])
+        self.sites: list[Site] = projection_sites(box)
+        site_array = np.array(self.sites)
+        self.first_index = _site_positions(first, site_array)
+        self.second_index = _site_positions(second, site_array)
 
     @property
     def n_sites(self) -> int:

@@ -1,4 +1,4 @@
-"""Pair-lattice geometry: boxes on Z^d x Z^d, projection cubes, separation classes.
+"""Pair-lattice geometry: boxes on Z^d x Z^d, projection sites, separation classes.
 
 A configuration of the two-particle system is a point of Z^d x Z^d.  Finite
 volumes are boxes, products of two lattice cubes of common radius L centred at
@@ -90,41 +90,6 @@ def distance_condition(u: PairPoint, u_prime: PairPoint, radius: int) -> bool:
     return min(direct, swapped) >= max(8 * radius, 1)
 
 
-@dataclass(frozen=True)
-class Cube:
-    """Lattice cube: all sites within sup-distance `radius` of `center`."""
-
-    center: Site
-    radius: int
-
-    def __post_init__(self) -> None:
-        if self.radius < 0:
-            raise ValueError("cube radius must be nonnegative")
-        if not self.center:
-            raise ValueError("cube centre needs at least one coordinate")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.center)
-
-    @property
-    def size(self) -> int:
-        return (2 * self.radius + 1) ** self.dimension
-
-    def points(self) -> list[Site]:
-        """All cube sites in lexicographic order."""
-        ranges = [range(c - self.radius, c + self.radius + 1) for c in self.center]
-        return [tuple(p) for p in itertools.product(*ranges)]
-
-    def point_set(self) -> frozenset[Site]:
-        return _cube_point_set(self.center, self.radius)
-
-    def __contains__(self, site: Site) -> bool:
-        return len(site) == self.dimension and all(
-            abs(s - c) <= self.radius for s, c in zip(site, self.center)
-        )
-
-
 @lru_cache(maxsize=65536)
 def _cube_point_set(center: Site, radius: int) -> frozenset[Site]:
     ranges = [range(c - radius, c + radius + 1) for c in center]
@@ -148,6 +113,9 @@ class BoxSpec:
             raise ValueError("box radius must be nonnegative")
         if len(self.center.first) != len(self.center.second):
             raise ValueError("box centre components disagree in dimension")
+        if max(abs(c) for c in self.center.first + self.center.second) + self.radius >= 2**62:
+            # box coordinates and their differences must fit in int64 arrays
+            raise ValueError("box coordinates must lie within +-2**62")
 
     @property
     def dimension(self) -> int:
@@ -157,26 +125,11 @@ class BoxSpec:
     def size(self) -> int:
         return (2 * self.radius + 1) ** (2 * self.dimension)
 
-    def projections(self) -> tuple[Cube, Cube]:
-        """The two single-particle cubes whose product is the box."""
-        return (
-            Cube(self.center.first, self.radius),
-            Cube(self.center.second, self.radius),
-        )
-
-    def points(self) -> list[PairPoint]:
-        """All box points, lexicographic in the concatenated coordinates."""
-        d = self.dimension
-        cat = self.center.first + self.center.second
-        ranges = [range(c - self.radius, c + self.radius + 1) for c in cat]
-        return [
-            PairPoint(tuple(p[:d]), tuple(p[d:])) for p in itertools.product(*ranges)
-        ]
-
-    def __contains__(self, x: PairPoint) -> bool:
-        if x.dimension != self.dimension or len(x.second) != self.dimension:
-            return False
-        return sup_norm_pair(x, self.center) <= self.radius
+    def coordinates(self) -> np.ndarray:
+        """All box points as rows of concatenated coordinates, in lexicographic order."""
+        n, k = 2 * self.radius + 1, 2 * self.dimension
+        corner = np.array(self.center.first + self.center.second) - self.radius
+        return np.indices((n,) * k).reshape(k, -1).T + corner
 
 
 def make_box(center: PairPoint, radius: int) -> BoxSpec:
@@ -192,19 +145,18 @@ def projection_sites(box: BoxSpec) -> list[Site]:
     These are the sites whose potential values enter the box operator, in
     the order every field array aligned with a box follows.
     """
-    c1, c2 = box.projections()
-    return sorted(c1.point_set() | c2.point_set())
+    center, radius = box.center, box.radius
+    return sorted(_cube_point_set(center.first, radius) | _cube_point_set(center.second, radius))
 
 
-def projections(box: BoxSpec) -> tuple[Cube, Cube, int]:
-    """Both projection cubes of a box and the exact size of their union.
+def _site_positions(queries: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """Position in `sites` of each row of `queries`, or -1 where it is absent.
 
-    The union size is |P1 u P2| computed set-wise; it is 2*(2L+1)^d when the
-    cubes are disjoint and shrinks when they overlap, down to (2L+1)^d for
-    coincident centres.
+    Both are integer arrays of shape (n, d), one site per row, and the rows of
+    `sites` are distinct; one broadcast comparison matches every pair.
     """
-    c1, c2 = box.projections()
-    return c1, c2, len(projection_sites(box))
+    match = (queries[:, None, :] == sites[None, :, :]).all(axis=2)
+    return np.where(match.any(axis=1), match.argmax(axis=1), -1)
 
 
 class SeparationClass(Enum):

@@ -43,6 +43,9 @@ class DistributionSpec:
     gaussian   mean, sigma         normal, sigma > 0
     bernoulli  p, values           values[1] with probability p, else values[0]
     discrete   atoms               ((value, prob), ...), probs summing to 1
+
+    Parameters are checked once, at construction, and discrete atoms are
+    sorted by value with duplicates merged; nonsense raises ValueError.
     """
 
     kind: str
@@ -54,30 +57,58 @@ class DistributionSpec:
     values: tuple[float, float] = (0.0, 1.0)
     atoms: tuple[tuple[float, float], ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown distribution kind {self.kind!r}")
+        if self.kind == "uniform":
+            if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+                raise ValueError("uniform bounds must be finite")
+            if not self.lo < self.hi:
+                raise ValueError("uniform law needs lo < hi")
+        elif self.kind == "gaussian":
+            if not (math.isfinite(self.mean) and math.isfinite(self.sigma)):
+                raise ValueError("gaussian parameters must be finite")
+            if self.sigma <= 0:
+                raise ValueError("gaussian law needs sigma > 0")
+        elif self.kind == "bernoulli":
+            if not 0.0 <= self.p <= 1.0:
+                raise ValueError("bernoulli weight must lie in [0, 1]")
+            if len(self.values) != 2 or not all(math.isfinite(v) for v in self.values):
+                raise ValueError("bernoulli needs two finite outcome values")
+        else:
+            if not self.atoms:
+                raise ValueError("discrete law needs at least one atom")
+            merged: dict[float, float] = {}
+            for value, weight in self.atoms:
+                if not (math.isfinite(value) and math.isfinite(weight)):
+                    raise ValueError("discrete atoms must be finite")
+                if weight < 0:
+                    raise ValueError("atom weights must be nonnegative")
+                merged[value] = merged.get(value, 0.0) + weight
+            total = math.fsum(merged.values())
+            if abs(total - 1.0) > 1e-12:
+                raise ValueError(f"atom weights must sum to 1, got {total!r}")
+            object.__setattr__(self, "atoms", tuple(sorted(merged.items())))
+
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "DistributionSpec":
-        return validate_distribution(cls(kind="uniform", lo=float(lo), hi=float(hi)))
+        return cls(kind="uniform", lo=float(lo), hi=float(hi))
 
     @classmethod
     def gaussian(cls, mean: float, sigma: float) -> "DistributionSpec":
-        return validate_distribution(
-            cls(kind="gaussian", mean=float(mean), sigma=float(sigma))
-        )
+        return cls(kind="gaussian", mean=float(mean), sigma=float(sigma))
 
     @classmethod
     def bernoulli(
         cls, p: float, values: tuple[float, float] = (0.0, 1.0)
     ) -> "DistributionSpec":
-        return validate_distribution(
-            cls(kind="bernoulli", p=float(p), values=(float(values[0]), float(values[1])))
-        )
+        return cls(kind="bernoulli", p=float(p), values=(float(values[0]), float(values[1])))
 
     @classmethod
     def discrete(
         cls, atoms: Iterable[tuple[float, float]]
     ) -> "DistributionSpec":
-        normalized = tuple((float(v), float(w)) for v, w in atoms)
-        return validate_distribution(cls(kind="discrete", atoms=normalized))
+        return cls(kind="discrete", atoms=tuple((float(v), float(w)) for v, w in atoms))
 
     def to_dict(self) -> dict:
         if self.kind == "uniform":
@@ -117,58 +148,13 @@ class DistributionSpec:
         return cls.discrete(tuple((v, w) for v, w in data["atoms"]))
 
 
-def validate_distribution(spec: DistributionSpec) -> DistributionSpec:
-    """Check parameters and return a normalised spec.
-
-    Discrete atoms are sorted by value with duplicates merged; bernoulli is
-    left as is but must have p in [0, 1].  Raises ValueError on nonsense
-    (lo >= hi, sigma <= 0, negative weights, weights not summing to one).
-    """
-    if spec.kind not in _KINDS:
-        raise ValueError(f"unknown distribution kind {spec.kind!r}")
-    if spec.kind == "uniform":
-        if not (math.isfinite(spec.lo) and math.isfinite(spec.hi)):
-            raise ValueError("uniform bounds must be finite")
-        if not spec.lo < spec.hi:
-            raise ValueError("uniform law needs lo < hi")
-        return spec
-    if spec.kind == "gaussian":
-        if not (math.isfinite(spec.mean) and math.isfinite(spec.sigma)):
-            raise ValueError("gaussian parameters must be finite")
-        if spec.sigma <= 0:
-            raise ValueError("gaussian law needs sigma > 0")
-        return spec
-    if spec.kind == "bernoulli":
-        if not 0.0 <= spec.p <= 1.0:
-            raise ValueError("bernoulli weight must lie in [0, 1]")
-        if len(spec.values) != 2 or not all(math.isfinite(v) for v in spec.values):
-            raise ValueError("bernoulli needs two finite outcome values")
-        return spec
-    # discrete
-    if not spec.atoms:
-        raise ValueError("discrete law needs at least one atom")
-    merged: dict[float, float] = {}
-    for value, weight in spec.atoms:
-        if not (math.isfinite(value) and math.isfinite(weight)):
-            raise ValueError("discrete atoms must be finite")
-        if weight < 0:
-            raise ValueError("atom weights must be nonnegative")
-        merged[value] = merged.get(value, 0.0) + weight
-    total = math.fsum(merged.values())
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"atom weights must sum to 1, got {total!r}")
-    atoms = tuple(sorted(merged.items()))
-    return DistributionSpec(kind="discrete", atoms=atoms)
-
-
 def _atoms(spec: DistributionSpec) -> tuple[tuple[float, float], ...]:
     """Sorted (value, weight) atoms of a purely atomic law."""
     if spec.kind == "discrete":
-        return validate_distribution(spec).atoms
+        return spec.atoms
     if spec.kind == "bernoulli":
         a, b = spec.values
-        pairs = [(a, 1.0 - spec.p), (b, spec.p)]
-        return validate_distribution(DistributionSpec(kind="discrete", atoms=tuple(pairs))).atoms
+        return DistributionSpec(kind="discrete", atoms=((a, 1.0 - spec.p), (b, spec.p))).atoms
     raise ValueError(f"{spec.kind} law has no atoms")
 
 
@@ -181,7 +167,6 @@ def concentration(dist: DistributionSpec, eps: float) -> float:
     (the left endpoint is excluded, so a window of width eps can only grab
     atom runs of span < eps).  Width zero always gives zero.
     """
-    dist = validate_distribution(dist)
     if not math.isfinite(eps) or eps < 0:
         raise ValueError("window width must be finite and nonnegative")
     if eps == 0.0:
@@ -243,11 +228,8 @@ def draw_values(dist: DistributionSpec, gen: np.random.Generator, n: int) -> np.
     if dist.kind == "bernoulli":
         lo_val, hi_val = dist.values
         return np.where(gen.random(n) < dist.p, hi_val, lo_val)
-    atoms = _atoms(dist)
-    values = np.array([v for v, _ in atoms])
-    weights = np.array([w for _, w in atoms])
-    weights = weights / weights.sum()
-    idx = gen.choice(len(values), size=n, p=weights)
+    values, weights = np.array(dist.atoms).T
+    idx = gen.choice(len(values), size=n, p=weights / weights.sum())
     return values[idx]
 
 
@@ -260,5 +242,5 @@ def sample_field(sites: Sequence[Site], dist: DistributionSpec, rng: RngStream) 
     site_list = [tuple(int(c) for c in s) for s in sites]
     if len(set(site_list)) != len(site_list):
         raise ValueError("duplicate sites in field domain")
-    draws = draw_values(validate_distribution(dist), rng.generator(), len(site_list))
+    draws = draw_values(dist, rng.generator(), len(site_list))
     return draws.astype(float, copy=False)

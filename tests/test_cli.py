@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import wegner2p.cli as cli
+import wegner2p.experiments as experiments
 from wegner2p import (
     DMFunctionSpec,
     DistributionSpec,
@@ -355,6 +356,19 @@ def test_wegner_single_rejects_trials_beyond_index_range(tmp_path, capsys, monke
     assert code == 1
     assert out == ""
     assert err.startswith("error: trials must be below 2**32")
+
+
+def test_box_over_the_batch_budget_exits_1_before_any_template(tmp_path, capsys, monkeypatch):
+    def must_not_build(spec):
+        raise AssertionError("a template was built")
+
+    monkeypatch.setattr(experiments, "_BATCH_BYTES", 8 * 25**2 - 1)
+    monkeypatch.setattr(experiments, "HamiltonianTemplate", must_not_build)
+    cfg = write_config(tmp_path, "big.json", {**SINGLE_CFG, "radius": 2})  # m=25
+    code, out, err = run_cli(capsys, "wegner-single", "--config", cfg)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: one 25x25 matrix takes")
 
 
 def test_wegner_single_rejects_two_volume_config(tmp_path, capsys):
@@ -714,6 +728,36 @@ def test_wrongly_typed_hamiltonian_values_exit_1(tmp_path, capsys, command, base
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command, base, key, literal",
+    [
+        ("wegner-single", SINGLE_CFG, "trials", "Infinity"),
+        ("wegner-single", SINGLE_CFG, "trials", "1e400"),
+        ("wegner-single", SINGLE_CFG, "epsilon", "-Infinity"),
+        ("spectrum", HAM_CFG, "radius", "1e400"),
+        ("dm-check", DM_FN_CFG, "tolerance", "NaN"),
+    ],
+    ids=["single-inf", "single-1e400", "single-minus-inf", "spectrum-1e400", "dm-nan"],
+)
+def test_non_finite_config_numbers_exit_1(
+    tmp_path, capsys, monkeypatch, command, base, key, literal
+):
+    # NaN, the infinities and literals overflowing a float are not strict
+    # JSON; such a config is refused before any work starts
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    for name in ("run_single_volume", "HamiltonianTemplate", "check_dm_function"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps({**base, key: "@"}).replace('"@"', literal))
+    code, out, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_dm_check_unknown_target(tmp_path, capsys):

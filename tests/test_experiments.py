@@ -26,7 +26,8 @@ from wegner2p import (
     single_volume_bound,
     two_volume_bound,
 )
-from wegner2p.experiments import _collect_distances, choose_bound
+from wegner2p import experiments
+from wegner2p.experiments import _batch_rows, _collect_distances, choose_bound
 from wegner2p.potential import draw_values
 
 UNIFORM01 = DistributionSpec.uniform(0.0, 1.0)
@@ -487,36 +488,75 @@ def test_two_volume_round_digest_replay():
 
 
 def test_two_volume_round_dist_digest_is_that_rounds_distances():
-    # complete separation: the second box is frozen and shares no site with
-    # the first, so every site of the first box is redrawn in each trial
-    cfg = config_2v(conditioning_rounds=2, trials=1100)
-    report = run_two_volume(cfg)
-    free = HamiltonianTemplate(cfg.hamiltonian)
-    cond_box = make_box(cfg.center_prime, cfg.hamiltonian.box.radius)
-    cond = HamiltonianTemplate(dataclasses.replace(cfg.hamiltonian, box=cond_box))
-    assert not set(free.sites) & set(cond.sites)
-    for rec in report.rounds:
-        gen = derive_trial_rng(cfg.master_seed, rec.round_index, 0).generator()
-        frozen = draw_values(cfg.dist, gen, cond.n_sites)
-        dists = _collect_distances(
-            free,
-            cfg.dist,
-            cfg.master_seed,
-            round_index=rec.round_index,
-            n_trials=cfg.trials,
-            threads=cfg.threads,
-            reference=np.linalg.eigvalsh(cond.assemble_values(frozen)),
-            base_values=np.zeros(free.n_sites),
-            free_positions=np.arange(free.n_sites),
+    cases = [
+        # complete separation: the second box is frozen and shares no site
+        # with the first, so every site of the first box is redrawn
+        ([[100], [100]], 1100, True),
+        # the first box is frozen and shares site 1 with the second, whose
+        # trials redraw every other site on top of that frozen value
+        ([[2], [50]], 300, False),
+    ]
+    for center_prime, trials, free_is_first in cases:
+        cfg = config_2v(center_prime=center_prime, conditioning_rounds=2, trials=trials)
+        report = run_two_volume(cfg)
+        assert (report.bound_choice == "condition_on_second") is free_is_first
+        box_prime = make_box(cfg.center_prime, cfg.hamiltonian.box.radius)
+        first = HamiltonianTemplate(cfg.hamiltonian)
+        second = HamiltonianTemplate(dataclasses.replace(cfg.hamiltonian, box=box_prime))
+        free, cond = (first, second) if free_is_first else (second, first)
+        shared = sorted(set(free.sites) & set(cond.sites))
+        assert shared == ([] if free_is_first else [(1,)])
+        free_positions = np.array(
+            [i for i, s in enumerate(free.sites) if s not in shared], dtype=int
         )
-        assert rec.dist_digest == hashlib.sha256(dists.tobytes()).hexdigest()
-        assert rec.hits == int(np.count_nonzero(dists <= cfg.epsilon))
-        assert (rec.dist_min, rec.dist_mean, rec.dist_max) == (
-            dists.min(),
-            dists.mean(),
-            dists.max(),
-        )
-    assert report.rounds[0].dist_digest != report.rounds[1].dist_digest
+        for rec in report.rounds:
+            gen = derive_trial_rng(cfg.master_seed, rec.round_index, 0).generator()
+            frozen = draw_values(cfg.dist, gen, cond.n_sites)
+            base_values = np.zeros(free.n_sites)
+            for site in shared:
+                base_values[free.sites.index(site)] = frozen[cond.sites.index(site)]
+            dists = _collect_distances(
+                free,
+                cfg.dist,
+                cfg.master_seed,
+                round_index=rec.round_index,
+                n_trials=cfg.trials,
+                threads=cfg.threads,
+                reference=np.linalg.eigvalsh(cond.assemble_values(frozen)),
+                base_values=base_values,
+                free_positions=free_positions,
+            )
+            assert rec.dist_digest == hashlib.sha256(dists.tobytes()).hexdigest()
+            assert rec.hits == int(np.count_nonzero(dists <= cfg.epsilon))
+            assert (rec.dist_min, rec.dist_mean, rec.dist_max) == (
+                dists.min(),
+                dists.mean(),
+                dists.max(),
+            )
+        assert report.rounds[0].dist_digest != report.rounds[1].dist_digest
+
+
+def test_batch_rows_fit_the_memory_budget():
+    # pure arithmetic: nothing of these sizes is allocated
+    assert _batch_rows(25) == _batch_rows(121) == 1024  # the m=121 batch is 114 MiB
+    assert _batch_rows(625) == 42  # d=2, L=2: 1024 rows would take 3.0 GiB
+    with pytest.raises(ValueError, match="batch budget"):
+        _batch_rows(6561)  # d=2, L=4: one matrix takes 328 MiB
+
+
+def test_small_batch_budget_keeps_every_distance(monkeypatch):
+    # batches of three matrices give the distances of 1024-row batches
+    runs = [
+        (run_single_volume, config_1v(trials=200, threads=2)),
+        (run_two_volume, config_2v(center_prime=[[2], [50]], conditioning_rounds=2, threads=2)),
+    ]
+    wide = [run(cfg) for run, cfg in runs]
+    monkeypatch.setattr(experiments, "_BATCH_BYTES", 3 * 8 * 9**2)
+    assert _batch_rows(9) == 3
+    narrow = [run(cfg) for run, cfg in runs]
+    assert narrow[0].dist_digest == wide[0].dist_digest
+    assert [r.dist_digest for r in narrow[1].rounds] == [r.dist_digest for r in wide[1].rounds]
+    assert narrow == wide
 
 
 def test_two_volume_rejects_misconfigured_runs():

@@ -13,8 +13,8 @@ from wegner2p import (
     PairPoint,
     RngStream,
     make_box,
-    neighbors,
     sample_field,
+    sup_norm_pair,
 )
 
 
@@ -32,45 +32,55 @@ def random_field(template, seed):
 # ---------------------------------------------------------------------------
 
 
+def hopping_template(box, norm, interaction=None):
+    spec = HamiltonianSpec(box, interaction or InteractionSpec.zero(), 1.0, norm)
+    return HamiltonianTemplate(spec)
+
+
+def neighbors_of(template, x):
+    row = template.fixed[template.points.index(x)]
+    return [template.points[j] for j in np.flatnonzero(row)]
+
+
 def test_neighbor_counts_interior():
     box = box1d(0, 0, 2)
     x = PairPoint.of((0,), (0,))
-    assert len(neighbors(box, x, "l1")) == 4
-    assert len(neighbors(box, x, "sup")) == 8
+    assert len(neighbors_of(hopping_template(box, "l1"), x)) == 4
+    assert len(neighbors_of(hopping_template(box, "sup"), x)) == 8
 
 
 def test_neighbor_corner_l1():
-    box = box1d(0, 0, 1)
     corner = PairPoint.of((1,), (1,))
-    got = neighbors(box, corner, "l1")
+    got = neighbors_of(hopping_template(box1d(0, 0, 1), "l1"), corner)
     assert got == [PairPoint.of((0,), (1,)), PairPoint.of((1,), (0,))]
 
 
-def test_neighbors_rejects_outside_point():
-    box = box1d(0, 0, 1)
-    with pytest.raises(ValueError):
-        neighbors(box, PairPoint.of((5,), (0,)), "l1")
-    with pytest.raises(ValueError):
-        neighbors(box, PairPoint.of((0,), (0,)), "l2")
-
-
 def test_neighbors_match_distance_oracle():
-    # brute force over all point pairs for both norms, d=1 and d=2
-    for box in [box1d(0, 1, 1), make_box(PairPoint.of((0, 0), (1, -1)), 1)]:
-        pts = box.points()
-        for x in pts:
-            cat_x = x.first + x.second
-            for norm in ("l1", "sup"):
-                got = set(neighbors(box, x, norm))
-                want = set()
-                for y in pts:
+    # brute force over all point pairs of the template's fixed part, both
+    # norms, d=1 and d=2 and a radius-2 box: hopping off the diagonal, the
+    # interaction at the particles' sup distance on it
+    inter = InteractionSpec({0: 1.5, 1: -0.25, 3: 2.0}, r_max=3)
+    boxes = [box1d(0, 1, 1), make_box(PairPoint.of((0, 0), (1, -1)), 1), box1d(0, 3, 2)]
+    for box in boxes:
+        for norm in ("l1", "sup"):
+            template = hopping_template(box, norm, inter)
+            pts = template.points
+            assert len(set(pts)) == box.size
+            assert pts == sorted(pts, key=lambda p: p.first + p.second)
+            assert all(sup_norm_pair(x, box.center) <= box.radius for x in pts)
+            want = np.zeros((len(pts), len(pts)))
+            for i, x in enumerate(pts):
+                cat_x = x.first + x.second
+                for j, y in enumerate(pts):
                     cat_y = y.first + y.second
                     diffs = [abs(a - b) for a, b in zip(cat_x, cat_y)]
                     if norm == "l1" and sum(diffs) == 1:
-                        want.add(y)
+                        want[i, j] = 1.0
                     if norm == "sup" and max(diffs) == 1:
-                        want.add(y)
-                assert got == want
+                        want[i, j] = 1.0
+                r = max(abs(a - b) for a, b in zip(x.first, x.second))
+                want[i, i] = inter.value(r)
+            assert np.array_equal(template.fixed, want)
 
 
 # ---------------------------------------------------------------------------

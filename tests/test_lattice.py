@@ -1,4 +1,4 @@
-"""Geometry layer: pair points, boxes, projections, separation classes."""
+"""Geometry layer: pair points, boxes, projection sites, separation classes."""
 
 import itertools
 
@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from wegner2p import (
     BoxSpec,
-    Cube,
     PairPoint,
     SeparationClass,
     apply_symmetry,
     classify_separation,
     distance_condition,
     make_box,
-    projections,
+    projection_sites,
     sup_norm_pair,
     survey_separation_line,
     survey_separation_plane,
@@ -85,7 +84,7 @@ def test_symmetry_swaps_components():
 
 
 # ---------------------------------------------------------------------------
-# boxes and projections
+# boxes and projection sites
 # ---------------------------------------------------------------------------
 
 
@@ -97,14 +96,13 @@ def test_box_sizes():
 
 def test_box_points_match_membership():
     box = make_box(PairPoint.of((0,), (2,)), 1)
-    pts = box.points()
-    assert len(pts) == box.size
-    assert len(set(pts)) == len(pts)
-    for x in pts:
-        assert x in box
-        assert sup_norm_pair(x, box.center) <= box.radius
-    assert PairPoint.of((2,), (2,)) not in box
-    assert pts == sorted(pts, key=lambda p: p.first + p.second)
+    coords = box.coordinates().tolist()
+    assert len(coords) == box.size
+    assert len(set(map(tuple, coords))) == len(coords)
+    for x1, x2 in coords:
+        assert sup_norm_pair(PairPoint((x1,), (x2,)), box.center) <= box.radius
+    assert [2, 2] not in coords
+    assert coords == sorted(coords)
 
 
 def test_projection_union_sizes():
@@ -114,26 +112,30 @@ def test_projection_union_sizes():
         (((0,), (1,)), 4),
         (((0,), (100,)), 6),
     ]:
-        box = make_box(PairPoint.of(*centers), 1)
-        c1, c2, union = projections(box)
-        assert union == expected
-        assert union == len(c1.point_set() | c2.point_set())
+        assert len(projection_sites(make_box(PairPoint.of(*centers), 1))) == expected
 
 
-def test_cube_points_and_membership():
-    cube = Cube((1, -1), 1)
-    assert cube.size == 9
-    pts = cube.points()
-    assert len(pts) == 9 and pts == sorted(pts)
-    assert (2, 0) in cube and (3, 0) not in cube
-    assert cube.point_set() == set(pts)
+def test_projection_sites_are_the_sorted_cube_union():
+    # d=2, L=1: the cubes at (1, -1) and (2, 0) share four sites
+    sites = projection_sites(make_box(PairPoint.of((1, -1), (2, 0)), 1))
+    assert sites == sorted(set(sites)) and len(sites) == 9 + 9 - 4
+    assert sites[0] == (0, -2) and sites[-1] == (3, 1)
+    assert (2, 0) in sites and (0, 1) not in sites and (3, -2) not in sites
+    assert projection_sites(make_box(PairPoint.of((2,), (5,)), 0)) == [(2,), (5,)]
 
 
 def test_negative_radius_rejected():
     with pytest.raises(ValueError):
-        Cube((0,), -1)
-    with pytest.raises(ValueError):
         BoxSpec(center=PairPoint.of((0,), (0,)), radius=-2)
+
+
+def test_box_coordinates_beyond_int64_range_rejected():
+    # box coordinates and their differences are computed in int64 arrays
+    with pytest.raises(ValueError):
+        make_box(PairPoint.of((2**62,), (0,)), 0)
+    with pytest.raises(ValueError):
+        make_box(PairPoint.of((0,), (-(2**62) + 1,)), 1)
+    assert make_box(PairPoint.of((2**62 - 2,), (0,)), 1).size == 9
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +307,9 @@ def test_complete_separation_means_disjoint_unions(geom):
     if not distance_condition(u, up, L):
         return
     found = classify_separation(u, up, L)
-    _, _, union_u = projections(make_box(u, L))
-    _, _, union_up = projections(make_box(up, L))
-    all_four = (
-        Cube(u.first, L).point_set()
-        | Cube(u.second, L).point_set()
-        | Cube(up.first, L).point_set()
-        | Cube(up.second, L).point_set()
-    )
+    union_u = len(projection_sites(make_box(u, L)))
+    union_up = len(projection_sites(make_box(up, L)))
+    all_four = set(projection_sites(make_box(u, L))) | set(projection_sites(make_box(up, L)))
     if CS in found:
         assert len(all_four) == union_u + union_up
     else:

@@ -12,7 +12,6 @@ from wegner2p import (
     RngStream,
     concentration,
     sample_field,
-    validate_distribution,
 )
 from wegner2p.potential import draw_values
 
@@ -107,7 +106,7 @@ def test_validate_rejects_nonsense():
     with pytest.raises(ValueError):
         DistributionSpec.discrete([])
     with pytest.raises(ValueError):
-        validate_distribution(DistributionSpec(kind="triangular"))
+        DistributionSpec(kind="triangular")
 
 
 def test_validate_merges_duplicate_atoms():
