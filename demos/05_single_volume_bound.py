@@ -6,7 +6,7 @@ within eps of a fixed energy, and compare against the analytic ceiling
 minus three standard errors to stay below the ceiling.
 """
 
-from wegner2p import ExperimentConfig, run_single_volume, single_volume_bound
+from wegner2p import ExperimentConfig, analytic_bound, run_single_volume
 
 config = ExperimentConfig.from_dict(
     {
@@ -50,5 +50,6 @@ for eps in (0.05, 0.02, 0.01, 0.005):
         threads=2,
     )
     rep = run_single_volume(cfg)
-    bound = single_volume_bound(cfg.hamiltonian.box, cfg.dist, eps)
+    box = cfg.hamiltonian.box
+    bound = analytic_bound([box], box, cfg.dist, eps)  # one box, left wholly random
     print(f"eps={eps:<6g} p_hat={rep.empirical_probability:.4f}  ceiling={bound:.4f}")

@@ -9,10 +9,11 @@ Modules
 -------
 lattice      pair points, boxes, projection sites, separation classifier
 potential    disorder laws, concentration function, field sampling
-hamiltonian  hopping graph by Kronecker products, interaction, potential assembly
+hamiltonian  hopping graph by Kronecker products, interaction, batched assembly
+             under one memory budget
 stollmann    diagonally monotone functions and Stollmann-type bounds
 spectral     spectral gaps, eigenvalue monotonicity checks
-experiments  single-volume and two-volume bound experiments
+experiments  analytic ceiling, single-volume and two-volume bound experiments
 cli          command line front end
 """
 
@@ -58,11 +59,10 @@ from .experiments import (
     TwoVolumeBound,
     TwoVolumeReport,
     WegnerReport,
+    analytic_bound,
     derive_trial_rng,
     run_single_volume,
     run_two_volume,
-    single_volume_bound,
-    two_volume_bound,
 )
 
 __all__ = [
@@ -98,9 +98,8 @@ __all__ = [
     "TwoVolumeBound",
     "TwoVolumeReport",
     "WegnerReport",
+    "analytic_bound",
     "derive_trial_rng",
     "run_single_volume",
     "run_two_volume",
-    "single_volume_bound",
-    "two_volume_bound",
 ]

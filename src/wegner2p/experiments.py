@@ -39,12 +39,12 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
-from typing import ClassVar, Mapping
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
 from ._version import __version__ as TOOL_VERSION
-from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _pair
+from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _batch_rows, _pair
 from .lattice import (
     BoxSpec,
     PairPoint,
@@ -59,12 +59,6 @@ from .spectral import min_gaps_to_sorted
 from .stollmann import binomial_verdict
 
 SCHEMA_VERSION = 2
-
-_BATCH = 1024
-
-# Bytes of dense matrices one batch may hold; batches shrink below _BATCH
-# rows to fit, and a run whose single matrix exceeds it is refused.
-_BATCH_BYTES = 128 * 2**20
 
 _BOUND_MODES = ("two_eps", "eps_over_g")
 
@@ -96,52 +90,30 @@ def derive_trial_rng(master_seed: int, round_index: int, trial_index: int) -> Rn
     return RngStream(master_seed=master_seed, stream_index=(round_index << 32) + trial_index)
 
 
-def _window(epsilon: float, coupling: float, bound_mode: str) -> float:
+def analytic_bound(
+    boxes: Sequence[BoxSpec],
+    free_box: BoxSpec,
+    dist: DistributionSpec,
+    epsilon: float,
+    coupling: float = 1.0,
+    bound_mode: str = "two_eps",
+) -> float:
+    """Analytic ceiling |boxes| * |projection union of free_box| * s(window).
+
+    The first factor is the product of the box sizes, one box for the
+    single-volume bound and two for the two-volume one; `free_box` is the
+    box whose field stays random (the one box, or the unconditioned one).
+    The window is 2*eps under "two_eps" and eps/g under "eps_over_g".
+    """
     if bound_mode not in _BOUND_MODES:
         raise ValueError(f"bound_mode must be one of {_BOUND_MODES}, got {bound_mode!r}")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("epsilon must be positive and finite")
-    if bound_mode == "two_eps":
-        return 2.0 * epsilon
-    if coupling <= 0:
+    if bound_mode == "eps_over_g" and coupling <= 0:
         raise ValueError("eps_over_g mode needs a positive coupling")
-    return epsilon / coupling
-
-
-def single_volume_bound(
-    box: BoxSpec,
-    dist: DistributionSpec,
-    epsilon: float,
-    coupling: float = 1.0,
-    bound_mode: str = "two_eps",
-) -> float:
-    """Analytic ceiling for P(spectrum comes within eps of a fixed energy)."""
-    union = len(projection_sites(box))
-    return box.size * union * concentration(dist, _window(epsilon, coupling, bound_mode))
-
-
-def two_volume_bound(
-    box: BoxSpec,
-    box_prime: BoxSpec,
-    dist: DistributionSpec,
-    epsilon: float,
-    coupling: float = 1.0,
-    which: TwoVolumeBound = TwoVolumeBound.CONDITION_ON_SECOND,
-    bound_mode: str = "two_eps",
-) -> float:
-    """Analytic ceiling for the conditional two-spectra proximity probability.
-
-    The projection-union factor always belongs to the box left random: the
-    first box under CONDITION_ON_SECOND, the second under CONDITION_ON_FIRST.
-    """
-    free_box = box if which is TwoVolumeBound.CONDITION_ON_SECOND else box_prime
+    window = 2.0 * epsilon if bound_mode == "two_eps" else epsilon / coupling
     union = len(projection_sites(free_box))
-    return (
-        box.size
-        * box_prime.size
-        * union
-        * concentration(dist, _window(epsilon, coupling, bound_mode))
-    )
+    return math.prod(box.size for box in boxes) * union * concentration(dist, window)
 
 
 @dataclass(frozen=True)
@@ -344,20 +316,6 @@ class TwoVolumeReport(_Report):
         return report
 
 
-def _batch_rows(m: int) -> int:
-    """Trials per batch of m x m matrices: at most _BATCH, within _BATCH_BYTES.
-
-    Raises ValueError when a single matrix exceeds the budget.
-    """
-    rows = min(_BATCH, _BATCH_BYTES // (8 * m * m))
-    if rows < 1:
-        raise ValueError(
-            f"one {m}x{m} matrix takes {8 * m * m / 2**20:.0f} MiB, "
-            f"over the {_BATCH_BYTES >> 20} MiB batch budget"
-        )
-    return rows
-
-
 def _collect_distances(
     template: HamiltonianTemplate,
     dist: DistributionSpec,
@@ -390,14 +348,10 @@ def _collect_distances(
         for i in range(count):
             gen = derive_trial_rng(master_seed, round_index, trial_lo + i).generator()
             values[i, free_positions] = draw_values(dist, gen, n_free)
-        diag = template.diagonal_shift(values)
-        bad = ~np.isfinite(diag).all(axis=1)
+        H = template.assemble_values(values)
+        bad = ~np.isfinite(np.diagonal(H, axis1=1, axis2=2)).all(axis=1)
         if bad.any():
             raise RuntimeError(f"trial {trial_lo + int(np.argmax(bad))}: non-finite field values")
-        m = template.dim
-        H = np.broadcast_to(template.fixed, (count, m, m)).copy()
-        idx = np.arange(m)
-        H[:, idx, idx] += diag
         try:
             eigs = np.linalg.eigvalsh(H)
         except np.linalg.LinAlgError as err:
@@ -451,8 +405,8 @@ def run_single_volume(config: ExperimentConfig) -> WegnerReport:
     spec = config.hamiltonian
     _batch_rows(spec.box.size)  # refuse an oversized box before building it
     template = HamiltonianTemplate(spec)
-    bound = single_volume_bound(
-        spec.box, config.dist, config.epsilon, spec.coupling, config.bound_mode
+    bound = analytic_bound(
+        [spec.box], spec.box, config.dist, config.epsilon, spec.coupling, config.bound_mode
     )
     dists = _collect_distances(
         template,
@@ -527,14 +481,8 @@ def run_two_volume(config: ExperimentConfig) -> TwoVolumeReport:
         free_box, cond_box = box, box_prime
     else:
         free_box, cond_box = box_prime, box
-    bound = two_volume_bound(
-        box,
-        box_prime,
-        config.dist,
-        config.epsilon,
-        spec.coupling,
-        which,
-        config.bound_mode,
+    bound = analytic_bound(
+        [box, box_prime], free_box, config.dist, config.epsilon, spec.coupling, config.bound_mode
     )
     _batch_rows(box.size)  # refuse oversized boxes before building them
     free_template = HamiltonianTemplate(replace(spec, box=free_box))

@@ -26,6 +26,26 @@ from .potential import _malformed
 
 _HOPPING_NORMS = ("sup", "l1")
 
+_BATCH = 1024
+
+# Bytes of dense matrices one batch may hold; batches shrink below _BATCH
+# rows to fit, and a run whose single matrix exceeds it is refused.
+_BATCH_BYTES = 128 * 2**20
+
+
+def _batch_rows(m: int) -> int:
+    """Matrices per batch of m x m matrices: at most _BATCH, within _BATCH_BYTES.
+
+    Raises ValueError when a single matrix exceeds the budget.
+    """
+    rows = min(_BATCH, _BATCH_BYTES // (8 * m * m))
+    if rows < 1:
+        raise ValueError(
+            f"one {m}x{m} matrix takes {8 * m * m / 2**20:.0f} MiB, "
+            f"over the {_BATCH_BYTES >> 20} MiB batch budget"
+        )
+    return rows
+
 
 @dataclass(frozen=True)
 class InteractionSpec:
@@ -215,13 +235,14 @@ class HamiltonianTemplate:
         )
 
     def assemble_values(self, site_values: np.ndarray) -> np.ndarray:
-        """Dense symmetric matrix for one value array aligned with `sites`."""
+        """Dense symmetric (..., m, m) matrices from (..., n_sites) values aligned
+        with `sites`; callers keep a batch within `_batch_rows(dim)` fields."""
         site_values = np.asarray(site_values, dtype=float)
-        if site_values.shape != (self.n_sites,):
+        if site_values.shape[-1:] != (self.n_sites,):
             raise ValueError(
                 f"expected {self.n_sites} site values, got shape {site_values.shape}"
             )
-        H = self.fixed.copy()
+        H = np.broadcast_to(self.fixed, site_values.shape[:-1] + self.fixed.shape).copy()
         idx = np.arange(self.dim)
-        H[idx, idx] += self.diagonal_shift(site_values)
+        H[..., idx, idx] += self.diagonal_shift(site_values)
         return H

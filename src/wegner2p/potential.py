@@ -229,8 +229,10 @@ def draw_values(dist: DistributionSpec, gen: np.random.Generator, n: int) -> np.
         lo_val, hi_val = dist.values
         return np.where(gen.random(n) < dist.p, hi_val, lo_val)
     values, weights = np.array(dist.atoms).T
-    idx = gen.choice(len(values), size=n, p=weights / weights.sum())
-    return values[idx]
+    # Generator.choice(len(values), n, p=...)'s CDF and uniforms, bit for bit
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return values[cdf.searchsorted(gen.random(n), side="right")]
 
 
 def sample_field(sites: Sequence[Site], dist: DistributionSpec, rng: RngStream) -> np.ndarray:

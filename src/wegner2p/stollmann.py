@@ -157,20 +157,19 @@ def check_dm_function(
         raise ValueError("domain needs lo < hi")
     if samples < 1:
         raise ValueError("need at least one sample")
-    span = hi - lo
+    span, p = hi - lo, f.arity
     gen = rng.generator()
     worst_mono = -math.inf
     worst_diag = -math.inf
     witnesses: list[dict] = []
     for start in range(0, samples, _CHUNK):
         n = min(_CHUNK, samples - start)
-        v = np.empty((n, f.arity))
-        r = np.empty((n, f.arity))
-        t = np.empty(n)
-        for i in range(n):  # per-sample draw order: v, then r, then t
-            v[i] = gen.uniform(lo, hi, size=f.arity)
-            r[i] = gen.uniform(0.0, span, size=f.arity)
-            t[i] = span * (1.0 - gen.random())  # lands in (0, span]
+        # one row per sample, drawn in the order v, r, t; numpy's uniform is
+        # low + (high - low) * next_double, so these are its values bit for bit
+        u = gen.random((n, 2 * p + 1))
+        v = lo + span * u[:, :p]
+        r = span * u[:, p : 2 * p]
+        t = span * (1.0 - u[:, 2 * p])  # lands in (0, span]
         base = f(v)
         mono_gap = base - f(v + r)
         diag_gap = t - (f(v + t[:, None]) - base)

@@ -13,6 +13,7 @@ import pytest
 
 import wegner2p.cli as cli
 import wegner2p.experiments as experiments
+import wegner2p.hamiltonian as hamiltonian
 from wegner2p import (
     DMFunctionSpec,
     DistributionSpec,
@@ -362,7 +363,7 @@ def test_box_over_the_batch_budget_exits_1_before_any_template(tmp_path, capsys,
     def must_not_build(spec):
         raise AssertionError("a template was built")
 
-    monkeypatch.setattr(experiments, "_BATCH_BYTES", 8 * 25**2 - 1)
+    monkeypatch.setattr(hamiltonian, "_BATCH_BYTES", 8 * 25**2 - 1)
     monkeypatch.setattr(experiments, "HamiltonianTemplate", must_not_build)
     cfg = write_config(tmp_path, "big.json", {**SINGLE_CFG, "radius": 2})  # m=25
     code, out, err = run_cli(capsys, "wegner-single", "--config", cfg)

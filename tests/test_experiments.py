@@ -19,15 +19,15 @@ from wegner2p import (
     TwoVolumeBound,
     TwoVolumeReport,
     WegnerReport,
+    analytic_bound,
     derive_trial_rng,
     make_box,
     run_single_volume,
     run_two_volume,
-    single_volume_bound,
-    two_volume_bound,
 )
-from wegner2p import experiments
-from wegner2p.experiments import _batch_rows, _collect_distances, choose_bound
+from wegner2p import hamiltonian
+from wegner2p.experiments import _collect_distances, choose_bound
+from wegner2p.hamiltonian import _batch_rows
 from wegner2p.potential import draw_values
 
 UNIFORM01 = DistributionSpec.uniform(0.0, 1.0)
@@ -76,52 +76,46 @@ def config_2v(**overrides):
 
 def test_single_volume_bound_values():
     box = make_box(PairPoint.of((0,), (0,)), 2)  # size 25, union 5
-    got = single_volume_bound(box, UNIFORM01, 1e-3, coupling=1.0, bound_mode="two_eps")
+    got = analytic_bound([box], box, UNIFORM01, 1e-3, coupling=1.0, bound_mode="two_eps")
     assert got == pytest.approx(25 * 5 * 0.002)
-    tight = single_volume_bound(box, UNIFORM01, 1e-3, coupling=1.0, bound_mode="eps_over_g")
+    tight = analytic_bound([box], box, UNIFORM01, 1e-3, coupling=1.0, bound_mode="eps_over_g")
     assert tight == pytest.approx(25 * 5 * 0.001)
     # saturation: a huge window pins the concentration factor at one
-    assert single_volume_bound(box, UNIFORM01, 10.0) == pytest.approx(125.0)
+    assert analytic_bound([box], box, UNIFORM01, 10.0) == pytest.approx(125.0)
 
 
 def test_bound_modes_coincide_at_half_coupling():
     box = make_box(PairPoint.of((0,), (3,)), 1)
-    a = single_volume_bound(box, UNIFORM01, 1e-3, coupling=0.5, bound_mode="two_eps")
-    b = single_volume_bound(box, UNIFORM01, 1e-3, coupling=0.5, bound_mode="eps_over_g")
+    a = analytic_bound([box], box, UNIFORM01, 1e-3, coupling=0.5, bound_mode="two_eps")
+    b = analytic_bound([box], box, UNIFORM01, 1e-3, coupling=0.5, bound_mode="eps_over_g")
     assert a == b
 
 
 def test_bound_mode_validation():
     box = make_box(PairPoint.of((0,), (0,)), 1)
     with pytest.raises(ValueError):
-        single_volume_bound(box, UNIFORM01, 1e-3, bound_mode="loose")
+        analytic_bound([box], box, UNIFORM01, 1e-3, bound_mode="loose")
     with pytest.raises(ValueError):
-        single_volume_bound(box, UNIFORM01, -1e-3)
+        analytic_bound([box], box, UNIFORM01, -1e-3)
     with pytest.raises(ValueError):
-        single_volume_bound(box, UNIFORM01, 1e-3, coupling=0.0, bound_mode="eps_over_g")
+        analytic_bound([box], box, UNIFORM01, 1e-3, coupling=0.0, bound_mode="eps_over_g")
 
 
 def test_two_volume_bound_values():
     # disjoint projections on the free box: union factor 6
     box = make_box(PairPoint.of((0,), (100,)), 1)
     box_prime = make_box(PairPoint.of((200,), (300,)), 1)
-    got = two_volume_bound(
-        box, box_prime, UNIFORM01, 1e-4, which=TwoVolumeBound.CONDITION_ON_SECOND
-    )
+    got = analytic_bound([box, box_prime], box, UNIFORM01, 1e-4)
     assert got == pytest.approx(9 * 9 * 6 * 0.0002)
     # coincident projections on the free box: union factor 3
     small = make_box(PairPoint.of((0,), (0,)), 1)
-    got = two_volume_bound(
-        small, box_prime, UNIFORM01, 1e-4, which=TwoVolumeBound.CONDITION_ON_SECOND
-    )
+    got = analytic_bound([small, box_prime], small, UNIFORM01, 1e-4)
     assert got == pytest.approx(9 * 9 * 3 * 0.0002)
     # the union factor follows the box left random
-    got = two_volume_bound(
-        small, box_prime, UNIFORM01, 1e-4, which=TwoVolumeBound.CONDITION_ON_FIRST
-    )
+    got = analytic_bound([small, box_prime], box_prime, UNIFORM01, 1e-4)
     assert got == pytest.approx(9 * 9 * 6 * 0.0002)
     # saturation at eps >= 1/2 under uniform(0,1)
-    sat = two_volume_bound(box, box_prime, UNIFORM01, 0.5)
+    sat = analytic_bound([box, box_prime], box, UNIFORM01, 0.5)
     assert sat == pytest.approx(9 * 9 * 6) and sat >= 1.0
 
 
@@ -338,7 +332,7 @@ def test_single_volume_runs_and_reports():
     assert report.dist_digest == hashlib.sha256(dists.tobytes()).hexdigest()
     assert report.config == cfg.to_dict()
     assert report.analytic_bound == pytest.approx(
-        single_volume_bound(cfg.hamiltonian.box, UNIFORM01, cfg.epsilon)
+        analytic_bound([cfg.hamiltonian.box], cfg.hamiltonian.box, UNIFORM01, cfg.epsilon)
     )
 
 
@@ -551,7 +545,7 @@ def test_small_batch_budget_keeps_every_distance(monkeypatch):
         (run_two_volume, config_2v(center_prime=[[2], [50]], conditioning_rounds=2, threads=2)),
     ]
     wide = [run(cfg) for run, cfg in runs]
-    monkeypatch.setattr(experiments, "_BATCH_BYTES", 3 * 8 * 9**2)
+    monkeypatch.setattr(hamiltonian, "_BATCH_BYTES", 3 * 8 * 9**2)
     assert _batch_rows(9) == 3
     narrow = [run(cfg) for run, cfg in runs]
     assert narrow[0].dist_digest == wide[0].dist_digest

@@ -201,8 +201,22 @@ def test_assemble_requires_full_field():
         template.assemble_values(np.ones(1))
     with pytest.raises(ValueError):
         template.assemble_values(np.zeros(template.n_sites + 1))
-    with pytest.raises(ValueError):
-        template.assemble_values(np.zeros((1, template.n_sites)))
+    # a leading axis is a batch: one field in it gives a stack of one matrix
+    field = random_field(template, 2)
+    single = template.assemble_values(field)
+    assert template.assemble_values(field[None]).tobytes() == single[None].tobytes()
+
+
+def test_assemble_batch_equals_stacked_singles():
+    box = make_box(PairPoint.of((0, 1), (2, 0)), 1)
+    spec = HamiltonianSpec(box, InteractionSpec({0: 1.0, 1: -0.5}, r_max=1), 0.7, "l1")
+    template = HamiltonianTemplate(spec)
+    gen = np.random.default_rng(5)
+    fields = gen.uniform(-1.0, 1.0, size=(2, 3, template.n_sites))
+    batch = template.assemble_values(fields)
+    assert batch.shape == (2, 3, template.dim, template.dim)
+    singles = np.array([[template.assemble_values(f) for f in row] for row in fields])
+    assert batch.tobytes() == singles.tobytes()
 
 
 def test_batched_diagonal_matches_looped():

@@ -251,3 +251,27 @@ def test_concentration_monotone_and_doubling(law, e1, e2):
 def test_uniform_concentration_scales(width, eps):
     law = DistributionSpec.uniform(0.0, width)
     assert concentration(law, eps) == pytest.approx(min(eps / width, 1.0))
+
+
+@pytest.mark.parametrize(
+    "atoms",
+    [
+        [(0.0, 1.0)],
+        [(0.5, 0.5), (1.5, 0.5)],
+        [(0.0, 0.2), (1.0, 0.5), (2.0, 0.3)],
+        [(-3.0, 0.25), (0.0, 0.0), (0.5, 0.5), (9.0, 0.0), (10.0, 0.25)],  # zero-weight atoms
+        [(float(k), w) for k, w in enumerate([0.1] * 7 + [0.05, 0.25])],
+    ],
+)
+def test_discrete_draws_equal_generator_choice(atoms):
+    # the draw maps uniforms through the CDF the way Generator.choice does, so
+    # values and the stream position after them match choice bit for bit
+    law = DistributionSpec.discrete(atoms)
+    values, weights = np.array(law.atoms).T
+    for seed in range(100):
+        for n in (0, 1, 7, 300):
+            gen, ref = RngStream(seed, n).generator(), RngStream(seed, n).generator()
+            got = draw_values(law, gen, n)
+            want = values[ref.choice(len(values), size=n, p=weights / weights.sum())]
+            assert got.tobytes() == want.tobytes()
+            assert gen.random() == ref.random()

@@ -18,6 +18,7 @@ from wegner2p import (
     sample_field,
     verify_dm_eigenvalues,
 )
+from wegner2p import hamiltonian
 from wegner2p.spectral import min_gaps_to_sorted
 
 
@@ -187,3 +188,71 @@ def test_spectrum_invariant_under_particle_swap():
         ea = np.linalg.eigvalsh(ta.assemble_values(field))
         eb = np.linalg.eigvalsh(tb.assemble_values(field))
         assert np.allclose(ea, eb, atol=1e-10)
+
+
+def per_trial_dm_report(spec, values, trials, rng, tolerance):
+    """The eigenvalue DM check one trial at a time, two eigvalsh calls each."""
+    template = HamiltonianTemplate(spec)
+    base_eigs = np.linalg.eigvalsh(template.assemble_values(values))
+    scale = 1.0 + np.abs(base_eigs)
+    gen = rng.generator()
+    g = spec.coupling
+    worst_shift = worst_mono = -math.inf
+    witnesses = []
+    for k in range(trials):
+        t = 10.0 * (1.0 - gen.random())
+        shifted = np.linalg.eigvalsh(template.assemble_values(values + t))
+        shift_err = float(np.max(np.abs(shifted - base_eigs - 2.0 * g * t) / scale))
+        site = int(gen.integers(template.n_sites))
+        bump = 10.0 * (1.0 - gen.random())
+        bumped_vals = values.copy()
+        bumped_vals[site] += bump
+        mono_gap = float(np.max(base_eigs - np.linalg.eigvalsh(template.assemble_values(bumped_vals))))
+        worst_shift = max(worst_shift, shift_err)
+        worst_mono = max(worst_mono, mono_gap)
+        if (shift_err > tolerance or mono_gap > tolerance) and len(witnesses) < 5:
+            witnesses.append(
+                {"trial": k, "t": t, "site": template.sites[site], "bump": bump,
+                 "shift_error": shift_err, "monotonicity_gap": mono_gap}
+            )
+    return worst_shift, worst_mono, witnesses
+
+
+@pytest.mark.parametrize("tolerance", [1e-9, 1e-15, -1.0])
+def test_verifier_chunks_match_per_trial_reference(monkeypatch, tolerance):
+    # a budget of three 9x9 matrices cuts 20 trials into 7 chunks; the report
+    # equals the default-budget one and the per-trial loop's
+    spec, field = small_setup(1.0)
+    wide = verify_dm_eigenvalues(spec, field, 20, RngStream(4, 1), tolerance)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(np.shape(a)[:-2])
+        return eigvalsh(a)
+
+    monkeypatch.setattr(hamiltonian, "_BATCH_BYTES", 3 * 8 * 9**2)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    narrow = verify_dm_eigenvalues(spec, field, 20, RngStream(4, 1), tolerance)
+    monkeypatch.undo()
+    assert calls[0] == () and len(calls) == 1 + 2 * 7
+    assert max(np.prod(shape) for shape in calls[1:]) == 3
+    assert narrow == wide
+    want = per_trial_dm_report(spec, field, 20, RngStream(4, 1), tolerance)
+    assert (narrow.worst_diagonal_defect, narrow.worst_monotonicity_violation) == want[:2]
+    assert narrow.witnesses == want[2]
+    assert narrow.passed is (want[2] == [])
+    assert len(narrow.witnesses) == (5 if tolerance < 0 else len(want[2]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_verifier_fails_on_overflowing_field():
+    # a finite value of 1e308 overflows the diagonal, eigvalsh returns NaN,
+    # and every trial is flagged; the NaN errors do not enter the worst ones
+    spec, field = small_setup(1.0)
+    field[0] = 1e308
+    report = verify_dm_eigenvalues(spec, field, 10, RngStream(3, 1))
+    assert report.passed is False
+    assert len(report.witnesses) == 5
+    assert all(math.isnan(w["shift_error"]) for w in report.witnesses)
+    assert report.worst_diagonal_defect == -math.inf

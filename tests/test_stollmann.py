@@ -196,6 +196,41 @@ def test_checker_matches_pointwise_loop(monkeypatch, chunk, tolerance):
         assert len(report.witnesses) == (5 if tolerance < 0 else 0)
 
 
+@pytest.mark.parametrize(
+    "f, tolerance, passes",
+    [
+        (order_statistic(3, 1, shifts=[0.0, -1.5, 2.0]), 1e-12, True),
+        (positive_linear([0.25, 0.75]), 0.0, False),  # fails on rounding alone
+    ],
+)
+def test_checker_block_draw_matches_per_sample_draws(f, tolerance, passes):
+    # 70,000 samples span two chunks; the reference draws each sample's v, r
+    # and t with gen.uniform and gen.random, as the checker once did, and
+    # evaluates the whole set in one call
+    samples, domain = 70_000, (-1.0, 3.0)
+    gen = RngStream(4, 0).generator()
+    v, r, t = np.empty((samples, f.arity)), np.empty((samples, f.arity)), np.empty(samples)
+    for i in range(samples):
+        v[i] = gen.uniform(-1.0, 3.0, size=f.arity)
+        r[i] = gen.uniform(0.0, 4.0, size=f.arity)
+        t[i] = 4.0 * (1.0 - gen.random())
+    base = f(v)
+    mono_gap = base - f(v + r)
+    diag_gap = t - (f(v + t[:, None]) - base)
+    flagged = np.flatnonzero((mono_gap > tolerance) | (diag_gap > tolerance))[:5]
+    want = [
+        {"v": v[i].tolist(), "r": r[i].tolist(), "t": float(t[i]),
+         "monotonicity_gap": float(mono_gap[i]), "diagonal_gap": float(diag_gap[i])}
+        for i in flagged
+    ]
+    report = check_dm_function(f, domain, samples, RngStream(4, 0), tolerance=tolerance)
+    assert samples > stollmann._CHUNK
+    assert report.passed is passes is (want == [])
+    assert report.witnesses == want
+    assert report.worst_monotonicity_violation == float(mono_gap.max())
+    assert report.worst_diagonal_defect == float(diag_gap.max())
+
+
 def test_checker_argument_validation():
     f = coordinate_sum(1)
     with pytest.raises(ValueError):
