@@ -60,9 +60,9 @@ from .experiments import (
     TwoVolumeReport,
     WegnerReport,
     analytic_bound,
-    derive_trial_rng,
     run_single_volume,
     run_two_volume,
+    trial_values,
 )
 
 __all__ = [
@@ -99,7 +99,7 @@ __all__ = [
     "TwoVolumeReport",
     "WegnerReport",
     "analytic_bound",
-    "derive_trial_rng",
     "run_single_volume",
     "run_two_volume",
+    "trial_values",
 ]

@@ -25,11 +25,15 @@ conditioned, otherwise the first.  Either way the free box keeps an entire
 projection cube untouched by the conditioning, which is what makes its
 spectrum genuinely random given the frozen data.
 
-Determinism: trial k of round r draws from the substream with index
-r * 2**32 + k under the configured master seed, so any trial can be replayed
-in isolation and reports are byte-identical regardless of thread count or
-batch schedule.  Round r freezes its conditioning field from substream
-(r, 0); single-volume trials use round 0 and trial indices starting at 1.
+Determinism: trials are addressed as (round, block, offset).  Trial k >= 1
+of round r is row (k - 1) mod B of block b = (k - 1) // B, with B =
+_RNG_BLOCK, and block b is one row-major B x n_free draw from the substream
+with index r * 2**32 + 1 + b under the configured master seed.  A trial's
+values therefore depend on the seed, its round and index, the law and n_free
+only, never on the trial count, the thread count or the batch schedule, and
+`trial_values` replays any trial on its own.  Round r freezes its
+conditioning field from substream r * 2**32; single-volume trials use
+round 0.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from typing import ClassVar, Mapping, Sequence
 import numpy as np
 
 from ._version import __version__ as TOOL_VERSION
-from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _batch_rows, _pair
+from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _batch_rows, _first_nonfinite, _pair
 from .lattice import (
     BoxSpec,
     PairPoint,
@@ -58,11 +62,15 @@ from .potential import DistributionSpec, RngStream, _malformed, concentration, d
 from .spectral import min_gaps_to_sorted
 from .stollmann import binomial_verdict
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _BOUND_MODES = ("two_eps", "eps_over_g")
 
 _LOW_POWER_TRIALS = 100
+
+# Trials per RNG substream; fixed apart from the compute batch size
+# (`_batch_rows`), so a trial's values never depend on the batch budget.
+_RNG_BLOCK = 1024
 
 
 class TwoVolumeBound(Enum):
@@ -77,17 +85,26 @@ class TwoVolumeBound(Enum):
     CONDITION_ON_FIRST = "condition_on_first"
 
 
-def derive_trial_rng(master_seed: int, round_index: int, trial_index: int) -> RngStream:
-    """Substream for one Monte Carlo trial.
+def trial_values(
+    dist: DistributionSpec, master_seed: int, round_index: int, first: int, last: int, n_free: int
+) -> np.ndarray:
+    """Free-site values of trials first..last of one round, shape (count, n_free).
 
-    Streams are addressed as round * 2**32 + trial, so rounds own disjoint
-    blocks of 2**32 trial slots and no two (round, trial) pairs collide.
+    Trial k >= 1 is row (k - 1) % _RNG_BLOCK of block (k - 1) // _RNG_BLOCK,
+    and each block is drawn whole, in one row-major call, from substream
+    (round_index << 32) + 1 + block; substream (round_index << 32) is the
+    round's frozen field.  The experiments draw every batch through here, so
+    `trial_values(dist, seed, r, k, k, n_free)[0]` replays trial k exactly.
     """
     if round_index < 0:
         raise ValueError("round index must be nonnegative")
-    if not 0 <= trial_index < 2**32:
-        raise ValueError("trial index must fit in 32 bits")
-    return RngStream(master_seed=master_seed, stream_index=(round_index << 32) + trial_index)
+    if not 1 <= first <= last < 2**32:
+        raise ValueError("trial indices must satisfy 1 <= first <= last < 2**32")
+    lo, hi = (first - 1) // _RNG_BLOCK, (last - 1) // _RNG_BLOCK
+    streams = [RngStream(master_seed, (round_index << 32) + 1 + b) for b in range(lo, hi + 1)]
+    blocks = [draw_values(dist, s.generator(), _RNG_BLOCK * n_free) for s in streams]
+    start = first - 1 - lo * _RNG_BLOCK
+    return np.concatenate(blocks).reshape(-1, n_free)[start : start + last - first + 1]
 
 
 def analytic_bound(
@@ -254,7 +271,7 @@ class WegnerReport(_Report):
     """Outcome of a single-volume run.
 
     `dist_digest` is the sha256 hex of the per-trial distances as float64 in
-    trial order; any trial can be replayed from `derive_trial_rng` and the
+    trial order; any trial can be replayed from `trial_values` and the
     whole run checked against it.
     """
 
@@ -329,11 +346,11 @@ def _collect_distances(
 ) -> np.ndarray:
     """Per-trial distances (float64) for trials 1..n_trials of one round.
 
-    Each trial draws fresh values for `free_positions` on top of
+    Each trial takes its `trial_values` for `free_positions` on top of
     `base_values` (the frozen part), assembles the operator, and records the
     minimum gap between its spectrum and the sorted `reference` values.
     Work is cut into batches of `_batch_rows(template.dim)` trials and
-    reassembled in trial order.  A trial's distance depends on its own stream
+    reassembled in trial order.  A trial's values depend on its own index
     only, so the output array is identical for every thread count and batch
     size.
     """
@@ -342,16 +359,14 @@ def _collect_distances(
 
     def batch(span: tuple[int, int]) -> np.ndarray:
         trial_lo, trial_hi = span
-        count = trial_hi - trial_lo + 1
-        values = np.tile(base_values, (count, 1))
-        n_free = free_positions.size
-        for i in range(count):
-            gen = derive_trial_rng(master_seed, round_index, trial_lo + i).generator()
-            values[i, free_positions] = draw_values(dist, gen, n_free)
+        values = np.tile(base_values, (trial_hi - trial_lo + 1, 1))
+        values[:, free_positions] = trial_values(
+            dist, master_seed, round_index, trial_lo, trial_hi, free_positions.size
+        )
         H = template.assemble_values(values)
-        bad = ~np.isfinite(np.diagonal(H, axis1=1, axis2=2)).all(axis=1)
-        if bad.any():
-            raise RuntimeError(f"trial {trial_lo + int(np.argmax(bad))}: non-finite field values")
+        bad = _first_nonfinite(H)
+        if bad >= 0:
+            raise RuntimeError(f"trial {trial_lo + bad}: non-finite field values")
         try:
             eigs = np.linalg.eigvalsh(H)
         except np.linalg.LinAlgError as err:
@@ -456,7 +471,7 @@ def run_two_volume(config: ExperimentConfig) -> TwoVolumeReport:
 
     Classifies the separation geometry, picks the bound variant, and runs
     `conditioning_rounds` rounds.  Each round freezes the conditioned box's
-    sites from substream (round, 0), computes that box's now-deterministic
+    sites from substream round << 32, computes that box's now-deterministic
     spectrum, then draws `trials` resamplings of the free sites and counts
     how often the free box's spectrum comes within epsilon of the frozen one.
     Every round must respect the ceiling (within three standard errors) for
@@ -496,7 +511,7 @@ def run_two_volume(config: ExperimentConfig) -> TwoVolumeReport:
 
     rounds: list[RoundRecord] = []
     for r in range(1, config.conditioning_rounds + 1):
-        gen = derive_trial_rng(config.master_seed, r, 0).generator()
+        gen = RngStream(config.master_seed, r << 32).generator()
         frozen_vals = draw_values(config.dist, gen, cond_template.n_sites)
         digest = hashlib.sha256(frozen_vals.tobytes()).hexdigest()
         cond_eigs = np.linalg.eigvalsh(cond_template.assemble_values(frozen_vals))

@@ -47,6 +47,13 @@ def _batch_rows(m: int) -> int:
     return rows
 
 
+def _first_nonfinite(H: np.ndarray) -> int:
+    """Index of the first matrix of an (n, m, m) batch (0 for one (m, m) matrix)
+    whose diagonal holds a non-finite entry, or -1 if there is none."""
+    bad = ~np.isfinite(np.diagonal(H, axis1=-2, axis2=-1)).all(axis=-1)
+    return int(np.argmax(bad)) if bad.any() else -1
+
+
 @dataclass(frozen=True)
 class InteractionSpec:
     """Inter-particle interaction by sup-distance, zero beyond the cutoff.
@@ -229,10 +236,12 @@ class HamiltonianTemplate:
         return len(self.sites)
 
     def diagonal_shift(self, site_values: np.ndarray) -> np.ndarray:
-        """g (V(x1) + V(x2)) per box point, from values aligned with `sites`."""
-        return self.spec.coupling * (
-            site_values[..., self.first_index] + site_values[..., self.second_index]
-        )
+        """g (V(x1) + V(x2)) per box point, from values aligned with `sites`.
+        An overflow gives inf silently; callers check (`_first_nonfinite`)."""
+        with np.errstate(over="ignore"):
+            return self.spec.coupling * (
+                site_values[..., self.first_index] + site_values[..., self.second_index]
+            )
 
     def assemble_values(self, site_values: np.ndarray) -> np.ndarray:
         """Dense symmetric (..., m, m) matrices from (..., n_sites) values aligned

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _batch_rows
+from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _batch_rows, _first_nonfinite
 from .potential import RngStream
 from .stollmann import DMReport
 
@@ -52,7 +52,9 @@ def verify_dm_eigenvalues(
     `tolerance` or NaN is flagged; the first five are the witnesses.  Trials
     run in chunks of `_batch_rows(m)`, each reduced before the next is drawn.
     Requires a nonnegative coupling (raising the field must not lower the
-    diagonal).
+    diagonal).  A field whose operator diagonal overflows, the base one or a
+    trial's, raises ValueError naming that field, as the experiments refuse
+    a trial whose diagonal overflows.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -62,7 +64,15 @@ def verify_dm_eigenvalues(
     base_vals = np.asarray(values, dtype=float)
     if base_vals.shape != (template.n_sites,):
         raise ValueError(f"expected {template.n_sites} site values, got shape {base_vals.shape}")
-    base_eigs = np.linalg.eigvalsh(template.assemble_values(base_vals))
+
+    def solved(H: np.ndarray, first: int | None) -> np.ndarray:
+        bad = _first_nonfinite(H)
+        if bad >= 0:
+            where = "base field" if first is None else f"trial {first + bad}"
+            raise ValueError(f"{where}: a field value overflows the operator diagonal")
+        return np.linalg.eigvalsh(H)
+
+    base_eigs = solved(template.assemble_values(base_vals), None)
     scale = 1.0 + np.abs(base_eigs)
     gen = rng.generator()
     g = spec.coupling
@@ -78,11 +88,11 @@ def verify_dm_eigenvalues(
             t[i] = 10.0 * (1.0 - gen.random())  # in (0, 10]
             site[i] = gen.integers(template.n_sites)
             bump[i] = 10.0 * (1.0 - gen.random())
-        shifted = np.linalg.eigvalsh(template.assemble_values(base_vals + t[:, None]))
+        shifted = solved(template.assemble_values(base_vals + t[:, None]), start)
         shift_err = np.max(np.abs(shifted - base_eigs - 2.0 * g * t[:, None]) / scale, axis=1)
         bumped_vals = np.tile(base_vals, (n, 1))
         bumped_vals[np.arange(n), site] += bump
-        bumped = np.linalg.eigvalsh(template.assemble_values(bumped_vals))
+        bumped = solved(template.assemble_values(bumped_vals), start)
         mono_gap = np.max(base_eigs - bumped, axis=1)
         # fmax skips NaN errors; the flag test below counts them as failures
         worst_shift = float(np.fmax.reduce(shift_err, initial=worst_shift))

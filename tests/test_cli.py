@@ -667,6 +667,26 @@ DM_EIG_CFG = {
     "master_seed": 5,
 }
 
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "dist",
+    [
+        {"kind": "discrete", "atoms": [[0.5, 0.25], [1e308, 0.75]]},
+        {"kind": "uniform", "lo": 1.5e308, "hi": 1.7e308},
+    ],
+    ids=["atom-1e308", "uniform-1.5e308"],
+)
+def test_dm_check_on_an_overflowing_field_names_the_cause(tmp_path, capsys, dist):
+    # g (V(x1) + V(x2)) overflows on the sampled field: the command exits 1
+    # with one error line naming the cause, and numpy warns of nothing (any
+    # warning fails this test)
+    cfg = write_config(tmp_path, "d.json", {**DM_EIG_CFG, "dist": dist})
+    code, out, err = run_cli(capsys, "dm-check", "--config", cfg)
+    assert (code, out) == (1, "")
+    assert err == "error: base field: a field value overflows the operator diagonal\n"
+
+
 GEO_CFG = {"dimension": 1, "radius": 1, "center": [[0], [0]], "center_prime": [[100], [100]]}
 
 STOLLMANN_MC_CFG = {

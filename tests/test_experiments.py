@@ -15,18 +15,19 @@ from wegner2p import (
     HamiltonianTemplate,
     InteractionSpec,
     PairPoint,
+    RngStream,
     SeparationClass,
     TwoVolumeBound,
     TwoVolumeReport,
     WegnerReport,
     analytic_bound,
-    derive_trial_rng,
     make_box,
     run_single_volume,
     run_two_volume,
+    trial_values,
 )
 from wegner2p import hamiltonian
-from wegner2p.experiments import _collect_distances, choose_bound
+from wegner2p.experiments import _RNG_BLOCK, _collect_distances, choose_bound
 from wegner2p.hamiltonian import _batch_rows
 from wegner2p.potential import draw_values
 
@@ -124,22 +125,51 @@ def test_two_volume_bound_values():
 # ---------------------------------------------------------------------------
 
 
+def block_draw(seed, stream_index, n_free):
+    """One whole RNG block, drawn here from its substream by hand."""
+    gen = RngStream(seed, stream_index).generator()
+    return draw_values(UNIFORM01, gen, _RNG_BLOCK * n_free).reshape(_RNG_BLOCK, n_free)
+
+
 def test_trial_stream_addressing():
-    s = derive_trial_rng(99, 3, 17)
-    assert s.master_seed == 99
-    assert s.stream_index == (3 << 32) + 17
-    assert derive_trial_rng(99, 0, 0).stream_index == 0
-    with pytest.raises(ValueError):
-        derive_trial_rng(99, -1, 0)
-    with pytest.raises(ValueError):
-        derive_trial_rng(99, 0, 2**32)
+    # trial k of round r is row (k - 1) % B of block (k - 1) // B, and block
+    # b is one row-major draw from substream (r << 32) + 1 + b
+    B = _RNG_BLOCK
+    block0 = block_draw(99, (3 << 32) + 1, 5)
+    block1 = block_draw(99, (3 << 32) + 2, 5)
+    assert np.array_equal(trial_values(UNIFORM01, 99, 3, 1, B, 5), block0)
+    assert np.array_equal(trial_values(UNIFORM01, 99, 3, B + 1, 2 * B, 5), block1)
+    assert np.array_equal(trial_values(UNIFORM01, 99, 3, B + 17, B + 17, 5), block1[16:17])
+    # a span across two blocks is the end of one and the start of the next
+    span = trial_values(UNIFORM01, 99, 3, B - 1, B + 2, 5)
+    assert span.shape == (4, 5)
+    assert np.array_equal(span, np.concatenate([block0[-2:], block1[:2]]))
+    for round_index, first, last in [(-1, 1, 1), (0, 0, 1), (0, 2, 1), (0, 1, 2**32)]:
+        with pytest.raises(ValueError):
+            trial_values(UNIFORM01, 99, round_index, first, last, 5)
 
 
 def test_trial_streams_are_disjoint_across_rounds():
-    seen = {
-        derive_trial_rng(5, r, t).stream_index for r in range(3) for t in range(5)
-    }
-    assert len(seen) == 15
+    # a round's frozen field and its trial blocks fit in its 2**32 substreams
+    assert 1 + (2**32 - 2) // _RNG_BLOCK < 2**32
+    B = _RNG_BLOCK
+    rows = [
+        trial_values(UNIFORM01, 5, r, k, k, 5)[0]
+        for r in range(3)
+        for k in (1, 2, B + 1, 2 * B + 1, 3 * B)
+    ]
+    rows += [draw_values(UNIFORM01, RngStream(5, r << 32).generator(), 5) for r in range(3)]
+    assert len({row.tobytes() for row in rows}) == 18
+
+
+def test_trial_values_are_pinned():
+    # trial values are pure RNG output, so this digest is the same on every
+    # BLAS build; it changes only with the addressing or the law's draw
+    values = trial_values(UNIFORM01, 12345, 0, 1, 2048, 5)
+    assert values.shape == (2048, 5)
+    assert hashlib.sha256(values.tobytes()).hexdigest() == (
+        "febf40ed887055c307dc44ca1ebc06c8e759caa58aa270d1e9939fa51cf9e673"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +247,7 @@ def test_config_interaction_defaults_to_dimension_cutoff():
     assert cfg.hamiltonian.interaction.table == {}
 
 
-# Key order is part of the report schema (SCHEMA_VERSION 2); the JSON bytes
+# Key order is part of the report schema (SCHEMA_VERSION 3); the JSON bytes
 # depend on it.
 CONFIG_KEYS = [
     "dimension",
@@ -266,7 +296,7 @@ def test_report_key_order_is_pinned():
         "dist_max",
         "dist_digest",
     ]
-    assert (single["kind"], single["schema_version"]) == ("single_volume", 2)
+    assert (single["kind"], single["schema_version"]) == ("single_volume", 3)
     assert list(single["config"]) == CONFIG_KEYS + ["energy"]
     two = run_two_volume(config_2v(trials=10, conditioning_rounds=1)).to_dict()
     assert list(two) == [
@@ -281,7 +311,7 @@ def test_report_key_order_is_pinned():
         "verdict",
         "low_power",
     ]
-    assert (two["kind"], two["schema_version"]) == ("two_volume", 2)
+    assert (two["kind"], two["schema_version"]) == ("two_volume", 3)
     assert list(two["config"]) == CONFIG_KEYS + ["center_prime", "conditioning_rounds"]
     assert list(two["rounds"][0]) == ROUND_KEYS
 
@@ -338,14 +368,13 @@ def test_single_volume_runs_and_reports():
 
 def test_single_volume_trial_replay_by_hand():
     # trial k is a pure function of (master_seed, round 0, trial k): reproduce
-    # trial 3's distance from scratch and compare with the digested run
+    # trial 3's distance from its own values and compare with the digested run
     cfg = config_1v(trials=5)
     report = run_single_volume(cfg)
     dists = single_volume_distances(cfg)
     assert report.dist_digest == hashlib.sha256(dists.tobytes()).hexdigest()
     template = HamiltonianTemplate(cfg.hamiltonian)
-    gen = derive_trial_rng(cfg.master_seed, 0, 3).generator()
-    vals = draw_values(cfg.dist, gen, template.n_sites)
+    vals = trial_values(cfg.dist, cfg.master_seed, 0, 3, 3, template.n_sites)[0]
     eigs = np.linalg.eigvalsh(template.assemble_values(vals))
     want = np.min(np.abs(eigs - cfg.energy))
     assert dists[2] == pytest.approx(want, abs=1e-14)
@@ -470,13 +499,13 @@ def test_two_volume_deterministic_and_thread_invariant():
 
 
 def test_two_volume_round_digest_replay():
-    # round r's frozen field comes from substream (r, 0) verbatim
+    # round r's frozen field comes from substream r << 32 verbatim
     cfg = config_2v(conditioning_rounds=1, trials=50)
     report = run_two_volume(cfg)
     # complete separation conditions the second box
     cond_box = make_box(cfg.center_prime, cfg.hamiltonian.box.radius)
     template = HamiltonianTemplate(dataclasses.replace(cfg.hamiltonian, box=cond_box))
-    gen = derive_trial_rng(cfg.master_seed, 1, 0).generator()
+    gen = RngStream(cfg.master_seed, 1 << 32).generator()
     frozen = draw_values(cfg.dist, gen, len(template.sites))
     assert report.rounds[0].frozen_digest == hashlib.sha256(frozen.tobytes()).hexdigest()
 
@@ -504,7 +533,7 @@ def test_two_volume_round_dist_digest_is_that_rounds_distances():
             [i for i, s in enumerate(free.sites) if s not in shared], dtype=int
         )
         for rec in report.rounds:
-            gen = derive_trial_rng(cfg.master_seed, rec.round_index, 0).generator()
+            gen = RngStream(cfg.master_seed, rec.round_index << 32).generator()
             frozen = draw_values(cfg.dist, gen, cond.n_sites)
             base_values = np.zeros(free.n_sites)
             for site in shared:
@@ -539,12 +568,21 @@ def test_batch_rows_fit_the_memory_budget():
 
 
 def test_small_batch_budget_keeps_every_distance(monkeypatch):
-    # batches of three matrices give the distances of 1024-row batches
+    # batches of three matrices give the distances of 1024-row batches, and
+    # the batch of trials 1024..1026 straddles two RNG blocks
     runs = [
-        (run_single_volume, config_1v(trials=200, threads=2)),
-        (run_two_volume, config_2v(center_prime=[[2], [50]], conditioning_rounds=2, threads=2)),
+        (run_single_volume, config_1v(trials=1100, threads=2)),
+        (
+            run_two_volume,
+            config_2v(center_prime=[[2], [50]], trials=1100, conditioning_rounds=2, threads=2),
+        ),
     ]
     wide = [run(cfg) for run, cfg in runs]
+    for threads in (1, 3):
+        assert [run(dataclasses.replace(cfg, threads=threads)) for run, cfg in runs] == wide
+    # a trial's values do not depend on how many trials the run draws
+    short = single_volume_distances(config_1v(trials=1500))
+    assert np.array_equal(single_volume_distances(config_1v(trials=2100))[:1500], short)
     monkeypatch.setattr(hamiltonian, "_BATCH_BYTES", 3 * 8 * 9**2)
     assert _batch_rows(9) == 3
     narrow = [run(cfg) for run, cfg in runs]

@@ -245,14 +245,16 @@ def test_verifier_chunks_match_per_trial_reference(monkeypatch, tolerance):
     assert len(narrow.witnesses) == (5 if tolerance < 0 else len(want[2]))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error")
 def test_verifier_fails_on_overflowing_field():
-    # a finite value of 1e308 overflows the diagonal, eigvalsh returns NaN,
-    # and every trial is flagged; the NaN errors do not enter the worst ones
+    # a finite value of 1e308 overflows the base operator's diagonal; a huge
+    # coupling lets the base field pass and overflows a shifted trial's.
+    # Either is refused with the field named, before any eigvalsh call and
+    # without a numpy warning.
     spec, field = small_setup(1.0)
     field[0] = 1e308
-    report = verify_dm_eigenvalues(spec, field, 10, RngStream(3, 1))
-    assert report.passed is False
-    assert len(report.witnesses) == 5
-    assert all(math.isnan(w["shift_error"]) for w in report.witnesses)
-    assert report.worst_diagonal_defect == -math.inf
+    with pytest.raises(ValueError, match="^base field: a field value overflows"):
+        verify_dm_eigenvalues(spec, field, 10, RngStream(3, 1))
+    spec, field = small_setup(1e307)
+    with pytest.raises(ValueError, match=r"^trial \d+: a field value overflows"):
+        verify_dm_eigenvalues(spec, field, 10, RngStream(3, 1))

@@ -58,7 +58,8 @@ def test_tracer_counts_single_and_two_volume_runs(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0]
     layers = result["layers"]
-    # one substream per trial, plus one per conditioning round
-    assert layers["potential.rng_derive_calls"] == 50 + 20 + 1
+    # one substream per 1,024-trial block, plus one per conditioning round:
+    # the single-volume block, then the frozen field and the two-volume block
+    assert layers["potential.rng_derive_calls"] == 1 + 1 + 1
     assert layers["experiments.eigvalsh_matrices"] > 0
     assert layers["hamiltonian.template_calls"] == 3
