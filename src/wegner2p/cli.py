@@ -130,18 +130,9 @@ def write_report(report, fmt: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _experiment_config(args) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(_load_config(args.config, args.seed), threads=args.threads)
-
-
-def _cmd_wegner_single(args) -> int:
-    report = run_single_volume(_experiment_config(args))
-    write_report(report, args.format, args.out)
-    return 0 if report.verdict == "holds" else 2
-
-
-def _cmd_wegner_two(args) -> int:
-    report = run_two_volume(_experiment_config(args))
+def _cmd_experiment(args) -> int:
+    run = run_two_volume if args.command == "wegner-two" else run_single_volume
+    report = run(ExperimentConfig.from_dict(_load_config(args.config, args.seed), args.threads))
     write_report(report, args.format, args.out)
     return 0 if report.verdict == "holds" else 2
 
@@ -356,14 +347,11 @@ def _build_parser() -> _Parser:
     add("geometry-classify", _cmd_geometry_classify, "separation classes of two box centres")
     add("build-hamiltonian", _cmd_hamiltonian, "assemble one sampled operator matrix", seed)
     add("spectrum", _cmd_spectrum, "eigenvalues of one sampled operator", seed)
-    add(
-        "wegner-single",
-        _cmd_wegner_single,
-        "single-volume concentration bound experiment",
-        seed,
-        threads,
-    )
-    add("wegner-two", _cmd_wegner_two, "two-volume conditional bound experiment", seed, threads)
+    for name, help_text in (
+        ("wegner-single", "single-volume concentration bound experiment"),
+        ("wegner-two", "two-volume conditional bound experiment"),
+    ):
+        add(name, _cmd_experiment, help_text, seed, threads)
     add("stollmann-check", _cmd_stollmann_check, "interval probability vs DM bound", seed)
     add("dm-check", _cmd_dm_check, "diagonal monotonicity checks", seed)
     return parser

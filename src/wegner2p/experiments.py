@@ -48,7 +48,7 @@ from typing import ClassVar, Mapping, Sequence
 import numpy as np
 
 from ._version import __version__ as TOOL_VERSION
-from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _batch_rows, _first_nonfinite, _pair
+from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _pair
 from .lattice import (
     BoxSpec,
     PairPoint,
@@ -58,7 +58,8 @@ from .lattice import (
     make_box,
     projection_sites,
 )
-from .potential import DistributionSpec, RngStream, _malformed, concentration, draw_values
+from .potential import DistributionSpec, RngStream, _malformed, concentration
+from .potential import draw_values, sample_field
 from .spectral import min_gaps_to_sorted
 from .stollmann import binomial_verdict
 
@@ -68,8 +69,8 @@ _BOUND_MODES = ("two_eps", "eps_over_g")
 
 _LOW_POWER_TRIALS = 100
 
-# Trials per RNG substream; fixed apart from the compute batch size
-# (`_batch_rows`), so a trial's values never depend on the batch budget.
+# Trials per RNG substream; fixed apart from the compute batch size (the
+# template's `batch_rows`), so a trial's values never depend on the batch budget.
 _RNG_BLOCK = 1024
 
 
@@ -349,12 +350,12 @@ def _collect_distances(
     Each trial takes its `trial_values` for `free_positions` on top of
     `base_values` (the frozen part), assembles the operator, and records the
     minimum gap between its spectrum and the sorted `reference` values.
-    Work is cut into batches of `_batch_rows(template.dim)` trials and
-    reassembled in trial order.  A trial's values depend on its own index
-    only, so the output array is identical for every thread count and batch
-    size.
+    Work is cut into batches of `template.batch_rows` trials, mapped over
+    `threads` worker threads and reassembled in trial order.  A trial's
+    values depend on its own index only, so the output array is identical
+    for every thread count and batch size.
     """
-    rows = _batch_rows(template.dim)
+    rows = template.batch_rows
     bounds = [(lo, min(lo + rows - 1, n_trials)) for lo in range(1, n_trials + 1, rows)]
 
     def batch(span: tuple[int, int]) -> np.ndarray:
@@ -363,22 +364,15 @@ def _collect_distances(
         values[:, free_positions] = trial_values(
             dist, master_seed, round_index, trial_lo, trial_hi, free_positions.size
         )
-        H = template.assemble_values(values)
-        bad = _first_nonfinite(H)
-        if bad >= 0:
-            raise RuntimeError(f"trial {trial_lo + bad}: non-finite field values")
+        H = template.assemble_values(values, first_trial=trial_lo)
         try:
             eigs = np.linalg.eigvalsh(H)
         except np.linalg.LinAlgError as err:
             raise RuntimeError(f"trials {trial_lo}..{trial_hi}: eigensolver failed: {err}") from err
         return min_gaps_to_sorted(eigs, reference)
 
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(batch, bounds))
-    else:
-        parts = [batch(span) for span in bounds]
-    return np.concatenate(parts)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return np.concatenate(list(pool.map(batch, bounds)))
 
 
 def _tally(dists: np.ndarray, epsilon: float, bound: float) -> dict:
@@ -418,7 +412,6 @@ def run_single_volume(config: ExperimentConfig) -> WegnerReport:
             "single-volume experiment takes no second centre and no conditioning rounds"
         )
     spec = config.hamiltonian
-    _batch_rows(spec.box.size)  # refuse an oversized box before building it
     template = HamiltonianTemplate(spec)
     bound = analytic_bound(
         [spec.box], spec.box, config.dist, config.epsilon, spec.coupling, config.bound_mode
@@ -499,7 +492,6 @@ def run_two_volume(config: ExperimentConfig) -> TwoVolumeReport:
     bound = analytic_bound(
         [box, box_prime], free_box, config.dist, config.epsilon, spec.coupling, config.bound_mode
     )
-    _batch_rows(box.size)  # refuse oversized boxes before building them
     free_template = HamiltonianTemplate(replace(spec, box=free_box))
     cond_template = HamiltonianTemplate(replace(spec, box=cond_box))
     frozen_at = _site_positions(np.array(free_template.sites), np.array(cond_template.sites))
@@ -511,10 +503,12 @@ def run_two_volume(config: ExperimentConfig) -> TwoVolumeReport:
 
     rounds: list[RoundRecord] = []
     for r in range(1, config.conditioning_rounds + 1):
-        gen = RngStream(config.master_seed, r << 32).generator()
-        frozen_vals = draw_values(config.dist, gen, cond_template.n_sites)
+        frozen_vals = sample_field(
+            cond_template.sites, config.dist, RngStream(config.master_seed, r << 32)
+        )
         digest = hashlib.sha256(frozen_vals.tobytes()).hexdigest()
-        cond_eigs = np.linalg.eigvalsh(cond_template.assemble_values(frozen_vals))
+        frozen_H = cond_template.assemble_values(frozen_vals, f"round {r} frozen field")
+        cond_eigs = np.linalg.eigvalsh(frozen_H)
         base_values = np.zeros(free_template.n_sites)
         base_values[shared_dst] = frozen_vals[shared_src]
         dists = _collect_distances(

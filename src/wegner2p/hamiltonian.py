@@ -29,7 +29,8 @@ _HOPPING_NORMS = ("sup", "l1")
 _BATCH = 1024
 
 # Bytes of dense matrices one batch may hold; batches shrink below _BATCH
-# rows to fit, and a run whose single matrix exceeds it is refused.
+# rows to fit, and HamiltonianTemplate refuses a box whose single matrix
+# exceeds it.
 _BATCH_BYTES = 128 * 2**20
 
 
@@ -45,13 +46,6 @@ def _batch_rows(m: int) -> int:
             f"over the {_BATCH_BYTES >> 20} MiB batch budget"
         )
     return rows
-
-
-def _first_nonfinite(H: np.ndarray) -> int:
-    """Index of the first matrix of an (n, m, m) batch (0 for one (m, m) matrix)
-    whose diagonal holds a non-finite entry, or -1 if there is none."""
-    bad = ~np.isfinite(np.diagonal(H, axis1=-2, axis2=-1)).all(axis=-1)
-    return int(np.argmax(bad)) if bad.any() else -1
 
 
 @dataclass(frozen=True)
@@ -198,16 +192,19 @@ class HamiltonianTemplate:
     diagonal.  `sites` is the canonical (sorted) enumeration of the union of
     the two projection cubes, and `first_index` / `second_index` give, for
     each box point, the positions of its particle coordinates in that
-    enumeration.  The Monte Carlo drivers feed raw value arrays straight in.
+    enumeration.  The Monte Carlo drivers feed raw value arrays straight in,
+    `batch_rows` fields at a time.  A box whose single matrix exceeds the
+    batch budget raises ValueError before any matrix is built.
     """
 
     def __init__(self, spec: HamiltonianSpec):
         self.spec = spec
         box = spec.box
+        self.dim = box.size
+        self.batch_rows = _batch_rows(self.dim)  # before any matrix is built
         coords = box.coordinates()
         d, n = box.dimension, 2 * box.radius + 1
         self.points = [PairPoint(tuple(p[:d]), tuple(p[d:])) for p in coords.tolist()]
-        self.dim = box.size
         # Box points run over the product of 2d coordinate ranges in
         # lexicographic order, which is np.kron's index order, so the hopping
         # graph is a Kronecker product of paths on 2L+1 points.
@@ -236,16 +233,22 @@ class HamiltonianTemplate:
         return len(self.sites)
 
     def diagonal_shift(self, site_values: np.ndarray) -> np.ndarray:
-        """g (V(x1) + V(x2)) per box point, from values aligned with `sites`.
-        An overflow gives inf silently; callers check (`_first_nonfinite`)."""
-        with np.errstate(over="ignore"):
-            return self.spec.coupling * (
-                site_values[..., self.first_index] + site_values[..., self.second_index]
-            )
+        """g (V(x1) + V(x2)) per box point, from values aligned with `sites`;
+        `assemble_values` refuses a shift that overflows."""
+        return self.spec.coupling * (
+            site_values[..., self.first_index] + site_values[..., self.second_index]
+        )
 
-    def assemble_values(self, site_values: np.ndarray) -> np.ndarray:
+    def assemble_values(
+        self, site_values: np.ndarray, name: str = "field", first_trial: int = 1
+    ) -> np.ndarray:
         """Dense symmetric (..., m, m) matrices from (..., n_sites) values aligned
-        with `sites`; callers keep a batch within `_batch_rows(dim)` fields."""
+        with `sites`; callers keep a batch within `batch_rows` fields.
+
+        A diagonal entry that overflows raises ValueError labelled with `name`
+        for a single field, or with `trial k` for a batch, whose first row is
+        trial `first_trial`.
+        """
         site_values = np.asarray(site_values, dtype=float)
         if site_values.shape[-1:] != (self.n_sites,):
             raise ValueError(
@@ -253,5 +256,10 @@ class HamiltonianTemplate:
             )
         H = np.broadcast_to(self.fixed, site_values.shape[:-1] + self.fixed.shape).copy()
         idx = np.arange(self.dim)
-        H[..., idx, idx] += self.diagonal_shift(site_values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            H[..., idx, idx] += self.diagonal_shift(site_values)
+        bad = ~np.isfinite(np.diagonal(H, axis1=-2, axis2=-1)).all(axis=-1)
+        if bad.any():
+            label = name if site_values.ndim == 1 else f"trial {first_trial + np.argmax(bad)}"
+            raise ValueError(f"{label}: a field value overflows the operator diagonal")
         return H

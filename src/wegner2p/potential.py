@@ -165,7 +165,8 @@ def concentration(dist: DistributionSpec, eps: float) -> float:
     gaussian the best window is centred at the mean.  For atomic laws the
     supremum is attained by a window whose atoms span strictly less than eps
     (the left endpoint is excluded, so a window of width eps can only grab
-    atom runs of span < eps).  Width zero always gives zero.
+    atom runs of span < eps); the span is compared with eps exactly, never
+    rounded up to it.  Width zero always gives zero.
     """
     if not math.isfinite(eps) or eps < 0:
         raise ValueError("window width must be finite and nonnegative")
@@ -182,7 +183,7 @@ def concentration(dist: DistributionSpec, eps: float) -> float:
     for i in range(len(atoms)):
         acc = 0.0
         for j in range(i, len(atoms)):
-            if values[j] - values[i] >= eps:
+            if math.fsum((values[j], -values[i], -eps)) >= 0:  # exact sign
                 break
             acc += weights[j]
         best = max(best, acc)

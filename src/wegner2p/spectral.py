@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _batch_rows, _first_nonfinite
+from .hamiltonian import HamiltonianSpec, HamiltonianTemplate
 from .potential import RngStream
 from .stollmann import DMReport
 
@@ -50,11 +50,11 @@ def verify_dm_eigenvalues(
     raises one random site by a random amount and checks no sorted eigenvalue
     decreases by more than `tolerance`.  A trial with either error above
     `tolerance` or NaN is flagged; the first five are the witnesses.  Trials
-    run in chunks of `_batch_rows(m)`, each reduced before the next is drawn.
-    Requires a nonnegative coupling (raising the field must not lower the
-    diagonal).  A field whose operator diagonal overflows, the base one or a
-    trial's, raises ValueError naming that field, as the experiments refuse
-    a trial whose diagonal overflows.
+    run in chunks of the template's `batch_rows`, each reduced before the
+    next is drawn.  Requires a nonnegative coupling (raising the field must
+    not lower the diagonal).  A field whose operator diagonal overflows, the
+    base one or a trial's, raises ValueError naming that field (trials count
+    from 0, as the witnesses do).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -64,19 +64,11 @@ def verify_dm_eigenvalues(
     base_vals = np.asarray(values, dtype=float)
     if base_vals.shape != (template.n_sites,):
         raise ValueError(f"expected {template.n_sites} site values, got shape {base_vals.shape}")
-
-    def solved(H: np.ndarray, first: int | None) -> np.ndarray:
-        bad = _first_nonfinite(H)
-        if bad >= 0:
-            where = "base field" if first is None else f"trial {first + bad}"
-            raise ValueError(f"{where}: a field value overflows the operator diagonal")
-        return np.linalg.eigvalsh(H)
-
-    base_eigs = solved(template.assemble_values(base_vals), None)
+    base_eigs = np.linalg.eigvalsh(template.assemble_values(base_vals, "base field"))
     scale = 1.0 + np.abs(base_eigs)
     gen = rng.generator()
     g = spec.coupling
-    rows = _batch_rows(template.dim)
+    rows = template.batch_rows
     worst_shift = -math.inf
     worst_mono = -math.inf
     witnesses: list[dict] = []
@@ -88,11 +80,12 @@ def verify_dm_eigenvalues(
             t[i] = 10.0 * (1.0 - gen.random())  # in (0, 10]
             site[i] = gen.integers(template.n_sites)
             bump[i] = 10.0 * (1.0 - gen.random())
-        shifted = solved(template.assemble_values(base_vals + t[:, None]), start)
+        shifted_vals = base_vals + t[:, None]
+        shifted = np.linalg.eigvalsh(template.assemble_values(shifted_vals, first_trial=start))
         shift_err = np.max(np.abs(shifted - base_eigs - 2.0 * g * t[:, None]) / scale, axis=1)
         bumped_vals = np.tile(base_vals, (n, 1))
         bumped_vals[np.arange(n), site] += bump
-        bumped = solved(template.assemble_values(bumped_vals), start)
+        bumped = np.linalg.eigvalsh(template.assemble_values(bumped_vals, first_trial=start))
         mono_gap = np.max(base_eigs - bumped, axis=1)
         # fmax skips NaN errors; the flag test below counts them as failures
         worst_shift = float(np.fmax.reduce(shift_err, initial=worst_shift))

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import wegner2p.cli as cli
-import wegner2p.experiments as experiments
 import wegner2p.hamiltonian as hamiltonian
 from wegner2p import (
     DMFunctionSpec,
@@ -359,19 +358,6 @@ def test_wegner_single_rejects_trials_beyond_index_range(tmp_path, capsys, monke
     assert err.startswith("error: trials must be below 2**32")
 
 
-def test_box_over_the_batch_budget_exits_1_before_any_template(tmp_path, capsys, monkeypatch):
-    def must_not_build(spec):
-        raise AssertionError("a template was built")
-
-    monkeypatch.setattr(hamiltonian, "_BATCH_BYTES", 8 * 25**2 - 1)
-    monkeypatch.setattr(experiments, "HamiltonianTemplate", must_not_build)
-    cfg = write_config(tmp_path, "big.json", {**SINGLE_CFG, "radius": 2})  # m=25
-    code, out, err = run_cli(capsys, "wegner-single", "--config", cfg)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: one 25x25 matrix takes")
-
-
 def test_wegner_single_rejects_two_volume_config(tmp_path, capsys):
     cfg = write_config(tmp_path, "w.json", TWO_CFG)
     code, _, err = run_cli(capsys, "wegner-single", "--config", cfg)
@@ -685,6 +671,48 @@ def test_dm_check_on_an_overflowing_field_names_the_cause(tmp_path, capsys, dist
     code, out, err = run_cli(capsys, "dm-check", "--config", cfg)
     assert (code, out) == (1, "")
     assert err == "error: base field: a field value overflows the operator diagonal\n"
+
+
+# every subcommand that builds an operator, its config, and the name the
+# overflow error gives the first field it assembles
+OPERATOR_COMMANDS = {
+    "wegner-single": (SINGLE_CFG, "trial 1"),
+    "wegner-two": (TWO_CFG, "round 1 frozen field"),
+    "spectrum": (HAM_CFG, "field"),
+    "build-hamiltonian": (HAM_CFG, "field"),
+    "dm-check": (DM_EIG_CFG, "base field"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", list(OPERATOR_COMMANDS))
+def test_overflowing_field_exits_1_naming_the_field(tmp_path, capsys, command):
+    # HamiltonianTemplate.assemble_values refuses the field, so every
+    # subcommand gives the same config error, and numpy warns of nothing
+    base, label = OPERATOR_COMMANDS[command]
+    dist = {"kind": "uniform", "lo": 1.5e308, "hi": 1.7e308}
+    cfg = write_config(tmp_path, "over.json", {**base, "dist": dist})
+    code, out, err = run_cli(capsys, command, "--config", cfg)
+    assert (code, out) == (1, "")
+    assert err == f"error: {label}: a field value overflows the operator diagonal\n"
+
+
+@pytest.mark.parametrize("command", list(OPERATOR_COMMANDS))
+def test_box_over_the_batch_budget_exits_1_before_any_matrix(
+    tmp_path, capsys, monkeypatch, command
+):
+    # one 25x25 matrix is over the budget: HamiltonianTemplate refuses the box
+    # before it forms a Kronecker product, so no matrix is built
+    def must_not_build(*args):
+        raise AssertionError("a Kronecker product was formed")
+
+    monkeypatch.setattr(hamiltonian, "_BATCH_BYTES", 8 * 25**2 - 1)
+    monkeypatch.setattr(hamiltonian, "reduce", must_not_build)
+    base, _ = OPERATOR_COMMANDS[command]
+    cfg = write_config(tmp_path, "big.json", {**base, "radius": 2})  # m=25
+    code, out, err = run_cli(capsys, command, "--config", cfg)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: one 25x25 matrix takes") and err.count("\n") == 1
 
 
 GEO_CFG = {"dimension": 1, "radius": 1, "center": [[0], [0]], "center_prime": [[100], [100]]}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wegner2p.hamiltonian as hamiltonian
 from wegner2p import (
     DistributionSpec,
     HamiltonianSpec,
@@ -217,6 +218,32 @@ def test_assemble_batch_equals_stacked_singles():
     assert batch.shape == (2, 3, template.dim, template.dim)
     singles = np.array([[template.assemble_values(f) for f in row] for row in fields])
     assert batch.tobytes() == singles.tobytes()
+
+
+def test_template_refuses_a_box_over_the_batch_budget(monkeypatch):
+    spec = HamiltonianSpec(box1d(0, 0, 2), InteractionSpec.zero(), 1.0)  # m=25
+    assert HamiltonianTemplate(spec).batch_rows == 1024
+    monkeypatch.setattr(hamiltonian, "_BATCH_BYTES", 8 * 25**2 - 1)
+    with pytest.raises(ValueError, match="^one 25x25 matrix takes .* batch budget$"):
+        HamiltonianTemplate(spec)
+    monkeypatch.setattr(hamiltonian, "_BATCH_BYTES", 3 * 8 * 25**2)
+    assert HamiltonianTemplate(spec).batch_rows == 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_assemble_names_the_field_whose_diagonal_overflows():
+    spec = HamiltonianSpec(box1d(0, 0, 1), InteractionSpec({0: 1e308}), 1.0)
+    template = HamiltonianTemplate(spec)
+    fields = np.zeros((4, template.n_sites))
+    fields[2, 1] = 1e308  # overflows g (V(x1) + V(x2)) at the box point (0, 0)
+    fields[3, 0] = 6e307  # a finite shift that overflows when added to U(0)
+    with pytest.raises(ValueError, match="^trial 12: a field value overflows"):
+        template.assemble_values(fields, first_trial=10)
+    with pytest.raises(ValueError, match="^trial 1: a field value overflows"):
+        template.assemble_values(fields[3:])
+    with pytest.raises(ValueError, match="^frozen: a field value overflows"):
+        template.assemble_values(fields[2], "frozen")
+    assert np.isfinite(template.assemble_values(fields[:2])).all()
 
 
 def test_batched_diagonal_matches_looped():

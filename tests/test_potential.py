@@ -1,10 +1,11 @@
 """Disorder laws: concentration function, sampling streams, field realisation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wegner2p import (
@@ -220,13 +221,23 @@ def atomic_laws(draw):
 
 
 @given(atomic_laws(), st.floats(min_value=1e-6, max_value=500.0, allow_nan=False))
+@example(  # the two lowest atoms span 0.5 - 5.7e-123, which rounds up to 0.5
+    DistributionSpec.discrete(
+        [(-0.5, 2 / 7), (-5.673513317596802e-123, 1 / 7)]
+        + [(v, 1 / 7) for v in (0.0, 1.0, 1.5, 2.0)]
+    ),
+    0.5,
+)
+@example(  # 1.6e-31 + 1 rounds to 1, yet the atom at 1 lies inside the window
+    DistributionSpec.discrete([(v, 0.25) for v in (1.6e-31, 0.5, 1.0, 2.0)]), 1.0
+)
 @settings(max_examples=80)
 def test_atomic_concentration_matches_window_oracle(law, eps):
-    # direct sup over windows anchored at each atom
-    atoms = law.atoms
+    # direct sup over windows anchored at each atom, in exact arithmetic
+    atoms = [(Fraction(v), w) for v, w in law.atoms]
     best = 0.0
-    for i, (v, _) in enumerate(atoms):
-        acc = sum(w for x, w in atoms if v <= x < v + eps)
+    for v, _ in atoms:
+        acc = sum(w for x, w in atoms if v <= x < v + Fraction(eps))
         best = max(best, acc)
     assert concentration(law, eps) == pytest.approx(best, abs=1e-12)
 
