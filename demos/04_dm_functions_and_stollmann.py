@@ -13,7 +13,6 @@ from wegner2p import (
     IntervalSpec,
     RngStream,
     check_dm_function,
-    layer_sets_check,
     stollmann_exact,
     stollmann_mc,
 )
@@ -47,15 +46,4 @@ mc = stollmann_mc(
 print(
     f"mc max of 3 uniforms in (0.5, 0.6): estimate={mc.estimate:.4f} "
     f"(+-{mc.std_error:.4f}), bound={mc.bound:.2f}, ok={mc.holds_within_3sigma}"
-)
-print()
-
-# The proof mechanism made concrete on a finite grid: sublevel sets of a dm
-# function are nested rays, and eps/step dilations of the base set swallow
-# the whole target window.
-grid = [k / 10 for k in range(11)]
-layers = layer_sets_check(coordinate_sum(2), grid, IntervalSpec(0.2, 0.5))
-print(
-    f"layer sets on a 11x11 grid: chain_ok={layers.chain_ok}, "
-    f"inclusion_ok={layers.inclusion_ok}, failures={layers.inclusion_failures}"
 )

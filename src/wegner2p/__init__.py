@@ -49,7 +49,6 @@ from .stollmann import (
     DMReport,
     IntervalSpec,
     check_dm_function,
-    layer_sets_check,
     stollmann_exact,
     stollmann_mc,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "DMReport",
     "IntervalSpec",
     "check_dm_function",
-    "layer_sets_check",
     "stollmann_exact",
     "stollmann_mc",
     "verify_dm_eigenvalues",

@@ -37,7 +37,6 @@ from .stollmann import (
     check_dm_function,
     coordinate_max,
     coordinate_sum,
-    layer_sets_check,
     order_statistic,
     positive_linear,
     single_coordinate,
@@ -95,8 +94,6 @@ def _csv_lines(payload: dict) -> list[str]:
         for i, v in enumerate(payload["eigenvalues"]):
             lines.append(f"{i},{v!r}")
         return lines
-    if kind == "hamiltonian":
-        return [",".join(repr(v) for v in row) for row in payload["matrix"]]
     if kind == "geometry":
         return ["separation_class"] + list(payload["separation_classes"])
     # flat field,value table for the remaining report kinds
@@ -184,22 +181,6 @@ def _sampled(
     return spec, sample_field(projection_sites(spec.box), dist, rng)
 
 
-def _cmd_hamiltonian(args) -> int:
-    spec, site_values = _sampled(_load_config(args.config, args.seed), "hamiltonian")
-    template = HamiltonianTemplate(spec)
-    matrix = template.assemble_values(site_values)
-    payload = {
-        "kind": "hamiltonian",
-        "dim": template.dim,
-        "points": [[list(p.first), list(p.second)] for p in template.points],
-        "sites": [list(s) for s in template.sites],
-        "field": [float(v) for v in site_values],
-        "matrix": [[float(v) for v in row] for row in matrix],
-    }
-    write_report(payload, args.format, args.out)
-    return 0
-
-
 def _cmd_spectrum(args) -> int:
     spec, site_values = _sampled(_load_config(args.config, args.seed), "hamiltonian")
     template = HamiltonianTemplate(spec)
@@ -248,7 +229,7 @@ def _cmd_stollmann_check(args) -> int:
     data = _load_config(args.config, args.seed)
     _check_keys(
         data,
-        allowed={"function", "dist", "interval", "mode", "trials", "master_seed", "grid"},
+        allowed={"function", "dist", "interval", "mode", "trials", "master_seed"},
         required={"function", "dist", "interval"},
         what="stollmann",
     )
@@ -264,21 +245,14 @@ def _cmd_stollmann_check(args) -> int:
             if "trials" not in data or "master_seed" not in data:
                 raise ValueError("mc mode needs trials and master_seed")
             trials, rng = int(data["trials"]), RngStream(int(data["master_seed"]), 0)
-        elif mode == "layers":
-            if "grid" not in data:
-                raise ValueError("layers mode needs a grid")
-            grid = [float(x) for x in data["grid"]]
         elif mode != "exact":
-            raise ValueError(f"unknown mode {mode!r}; pick exact, mc, or layers")
+            raise ValueError(f"unknown mode {mode!r}; pick exact or mc")
     if mode == "exact":
         res = stollmann_exact(f, dist, interval)
         holds = res.holds
-    elif mode == "mc":
+    else:
         res = stollmann_mc(f, dist, interval, trials, rng)
         holds = res.holds_within_3sigma
-    else:
-        res = layer_sets_check(f, grid, interval)
-        holds = res.passed
     payload = {
         "kind": f"stollmann_{mode}",
         "function": f.name,
@@ -345,7 +319,6 @@ def _build_parser() -> _Parser:
         p.set_defaults(handler=handler)
 
     add("geometry-classify", _cmd_geometry_classify, "separation classes of two box centres")
-    add("build-hamiltonian", _cmd_hamiltonian, "assemble one sampled operator matrix", seed)
     add("spectrum", _cmd_spectrum, "eigenvalues of one sampled operator", seed)
     for name, help_text in (
         ("wegner-single", "single-volume concentration bound experiment"),

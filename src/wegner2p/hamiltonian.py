@@ -204,7 +204,6 @@ class HamiltonianTemplate:
         self.batch_rows = _batch_rows(self.dim)  # before any matrix is built
         coords = box.coordinates()
         d, n = box.dimension, 2 * box.radius + 1
-        self.points = [PairPoint(tuple(p[:d]), tuple(p[d:])) for p in coords.tolist()]
         # Box points run over the product of 2d coordinate ranges in
         # lexicographic order, which is np.kron's index order, so the hopping
         # graph is a Kronecker product of paths on 2L+1 points.

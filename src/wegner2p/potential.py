@@ -65,6 +65,8 @@ class DistributionSpec:
                 raise ValueError("uniform bounds must be finite")
             if not self.lo < self.hi:
                 raise ValueError("uniform law needs lo < hi")
+            if not math.isfinite(self.hi - self.lo):
+                raise ValueError("uniform width hi - lo overflows a float")
         elif self.kind == "gaussian":
             if not (math.isfinite(self.mean) and math.isfinite(self.sigma)):
                 raise ValueError("gaussian parameters must be finite")

@@ -5,9 +5,8 @@ nondecreasing in every coordinate and grows at least linearly along the
 diagonal: Phi(v + t*1) - Phi(v) >= t for t > 0.  For such Phi and IID
 coordinates, the probability that Phi lands in an interval of length eps is
 at most p times the concentration function of the single-coordinate law at
-eps.  This module provides common DM families, a randomized DM checker, the
-bound evaluated exactly (atomic laws) or by Monte Carlo, and a direct check
-of the layer-set construction that drives the bound's proof.
+eps.  This module provides common DM families, a randomized DM checker, and
+the bound evaluated exactly (atomic laws) or by Monte Carlo.
 """
 
 from __future__ import annotations
@@ -297,90 +296,4 @@ def stollmann_mc(
     estimate, std_error, holds = binomial_verdict(hits, trials, bound)
     return StollmannMCResult(
         estimate=estimate, std_error=std_error, bound=bound, holds_within_3sigma=holds
-    )
-
-
-@dataclass(frozen=True)
-class LayerSetsResult:
-    passed: bool
-    chain_ok: bool
-    inclusion_ok: bool
-    inclusion_failures: int
-    grid_points: int
-
-
-def _shift_up(mask: np.ndarray, axis: int, steps: int) -> np.ndarray:
-    """Translate a boolean grid set upward along one axis, dropping overflow."""
-    out = np.zeros_like(mask)
-    src = [slice(None)] * mask.ndim
-    dst = [slice(None)] * mask.ndim
-    src[axis] = slice(0, mask.shape[axis] - steps)
-    dst[axis] = slice(steps, None)
-    out[tuple(dst)] = mask[tuple(src)]
-    return out
-
-
-def layer_sets_check(
-    f: DMFunctionSpec, grid: Sequence[float], interval: IntervalSpec
-) -> LayerSetsResult:
-    """Check the layer-set mechanism behind the DM concentration bound.
-
-    On a uniform grid G^p, build A = {Phi <= a} and enlarge it one coordinate
-    at a time, letting coordinate j move up by at most eps (the interval
-    length) at stage j.  The probability cost of each stage is controlled by
-    the single-coordinate concentration function only when every section of A
-    along the active coordinate is a downward-closed ray; `chain_ok` verifies
-    that ray structure on all axes.  `inclusion_ok` then checks that the last
-    layer swallows {Phi < b}, which is where the diagonal growth of Phi
-    enters: a diagonal slope below 1, or a decreasing coordinate, leaves
-    target points uncovered and they are counted as failures.  Requires eps
-    to be a whole number of grid steps and at most 10^6 grid combinations.
-    """
-    pts = np.array([float(x) for x in grid])
-    if pts.size < 2:
-        raise ValueError("grid needs at least two points")
-    if np.any(np.diff(pts) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    steps = np.diff(pts)
-    step = steps[0]
-    if not np.allclose(steps, step, rtol=0.0, atol=1e-9 * max(step, 1.0)):
-        raise ValueError("grid must be uniform")
-    n = pts.size
-    if n**f.arity > 10**6:
-        raise ValueError(f"{n}^{f.arity} grid combinations exceed the enumeration limit")
-    eps = interval.length
-    q = eps / step
-    q_int = round(q)
-    if abs(q - q_int) > 1e-9 or q_int < 1:
-        raise ValueError("interval length must be a positive whole number of grid steps")
-    q_int = int(q_int)
-
-    p = f.arity
-    shape = (n,) * p
-    values = f(pts[_lex_indices(n, p, 0, n**p)]).reshape(shape)
-
-    base = values <= interval.lower
-    # ray structure: membership may only be lost when a coordinate grows
-    chain_ok = True
-    for axis in range(p):
-        upper = np.take(base, range(1, n), axis=axis)
-        lower = np.take(base, range(0, n - 1), axis=axis)
-        if np.any(upper & ~lower):
-            chain_ok = False
-            break
-    current = base
-    for axis in range(p):
-        relaxed = current.copy()
-        for k in range(1, q_int + 1):
-            relaxed |= _shift_up(current, axis, k)
-        current = relaxed
-    target = values < interval.upper
-    misses = int(np.count_nonzero(target & ~current))
-    inclusion_ok = misses == 0
-    return LayerSetsResult(
-        passed=chain_ok and inclusion_ok,
-        chain_ok=chain_ok,
-        inclusion_ok=inclusion_ok,
-        inclusion_failures=misses,
-        grid_points=n,
     )

@@ -1,5 +1,6 @@
 """Command line behaviour: configs in, reports out, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -108,6 +109,14 @@ def test_missing_config_flag(capsys):
     assert code == 1
 
 
+def test_build_hamiltonian_is_an_unknown_subcommand(tmp_path, capsys):
+    # the full-matrix dump is gone; spectrum and the library cover inspection
+    cfg = write_config(tmp_path, "h.json", HAM_CFG)
+    code, out, err = run_cli(capsys, "build-hamiltonian", "--config", cfg)
+    assert (code, out) == (1, "")
+    assert "error: argument command: invalid choice: 'build-hamiltonian'" in err
+
+
 def test_bad_json_config(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -197,7 +206,7 @@ def test_geometry_classify_rejects_close_centres(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# build-hamiltonian and spectrum
+# spectrum
 # ---------------------------------------------------------------------------
 
 
@@ -215,29 +224,6 @@ def expected_matrix():
     return template, template.assemble_values(values)
 
 
-def test_build_hamiltonian_matches_library(tmp_path, capsys):
-    cfg = write_config(tmp_path, "h.json", HAM_CFG)
-    code, out, _ = run_cli(capsys, "build-hamiltonian", "--config", cfg)
-    assert code == 0
-    payload = strict_loads(out)
-    template, want = expected_matrix()
-    got = np.array(payload["matrix"])
-    assert payload["dim"] == template.dim == 9
-    assert np.array_equal(got, want)
-    assert np.array_equal(got, got.T)
-    assert payload["sites"] == [list(s) for s in template.sites]
-    assert len(payload["field"]) == template.n_sites
-
-
-def test_build_hamiltonian_csv_rows(tmp_path, capsys):
-    cfg = write_config(tmp_path, "h.json", HAM_CFG)
-    code, out, _ = run_cli(capsys, "build-hamiltonian", "--config", cfg, "--format", "csv")
-    assert code == 0
-    rows = out.splitlines()
-    assert len(rows) == 9
-    assert all(len(r.split(",")) == 9 for r in rows)
-
-
 def test_spectrum_matches_matrix(tmp_path, capsys):
     cfg = write_config(tmp_path, "h.json", HAM_CFG)
     code, out, _ = run_cli(capsys, "spectrum", "--config", cfg)
@@ -251,15 +237,29 @@ def test_spectrum_matches_matrix(tmp_path, capsys):
     assert np.all(diffs >= 0)
 
 
+def test_spectrum_csv_rows(tmp_path, capsys):
+    # one index,eigenvalue row per eigenvalue, each the JSON report's value
+    cfg = write_config(tmp_path, "h.json", HAM_CFG)
+    code, out, _ = run_cli(capsys, "spectrum", "--config", cfg)
+    assert code == 0
+    eigenvalues = strict_loads(out)["eigenvalues"]
+    code, out, _ = run_cli(capsys, "spectrum", "--config", cfg, "--format", "csv")
+    assert code == 0
+    rows = out.splitlines()
+    assert rows[0] == "index,eigenvalue"
+    assert rows[1:] == [f"{i},{v!r}" for i, v in enumerate(eigenvalues)]
+    assert len(rows) == 1 + 9
+
+
 def test_interaction_cutoff_beyond_dimension_needs_r_max(tmp_path, capsys):
     # an entry at distance 2 exceeds the d=1 default cutoff unless r_max says so
     bad = {**HAM_CFG, "interaction": {"entries": [[2, 0.5]]}}
     cfg = write_config(tmp_path, "h.json", bad)
-    code, out, _ = run_cli(capsys, "build-hamiltonian", "--config", cfg)
+    code, out, _ = run_cli(capsys, "spectrum", "--config", cfg)
     assert code == 0  # cutoff stretches to cover the table
     explicit = {**HAM_CFG, "interaction": {"entries": [[2, 0.5]], "r_max": 1}}
     cfg = write_config(tmp_path, "h2.json", explicit)
-    code, _, err = run_cli(capsys, "build-hamiltonian", "--config", cfg)
+    code, _, err = run_cli(capsys, "spectrum", "--config", cfg)
     assert code == 1
     assert "cutoff" in err
 
@@ -474,44 +474,21 @@ def test_stollmann_mc_requires_trials(tmp_path, capsys):
     assert code == 1
 
 
-def test_stollmann_layers_mode(tmp_path, capsys):
-    grid = [k / 10 for k in range(11)]
-    cfg = write_config(
-        tmp_path,
-        "s.json",
-        {
-            "function": {"form": "sum", "arity": 2},
-            "dist": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
-            "interval": [0.2, 0.5],
-            "mode": "layers",
-            "grid": grid,
-        },
-    )
-    code, out, _ = run_cli(capsys, "stollmann-check", "--config", cfg)
-    assert code == 0
-    payload = strict_loads(out)
-    assert payload["passed"] is True and payload["inclusion_failures"] == 0
-
-
-def test_stollmann_layers_boundary_interval_exits_2(tmp_path, capsys):
-    # an interval reaching below the grid gives an empty base set that cannot
-    # swallow the target; the check reports the shortfall honestly
-    cfg = write_config(
-        tmp_path,
-        "s.json",
-        {
-            "function": {"form": "sum", "arity": 1},
-            "dist": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
-            "interval": [-0.5, 1.5],
-            "mode": "layers",
-            "grid": list(range(11)),
-        },
-    )
-    code, out, _ = run_cli(capsys, "stollmann-check", "--config", cfg)
-    assert code == 2
-    payload = strict_loads(out)
-    assert payload["passed"] is False
-    assert payload["inclusion_failures"] >= 1
+@pytest.mark.parametrize(
+    "extra, error",
+    [
+        ({"mode": "layers"}, "unknown mode 'layers'; pick exact or mc"),
+        ({"grid": [k / 10 for k in range(11)]}, "unknown keys in stollmann config: ['grid']"),
+    ],
+    ids=["layers-mode", "grid-key"],
+)
+def test_stollmann_layer_set_config_exits_1(tmp_path, capsys, extra, error):
+    # the grid check of the proof's layer sets is gone: its mode and its grid
+    # key are config errors, and the error names the modes that remain
+    cfg = write_config(tmp_path, "s.json", {**STOLLMANN_MC_CFG, **extra})
+    code, out, err = run_cli(capsys, "stollmann-check", "--config", cfg)
+    assert (code, out) == (1, "")
+    assert err == f"error: {error}\n"
 
 
 def test_dm_check_function_target(tmp_path, capsys):
@@ -576,34 +553,34 @@ def test_cli_field_draws_are_pinned(tmp_path, capsys):
     def draws(seed, stream, n):
         return np.random.default_rng(np.random.SeedSequence((seed, stream))).uniform(0.0, 1.0, n)
 
-    cfg = write_config(tmp_path, "h.json", HAM_CFG)
-    code, out, _ = run_cli(capsys, "build-hamiltonian", "--config", cfg)
-    assert code == 0
-    payload = strict_loads(out)
-    assert payload["sites"] == [[-1], [0], [1], [2], [3]]  # cubes around 0 and 2
-    assert payload["field"] == list(draws(4003, 0, 5))
-
-    # dm-check on a one-point box replays by hand: the particles sit at 3 and
-    # 0, so the operator is U(3) + g (V(3) + V(0)), and tolerance -1 makes
-    # every trial a witness.
+    # On a one-point box the particles sit at 3 and 0, so the operator is the
+    # 1x1 matrix U(3) + g (V(3) + V(0)), with the field drawn over the sites
+    # (0,) and (3,) in that order.
     g, u3, seed = 1.5, 0.25, 21
-    dm = {
-        "target": "eigenvalues",
+    point = {
         "dimension": 1,
         "radius": 0,
         "center": [[3], [0]],
         "interaction": {"entries": [[3, u3]]},
         "coupling": g,
         "dist": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
-        "trials": 4,
         "master_seed": seed,
-        "tolerance": -1.0,
     }
+    box = make_box(PairPoint.of((3,), (0,)), 0)
+    template = HamiltonianTemplate(HamiltonianSpec(box, InteractionSpec({3: u3}, r_max=3), g))
+    assert template.sites == [(0,), (3,)]
+    values = draws(seed, 0, 2)
+    base = u3 + g * (values[1] + values[0])
+    code, out, _ = run_cli(capsys, "spectrum", "--config", write_config(tmp_path, "h.json", point))
+    assert code == 0
+    assert strict_loads(out)["eigenvalues"] == [base]
+
+    # dm-check on the same box replays by hand; tolerance -1 makes every
+    # trial a witness.
+    dm = {**point, "target": "eigenvalues", "trials": 4, "tolerance": -1.0}
     code, out, _ = run_cli(capsys, "dm-check", "--config", write_config(tmp_path, "d.json", dm))
     assert code == 2
     payload = strict_loads(out)
-    values = draws(seed, 0, 2)  # sites (0,), (3,)
-    base = u3 + g * (values[1] + values[0])
     gen = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     witnesses = []
     for k in range(4):
@@ -673,13 +650,22 @@ def test_dm_check_on_an_overflowing_field_names_the_cause(tmp_path, capsys, dist
     assert err == "error: base field: a field value overflows the operator diagonal\n"
 
 
+def test_uniform_law_whose_width_overflows_exits_1(tmp_path, capsys):
+    # lo and hi are finite but hi - lo is not: the law is refused when the
+    # config is parsed, before any draw
+    dist = {"kind": "uniform", "lo": -1.7e308, "hi": 1.7e308}
+    cfg = write_config(tmp_path, "wide.json", {**HAM_CFG, "dist": dist})
+    code, out, err = run_cli(capsys, "spectrum", "--config", cfg)
+    assert (code, out) == (1, "")
+    assert err == "error: uniform width hi - lo overflows a float\n"
+
+
 # every subcommand that builds an operator, its config, and the name the
 # overflow error gives the first field it assembles
 OPERATOR_COMMANDS = {
     "wegner-single": (SINGLE_CFG, "trial 1"),
     "wegner-two": (TWO_CFG, "round 1 frozen field"),
     "spectrum": (HAM_CFG, "field"),
-    "build-hamiltonian": (HAM_CFG, "field"),
     "dm-check": (DM_EIG_CFG, "base field"),
 }
 
@@ -740,12 +726,12 @@ DM_FN_CFG = {
         ("wegner-single", SINGLE_CFG, {"center": 5}),
         ("wegner-single", SINGLE_CFG, {"interaction": 5}),
         ("wegner-two", TWO_CFG, {"center_prime": 7}),
-        ("build-hamiltonian", HAM_CFG, {"radius": None}),
+        ("spectrum", HAM_CFG, {"radius": None}),
         ("spectrum", HAM_CFG, {"coupling": [1.0]}),
         ("dm-check", DM_EIG_CFG, {"radius": None}),
         ("dm-check", DM_EIG_CFG, {"center": [5, 6]}),
         ("geometry-classify", GEO_CFG, {"radius": None}),
-        ("build-hamiltonian", HAM_CFG, {"dist": None}),
+        ("spectrum", HAM_CFG, {"dist": None}),
         ("spectrum", HAM_CFG, {"dist": {"kind": "uniform", "lo": None, "hi": 1.0}}),
         ("stollmann-check", STOLLMANN_MC_CFG, {"trials": None}),
         ("stollmann-check", STOLLMANN_MC_CFG, {"master_seed": None}),
@@ -885,3 +871,15 @@ def test_console_script_version():
     for installed in entry_points(group="console_scripts", name="wegner2p"):
         assert installed.value == declared
         assert installed.dist.version == __version__
+
+
+def test_readme_command_block_lists_every_subcommand():
+    # the README's command block shows one line per subcommand; adding or
+    # removing a subcommand without updating it fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = [line.split()[1] for line in block.splitlines() if line.startswith("wegner2p ")]
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(documented) == sorted(subparsers.choices)
+    assert len(documented) == len(set(documented))

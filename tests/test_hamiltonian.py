@@ -38,9 +38,18 @@ def hopping_template(box, norm, interaction=None):
     return HamiltonianTemplate(spec)
 
 
+def box_points(template):
+    """The template's box points in matrix index order: the rows of
+    `box.coordinates()`, split into the two particles' coordinates."""
+    box = template.spec.box
+    d = box.dimension
+    return [PairPoint(tuple(p[:d]), tuple(p[d:])) for p in box.coordinates().tolist()]
+
+
 def neighbors_of(template, x):
-    row = template.fixed[template.points.index(x)]
-    return [template.points[j] for j in np.flatnonzero(row)]
+    pts = box_points(template)
+    row = template.fixed[pts.index(x)]
+    return [pts[j] for j in np.flatnonzero(row)]
 
 
 def test_neighbor_counts_interior():
@@ -65,7 +74,7 @@ def test_neighbors_match_distance_oracle():
     for box in boxes:
         for norm in ("l1", "sup"):
             template = hopping_template(box, norm, inter)
-            pts = template.points
+            pts = box_points(template)
             assert len(set(pts)) == box.size
             assert pts == sorted(pts, key=lambda p: p.first + p.second)
             assert all(sup_norm_pair(x, box.center) <= box.radius for x in pts)
@@ -148,7 +157,7 @@ def test_entries_against_direct_rules():
     values = random_field(template, 9)
     field = dict(zip(template.sites, values))  # site -> value, for the direct rule
     H = template.assemble_values(values)
-    pts = template.points
+    pts = box_points(template)
     for i, x in enumerate(pts):
         for j, y in enumerate(pts):
             if i == j:
@@ -186,7 +195,7 @@ def test_single_site_bump_is_psd_with_known_entries():
     delta = template.assemble_values(bumped) - template.assemble_values(field)
     assert np.array_equal(delta, np.diag(np.diag(delta)))
     counts = {0.0: 0, 1.0: 0, 2.0: 0}
-    for k, pt in enumerate(template.points):
+    for k, pt in enumerate(box_points(template)):
         n_here = (pt.first == site) + (pt.second == site)
         assert delta[k, k] == pytest.approx(g * t * n_here, abs=1e-14)
         counts[float(n_here)] += 1
@@ -306,6 +315,6 @@ def test_swap_conjugation_preserves_matrix(c1, c2, L, norm, seed):
     assert ta.sites == tb.sites
     field = random_field(ta, seed)
     Ha, Hb = ta.assemble_values(field), tb.assemble_values(field)
-    pos_b = {pt: k for k, pt in enumerate(tb.points)}
-    perm = np.array([pos_b[PairPoint(pt.second, pt.first)] for pt in ta.points])
+    pos_b = {pt: k for k, pt in enumerate(box_points(tb))}
+    perm = np.array([pos_b[PairPoint(pt.second, pt.first)] for pt in box_points(ta)])
     assert np.array_equal(Ha, Hb[np.ix_(perm, perm)])

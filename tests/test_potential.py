@@ -110,6 +110,14 @@ def test_validate_rejects_nonsense():
         DistributionSpec(kind="triangular")
 
 
+def test_uniform_width_must_be_finite():
+    # both bounds are finite floats but hi - lo overflows to inf: no draw
+    # could be made from the law and its concentration would read 0
+    with pytest.raises(ValueError, match="width"):
+        DistributionSpec.uniform(-1.7e308, 1.7e308)
+    assert DistributionSpec.uniform(-8e307, 8e307).hi == 8e307
+
+
 def test_validate_merges_duplicate_atoms():
     law = DistributionSpec.discrete([(1.0, 0.25), (0.0, 0.5), (1.0, 0.25)])
     assert law.atoms == ((0.0, 0.5), (1.0, 0.5))

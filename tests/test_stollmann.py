@@ -1,4 +1,4 @@
-"""DM functions, interval probability bounds, and the layer-set mechanism."""
+"""DM functions and interval probability bounds, exact and Monte Carlo."""
 
 import math
 
@@ -11,7 +11,6 @@ from wegner2p import (
     IntervalSpec,
     RngStream,
     check_dm_function,
-    layer_sets_check,
     stollmann_exact,
     stollmann_mc,
 )
@@ -458,67 +457,3 @@ def test_mc_agrees_with_exact_on_atomic_law():
     slack = 4 * max(mc.std_error, 1e-4)
     assert abs(mc.estimate - exact.probability) <= slack
     assert mc.bound == exact.bound
-
-
-# ---------------------------------------------------------------------------
-# layer sets
-# ---------------------------------------------------------------------------
-
-GRID = [k / 10 for k in range(11)]  # 0.0, 0.1, ..., 1.0
-
-
-@pytest.mark.parametrize(
-    "f",
-    [
-        coordinate_sum(1),
-        coordinate_sum(2),
-        coordinate_max(2),
-        single_coordinate(2, index=0),
-        order_statistic(2, 1),
-    ],
-)
-def test_layer_sets_pass_for_dm_functions(f):
-    res = layer_sets_check(f, GRID, IntervalSpec(0.2, 0.5))
-    assert res.passed
-    assert res.chain_ok and res.inclusion_ok
-    assert res.inclusion_failures == 0
-    assert res.grid_points == 11
-
-
-def test_layer_sets_flag_decreasing_function():
-    bad = DMFunctionSpec(arity=1, evaluator=lambda V: -V[:, 0], name="negated")
-    grid = list(range(11))
-    res = layer_sets_check(bad, grid, IntervalSpec(-5.0, -3.0))
-    assert not res.passed
-    assert not res.chain_ok
-    assert not res.inclusion_ok
-    assert res.inclusion_failures >= 1
-
-
-def test_layer_sets_flag_slope_deficit():
-    flat = DMFunctionSpec(arity=1, evaluator=lambda V: 0.5 * V[:, 0], name="half")
-    grid = list(range(11))
-    res = layer_sets_check(flat, grid, IntervalSpec(2.0, 4.0))
-    assert res.chain_ok  # still monotone
-    assert not res.inclusion_ok  # but the last layer falls short
-    assert not res.passed
-    assert res.inclusion_failures == 1  # exactly the point at 7
-
-
-def test_layer_sets_trivial_when_interval_below_range():
-    res = layer_sets_check(coordinate_sum(1), list(range(11)), IntervalSpec(-3.0, -1.0))
-    assert res.passed  # both the base set and the target are empty
-
-
-def test_layer_sets_input_validation():
-    f = coordinate_sum(1)
-    with pytest.raises(ValueError):
-        layer_sets_check(f, [0.0, 1.0, 3.0], IntervalSpec(0.0, 1.0))  # not uniform
-    with pytest.raises(ValueError):
-        layer_sets_check(f, [0.0, 1.0], IntervalSpec(0.0, 1.5))  # eps off-grid
-    with pytest.raises(ValueError):
-        layer_sets_check(f, [1.0], IntervalSpec(0.0, 1.0))
-    with pytest.raises(ValueError):
-        layer_sets_check(f, [1.0, 0.5], IntervalSpec(0.0, 0.5))
-    with pytest.raises(ValueError):
-        layer_sets_check(coordinate_sum(3), [k / 100 for k in range(101)], IntervalSpec(0.0, 0.01))
