@@ -247,6 +247,8 @@ def _cmd_stollmann_check(args) -> int:
             trials, rng = int(data["trials"]), RngStream(int(data["master_seed"]), 0)
         elif mode != "exact":
             raise ValueError(f"unknown mode {mode!r}; pick exact or mc")
+        elif "trials" in data or "master_seed" in data:
+            raise ValueError("exact mode draws nothing: it takes no trials, master_seed or --seed")
     if mode == "exact":
         res = stollmann_exact(f, dist, interval)
         holds = res.holds

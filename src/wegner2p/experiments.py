@@ -63,7 +63,7 @@ from .potential import draw_values, sample_field
 from .spectral import min_gaps_to_sorted
 from .stollmann import binomial_verdict
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _BOUND_MODES = ("two_eps", "eps_over_g")
 
@@ -348,8 +348,9 @@ def _collect_distances(
     """Per-trial distances (float64) for trials 1..n_trials of one round.
 
     Each trial takes its `trial_values` for `free_positions` on top of
-    `base_values` (the frozen part), assembles the operator, and records the
-    minimum gap between its spectrum and the sorted `reference` values.
+    `base_values` (the frozen part), assembles the operator's blocks
+    (`template.sectors`), and records the least gap between any block's
+    spectrum and the sorted `reference` values.
     Work is cut into batches of `template.batch_rows` trials, mapped over
     `threads` worker threads and reassembled in trial order.  A trial's
     values depend on its own index only, so the output array is identical
@@ -364,12 +365,14 @@ def _collect_distances(
         values[:, free_positions] = trial_values(
             dist, master_seed, round_index, trial_lo, trial_hi, free_positions.size
         )
-        H = template.assemble_values(values, first_trial=trial_lo)
         try:
-            eigs = np.linalg.eigvalsh(H)
+            gaps = [
+                min_gaps_to_sorted(np.linalg.eigvalsh(H), reference)
+                for H in template.assemble_sectors(values, first_trial=trial_lo)
+            ]
         except np.linalg.LinAlgError as err:
             raise RuntimeError(f"trials {trial_lo}..{trial_hi}: eigensolver failed: {err}") from err
-        return min_gaps_to_sorted(eigs, reference)
+        return np.minimum.reduce(gaps)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return np.concatenate(list(pool.map(batch, bounds)))

@@ -188,13 +188,21 @@ class HamiltonianTemplate:
     """Precomputed assembly data for one spec.
 
     The hopping and interaction parts do not depend on the field, so they are
-    built once; realising the operator for a sample only rewrites the
-    diagonal.  `sites` is the canonical (sorted) enumeration of the union of
-    the two projection cubes, and `first_index` / `second_index` give, for
-    each box point, the positions of its particle coordinates in that
-    enumeration.  The Monte Carlo drivers feed raw value arrays straight in,
-    `batch_rows` fields at a time.  A box whose single matrix exceeds the
-    batch budget raises ValueError before any matrix is built.
+    built once: `hopping` is the off-diagonal hopping matrix and `interaction`
+    the diagonal U(||x1 - x2||) per box point.  Realising the operator for a
+    sample only writes the diagonal.  `sites` is the canonical (sorted)
+    enumeration of the union of the two projection cubes, and `first_index` /
+    `second_index` give, for each box point, the positions of its particle
+    coordinates in that enumeration.  The Monte Carlo drivers feed raw value
+    arrays straight in, `batch_rows` fields at a time.  A box whose single
+    matrix exceeds the batch budget raises ValueError before any matrix is
+    built.
+
+    `sectors` lists (field-free block, representative box points) pairs whose
+    blocks' spectra together are the operator's.  On a box centred at u1 = u2
+    the particle swap S commutes with the operator: orbits {p, Sp} span a
+    symmetric block (representatives p <= Sp) and an antisymmetric one
+    (p < Sp).  Any other box is one sector, the whole matrix.
     """
 
     def __init__(self, spec: HamiltonianSpec):
@@ -209,19 +217,31 @@ class HamiltonianTemplate:
         # graph is a Kronecker product of paths on 2L+1 points.
         eye, path = np.eye(n), np.eye(n, k=1) + np.eye(n, k=-1)
         if spec.hopping_norm == "sup":
-            fixed = reduce(np.kron, [eye + path] * (2 * d)) - np.eye(self.dim)
+            hop = reduce(np.kron, [eye + path] * (2 * d)) - np.eye(self.dim)
         else:
-            fixed = sum(
+            hop = sum(
                 reduce(np.kron, [path if j == k else eye for j in range(2 * d)])
                 for k in range(2 * d)
             )
         first, second = coords[:, :d], coords[:, d:]
         r = np.abs(first - second).max(axis=1)
-        diagonal = np.zeros(self.dim)
+        self.interaction = np.zeros(self.dim)
         for dist in spec.interaction.table:
-            diagonal[r == dist] = spec.interaction.value(dist)
-        np.fill_diagonal(fixed, diagonal)
-        self.fixed = fixed
+            self.interaction[r == dist] = spec.interaction.value(dist)
+        self.hopping = hop
+        points = np.arange(self.dim)
+        if box.center.first == box.center.second:
+            # the swapped point's index: exchange the two particles' axes
+            swap = points.reshape((n,) * (2 * d)).transpose([*range(d, 2 * d), *range(d)]).ravel()
+            sym, low = points[points <= swap], points[points < swap]
+            norm = np.where(swap[sym] == sym, math.sqrt(0.5), 1.0)
+            sectors = [
+                ((hop[np.ix_(sym, sym)] + hop[np.ix_(sym, swap[sym])]) * norm[:, None] * norm, sym),
+                (hop[np.ix_(low, low)] - hop[np.ix_(low, swap[low])], low),
+            ]
+            self.sectors = [(block, rep) for block, rep in sectors if rep.size]  # L=0: no `low`
+        else:
+            self.sectors = [(hop, points)]
         self.sites: list[Site] = projection_sites(box)
         site_array = np.array(self.sites)
         self.first_index = _site_positions(first, site_array)
@@ -233,10 +253,31 @@ class HamiltonianTemplate:
 
     def diagonal_shift(self, site_values: np.ndarray) -> np.ndarray:
         """g (V(x1) + V(x2)) per box point, from values aligned with `sites`;
-        `assemble_values` refuses a shift that overflows."""
+        the assembly methods refuse a shift that overflows."""
         return self.spec.coupling * (
             site_values[..., self.first_index] + site_values[..., self.second_index]
         )
+
+    def _diagonal(self, site_values: np.ndarray, name: str, first_trial: int) -> np.ndarray:
+        """U + g (V(x1) + V(x2)) per box point, refused when it overflows."""
+        site_values = np.asarray(site_values, dtype=float)
+        if site_values.shape[-1:] != (self.n_sites,):
+            raise ValueError(f"expected {self.n_sites} site values, got shape {site_values.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            diagonal = self.interaction + self.diagonal_shift(site_values)
+        bad = ~np.isfinite(diagonal).all(axis=-1)
+        if bad.any():
+            label = name if site_values.ndim == 1 else f"trial {first_trial + np.argmax(bad)}"
+            raise ValueError(f"{label}: a field value overflows the operator diagonal")
+        return diagonal
+
+    @staticmethod
+    def _with_diagonal(block: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+        """Copies of `block`, one per row of `diagonal`, plus that row on the diagonal."""
+        out = np.broadcast_to(block, diagonal.shape[:-1] + block.shape).copy()
+        idx = np.arange(block.shape[-1])
+        out[..., idx, idx] += diagonal
+        return out
 
     def assemble_values(
         self, site_values: np.ndarray, name: str = "field", first_trial: int = 1
@@ -248,17 +289,10 @@ class HamiltonianTemplate:
         for a single field, or with `trial k` for a batch, whose first row is
         trial `first_trial`.
         """
-        site_values = np.asarray(site_values, dtype=float)
-        if site_values.shape[-1:] != (self.n_sites,):
-            raise ValueError(
-                f"expected {self.n_sites} site values, got shape {site_values.shape}"
-            )
-        H = np.broadcast_to(self.fixed, site_values.shape[:-1] + self.fixed.shape).copy()
-        idx = np.arange(self.dim)
-        with np.errstate(over="ignore", invalid="ignore"):
-            H[..., idx, idx] += self.diagonal_shift(site_values)
-        bad = ~np.isfinite(np.diagonal(H, axis1=-2, axis2=-1)).all(axis=-1)
-        if bad.any():
-            label = name if site_values.ndim == 1 else f"trial {first_trial + np.argmax(bad)}"
-            raise ValueError(f"{label}: a field value overflows the operator diagonal")
-        return H
+        return self._with_diagonal(self.hopping, self._diagonal(site_values, name, first_trial))
+
+    def assemble_sectors(self, site_values: np.ndarray, first_trial: int = 1) -> list[np.ndarray]:
+        """One batch of blocks per sector for (..., n_sites) values; together their
+        eigenvalues are those of `assemble_values`, which refuses overflow alike."""
+        diagonal = self._diagonal(site_values, "field", first_trial)
+        return [self._with_diagonal(block, diagonal[..., rep]) for block, rep in self.sectors]

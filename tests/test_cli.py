@@ -417,25 +417,38 @@ def test_runtime_invariant_failure_exits_2(tmp_path, capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+STOLLMANN_EXACT_CFG = {
+    "function": {"form": "sum", "arity": 1},
+    "dist": {
+        "kind": "discrete",
+        "atoms": [[0.0, 0.25], [1.0, 0.25], [2.0, 0.25], [3.0, 0.25]],
+    },
+    "interval": [0.5, 1.5],
+}
+
+
 def test_stollmann_exact_identity(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        "s.json",
-        {
-            "function": {"form": "sum", "arity": 1},
-            "dist": {
-                "kind": "discrete",
-                "atoms": [[0.0, 0.25], [1.0, 0.25], [2.0, 0.25], [3.0, 0.25]],
-            },
-            "interval": [0.5, 1.5],
-        },
-    )
+    cfg = write_config(tmp_path, "s.json", STOLLMANN_EXACT_CFG)
     code, out, _ = run_cli(capsys, "stollmann-check", "--config", cfg)
     assert code == 0
     payload = strict_loads(out)
     assert payload["probability"] == 0.25
     assert payload["bound"] == 0.25
     assert payload["holds"] is True
+
+
+@pytest.mark.parametrize(
+    "extra, argv",
+    [({"trials": 5}, []), ({"master_seed": 3}, []), ({}, ["--seed", "3"])],
+    ids=["trials", "master_seed", "seed-flag"],
+)
+def test_stollmann_exact_refuses_what_only_sampling_reads(tmp_path, capsys, extra, argv):
+    # exact mode enumerates the law's atoms and draws nothing, so a trial
+    # count or a seed would be read by no one: each is a config error
+    cfg = write_config(tmp_path, "s.json", {**STOLLMANN_EXACT_CFG, **extra})
+    code, out, err = run_cli(capsys, "stollmann-check", "--config", cfg, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: exact mode draws nothing: it takes no trials, master_seed or --seed\n"
 
 
 def test_stollmann_mc_mode(tmp_path, capsys):

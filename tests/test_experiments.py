@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,7 +249,7 @@ def test_config_interaction_defaults_to_dimension_cutoff():
     assert cfg.hamiltonian.interaction.table == {}
 
 
-# Key order is part of the report schema (SCHEMA_VERSION 3); the JSON bytes
+# Key order is part of the report schema (SCHEMA_VERSION 4); the JSON bytes
 # depend on it.
 CONFIG_KEYS = [
     "dimension",
@@ -296,7 +298,7 @@ def test_report_key_order_is_pinned():
         "dist_max",
         "dist_digest",
     ]
-    assert (single["kind"], single["schema_version"]) == ("single_volume", 3)
+    assert (single["kind"], single["schema_version"]) == ("single_volume", 4)
     assert list(single["config"]) == CONFIG_KEYS + ["energy"]
     two = run_two_volume(config_2v(trials=10, conditioning_rounds=1)).to_dict()
     assert list(two) == [
@@ -311,7 +313,7 @@ def test_report_key_order_is_pinned():
         "verdict",
         "low_power",
     ]
-    assert (two["kind"], two["schema_version"]) == ("two_volume", 3)
+    assert (two["kind"], two["schema_version"]) == ("two_volume", 4)
     assert list(two["config"]) == CONFIG_KEYS + ["center_prime", "conditioning_rounds"]
     assert list(two["rounds"][0]) == ROUND_KEYS
 
@@ -378,6 +380,21 @@ def test_single_volume_trial_replay_by_hand():
     eigs = np.linalg.eigvalsh(template.assemble_values(vals))
     want = np.min(np.abs(eigs - cfg.energy))
     assert dists[2] == pytest.approx(want, abs=1e-14)
+
+
+def _readme_python_block(marker: str) -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = [b for b in re.findall(r"```python\n(.*?)```", readme, re.S) if marker in b]
+    return block
+
+
+def test_readme_replay_recipe_matches_dist_digest(capsys):
+    # the README's quick start, then its replay recipe, which prints trial
+    # 17's distance and whether the replayed distances hash to dist_digest
+    namespace: dict = {}
+    exec(_readme_python_block("report = run_single_volume(config)"), namespace)
+    exec(_readme_python_block("trial_values("), namespace)
+    assert capsys.readouterr().out.splitlines()[-1] == "True"
 
 
 def test_single_volume_deterministic_and_thread_invariant():
@@ -589,6 +606,30 @@ def test_small_batch_budget_keeps_every_distance(monkeypatch):
     assert narrow[0].dist_digest == wide[0].dist_digest
     assert [r.dist_digest for r in narrow[1].rounds] == [r.dist_digest for r in wide[1].rounds]
     assert narrow == wide
+
+
+@pytest.mark.filterwarnings("error")
+def test_sector_assembly_names_the_trial_whose_diagonal_overflows():
+    # the sectors' field-free blocks hold hopping only, so U(0) = 1e308 builds
+    # without overflow; U(0) plus a shift of about 1e308 does overflow, and
+    # the batch is refused with the trial named
+    spec = HamiltonianSpec(
+        make_box(PairPoint.of((0,), (0,)), 2), InteractionSpec({0: 1e308}), 1.0
+    )
+    template = HamiltonianTemplate(spec)
+    assert len(template.sectors) == 2
+    with pytest.raises(ValueError, match="^trial 1: a field value overflows the operator"):
+        _collect_distances(
+            template,
+            DistributionSpec.uniform(4e307, 5e307),
+            5,
+            round_index=0,
+            n_trials=10,
+            threads=1,
+            reference=np.array([0.0]),
+            base_values=np.zeros(template.n_sites),
+            free_positions=np.arange(template.n_sites),
+        )
 
 
 def test_two_volume_rejects_misconfigured_runs():

@@ -16,7 +16,10 @@ from wegner2p import (
     make_box,
     sample_field,
     sup_norm_pair,
+    trial_values,
 )
+from wegner2p.experiments import _collect_distances
+from wegner2p.spectral import min_gaps_to_sorted
 
 
 def box1d(c1, c2, L):
@@ -48,7 +51,7 @@ def box_points(template):
 
 def neighbors_of(template, x):
     pts = box_points(template)
-    row = template.fixed[pts.index(x)]
+    row = template.hopping[pts.index(x)]
     return [pts[j] for j in np.flatnonzero(row)]
 
 
@@ -66,7 +69,7 @@ def test_neighbor_corner_l1():
 
 
 def test_neighbors_match_distance_oracle():
-    # brute force over all point pairs of the template's fixed part, both
+    # brute force over all point pairs of the template's field-free part, both
     # norms, d=1 and d=2 and a radius-2 box: hopping off the diagonal, the
     # interaction at the particles' sup distance on it
     inter = InteractionSpec({0: 1.5, 1: -0.25, 3: 2.0}, r_max=3)
@@ -90,7 +93,7 @@ def test_neighbors_match_distance_oracle():
                         want[i, j] = 1.0
                 r = max(abs(a - b) for a, b in zip(x.first, x.second))
                 want[i, i] = inter.value(r)
-            assert np.array_equal(template.fixed, want)
+            assert np.array_equal(template.hopping + np.diag(template.interaction), want)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +268,61 @@ def test_batched_diagonal_matches_looped():
         assert np.array_equal(stacked[k], template.diagonal_shift(batch[k]))
 
 
+# ---------------------------------------------------------------------------
+# exchange-symmetry sectors
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "centre, L",
+    [((0,), 1), ((3,), 2), ((-1,), 5), ((0, 0), 1), ((2, -1), 2)],
+    ids=["d1-L1", "d1-L2", "d1-L5", "d2-L1", "d2-L2"],
+)
+@pytest.mark.parametrize("norm", ["sup", "l1"])
+@pytest.mark.parametrize("g", [-0.8, 1.3])
+def test_swap_sectors_carry_the_whole_spectrum(centre, L, norm, g):
+    # a box centred at u1 = u2: symmetric block of (m + (2L+1)^d) / 2 rows,
+    # antisymmetric of (m - (2L+1)^d) / 2, together the full spectrum
+    inter = InteractionSpec({0: 1.5, 1: -0.4, 2: 0.3}, r_max=2)
+    template = HamiltonianTemplate(
+        HamiltonianSpec(make_box(PairPoint.of(centre, centre), L), inter, g, norm)
+    )
+    m, fixed_points = template.dim, (2 * L + 1) ** len(centre)
+    fields = np.random.default_rng(L).uniform(-1.0, 1.0, size=(3, template.n_sites))
+    blocks = template.assemble_sectors(fields)
+    assert [b.shape for b in blocks] == [
+        (3, (m + fixed_points) // 2, (m + fixed_points) // 2),
+        (3, (m - fixed_points) // 2, (m - fixed_points) // 2),
+    ]
+    assert all(np.array_equal(b, b.swapaxes(-1, -2)) for b in blocks)
+    merged = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks], axis=-1), axis=-1)
+    full = np.linalg.eigvalsh(template.assemble_values(fields))
+    assert np.max(np.abs(merged - full)) <= 1e-12
+
+
+def test_radius_zero_swap_box_is_one_symmetric_sector():
+    # the one box point is its own swap, so no antisymmetric block remains
+    template = HamiltonianTemplate(HamiltonianSpec(box1d(4, 4, 0), InteractionSpec({0: 2.0}), 0.5))
+    (block,) = template.assemble_sectors(np.array([0.25]))
+    assert block.tobytes() == template.assemble_values(np.array([0.25])).tobytes()
+
+
+@pytest.mark.parametrize("centre", [((0,), (3,)), ((0, 1), (1, 0))], ids=["d1", "d2"])
+def test_box_without_swap_is_one_sector_bit_for_bit(centre):
+    law = DistributionSpec.uniform(0.0, 1.0)
+    spec = HamiltonianSpec(make_box(PairPoint.of(*centre), 1), InteractionSpec({0: 1.0}), 0.9)
+    template = HamiltonianTemplate(spec)
+    assert len(template.sectors) == 1
+    reference = np.sort(np.random.default_rng(3).normal(size=7))
+    got = _collect_distances(
+        template, law, 99, round_index=2, n_trials=40, threads=2, reference=reference,
+        base_values=np.zeros(template.n_sites), free_positions=np.arange(template.n_sites),
+    )
+    values = trial_values(law, 99, 2, 1, 40, template.n_sites)
+    full = min_gaps_to_sorted(np.linalg.eigvalsh(template.assemble_values(values)), reference)
+    assert np.array_equal(got, full)
+
+
 def test_spec_validation():
     box = box1d(0, 0, 1)
     with pytest.raises(ValueError):
@@ -289,10 +347,10 @@ def test_hopping_graph_is_symmetric_and_simple(c1, c2, L, norm):
     box = box1d(c1, c2, L)
     spec = HamiltonianSpec(box, InteractionSpec.zero(), 0.0, norm)
     template = HamiltonianTemplate(spec)
-    H = template.fixed
+    H = template.hopping
     assert np.array_equal(H, H.T)
-    offdiag = H - np.diag(np.diag(H))
-    assert set(np.unique(offdiag)) <= {0.0, 1.0}
+    assert not np.diag(H).any()
+    assert set(np.unique(H)) <= {0.0, 1.0}
 
 
 @given(
