@@ -10,7 +10,7 @@ Modules
 lattice      pair points, boxes, projection sites, separation classifier
 potential    disorder laws, concentration function, field sampling
 hamiltonian  hopping graph by Kronecker products, interaction, batched assembly
-             under one memory budget
+             under one memory budget, the one-BLAS-thread pin
 stollmann    diagonally monotone functions and Stollmann-type bounds
 spectral     spectral gaps, eigenvalue monotonicity checks
 experiments  analytic ceiling, single-volume and two-volume bound experiments

@@ -27,7 +27,7 @@ from .experiments import (
     run_single_volume,
     run_two_volume,
 )
-from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _check_keys, _pair
+from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _check_keys, _pair, one_blas_thread
 from .lattice import classify_separation, projection_sites
 from .potential import DistributionSpec, RngStream, _malformed, sample_field
 from .spectral import verify_dm_eigenvalues
@@ -181,6 +181,7 @@ def _sampled(
     return spec, sample_field(projection_sites(spec.box), dist, rng)
 
 
+@one_blas_thread()
 def _cmd_spectrum(args) -> int:
     spec, site_values = _sampled(_load_config(args.config, args.seed), "hamiltonian")
     template = HamiltonianTemplate(spec)
@@ -309,7 +310,10 @@ def _build_parser() -> _Parser:
 
     # Each subcommand takes only the flags its handler reads.
     seed = ("--seed", {"type": int, "default": None, "help": "override master_seed"})
-    threads = ("--threads", {"type": int, "default": 1, "help": "worker threads"})
+    threads = (
+        "--threads",
+        {"type": int, "default": 1, "help": "the run's whole thread budget; OpenBLAS runs one"},
+    )
 
     def add(name: str, handler, help_text: str, *options) -> None:
         p = sub.add_parser(name, help=help_text)

@@ -48,7 +48,7 @@ from typing import ClassVar, Mapping, Sequence
 import numpy as np
 
 from ._version import __version__ as TOOL_VERSION
-from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _pair
+from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _pair, one_blas_thread
 from .lattice import (
     BoxSpec,
     PairPoint,
@@ -63,7 +63,7 @@ from .potential import draw_values, sample_field
 from .spectral import min_gaps_to_sorted
 from .stollmann import binomial_verdict
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 _BOUND_MODES = ("two_eps", "eps_over_g")
 
@@ -141,8 +141,9 @@ class ExperimentConfig:
     `hamiltonian` holds the (first) box and the operator on it.
     `center_prime` and `conditioning_rounds` belong to the two-volume
     experiment, `energy` to the single-volume one; the runners enforce the
-    split.  `threads` only parallelises the work and never changes results,
-    so it is left out of the serialised echo.
+    split.  `threads` is the run's whole thread budget (the runners keep
+    OpenBLAS on one thread) and never changes results, so it is left out of
+    the serialised echo.
     """
 
     hamiltonian: HamiltonianSpec
@@ -399,6 +400,7 @@ def _tally(dists: np.ndarray, epsilon: float, bound: float) -> dict:
     }
 
 
+@one_blas_thread()
 def run_single_volume(config: ExperimentConfig) -> WegnerReport:
     """Monte Carlo check of the single-volume concentration bound.
 
@@ -462,6 +464,7 @@ def choose_bound(classes: frozenset[SeparationClass]) -> TwoVolumeBound:
     return TwoVolumeBound.CONDITION_ON_FIRST
 
 
+@one_blas_thread()
 def run_two_volume(config: ExperimentConfig) -> TwoVolumeReport:
     """Monte Carlo check of the conditional two-volume concentration bound.
 

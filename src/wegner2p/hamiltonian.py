@@ -14,9 +14,14 @@ by the canonical (lexicographic) enumeration of box points.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import AbstractSet, Mapping
 
 import numpy as np
@@ -46,6 +51,62 @@ def _batch_rows(m: int) -> int:
             f"over the {_BATCH_BYTES >> 20} MiB batch budget"
         )
     return rows
+
+
+@cache
+def _openblas_threads():
+    """(get, set) for the thread count of the OpenBLAS numpy loaded, or None.
+
+    Looks in numpy.libs, where a numpy wheel keeps its OpenBLAS, under each
+    symbol spelling OpenBLAS builds use; any other BLAS gives None.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in glob.glob(libs):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+# OpenBLAS's thread count is process-wide, so the pin that holds it is too.
+_pin_lock = threading.Lock()
+_pin_depth = 0  # bodies inside one_blas_thread
+_pin_saved = 1  # the caller's OpenBLAS thread count, restored by the last to leave
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then restore the count.
+
+    The caller's Python threads then own the cores, and every eigenvalue is
+    rounded as one-thread OpenBLAS rounds it, whatever the host's core count.
+    Nested and concurrent bodies share one pin: the last to leave restores
+    the caller's count, also when its body raises.  On any other BLAS this
+    does nothing.
+    """
+    global _pin_depth, _pin_saved
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            put(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                put(_pin_saved)
 
 
 @dataclass(frozen=True)

@@ -849,6 +849,41 @@ def test_module_entry_point_runs(tmp_path):
     assert strict_loads(proc.stdout)["separation_classes"] == ["completely_separated"]
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("wegner-single", {"energy": 0.5, "epsilon": 1e-3, "trials": 256}),
+        ("spectrum", {"center": [[0], [1]]}),
+    ],
+    ids=["wegner-single", "spectrum"],
+)
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path, command, extra):
+    # d=1, L=8: blocks of 153 and 136 rows, or one of 289, where OpenBLAS
+    # rounds eigenvalues differently on one thread and on two
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {
+            "dimension": 1,
+            "radius": 8,
+            "center": [[0], [0]],
+            "dist": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+            "master_seed": 7,
+            **extra,
+        },
+    )
+    reports = [
+        subprocess.run(
+            [sys.executable, "-m", "wegner2p.cli", command, "--config", cfg],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": n},
+        )
+        for n in ("1", "2")
+    ]
+    assert [r.returncode for r in reports] == [0, 0], [r.stderr for r in reports]
+    assert reports[0].stdout == reports[1].stdout
+
+
 def test_console_script_version():
     """The declared ``wegner2p`` script starts the CLI; no install needed.
 

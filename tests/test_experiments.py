@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import re
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ from wegner2p import (
     run_two_volume,
     trial_values,
 )
-from wegner2p import hamiltonian
+from wegner2p import experiments, hamiltonian
 from wegner2p.experiments import _RNG_BLOCK, _collect_distances, choose_bound
 from wegner2p.hamiltonian import _batch_rows
 from wegner2p.potential import draw_values
@@ -249,7 +251,7 @@ def test_config_interaction_defaults_to_dimension_cutoff():
     assert cfg.hamiltonian.interaction.table == {}
 
 
-# Key order is part of the report schema (SCHEMA_VERSION 4); the JSON bytes
+# Key order is part of the report schema (SCHEMA_VERSION 5); the JSON bytes
 # depend on it.
 CONFIG_KEYS = [
     "dimension",
@@ -298,7 +300,7 @@ def test_report_key_order_is_pinned():
         "dist_max",
         "dist_digest",
     ]
-    assert (single["kind"], single["schema_version"]) == ("single_volume", 4)
+    assert (single["kind"], single["schema_version"]) == ("single_volume", 5)
     assert list(single["config"]) == CONFIG_KEYS + ["energy"]
     two = run_two_volume(config_2v(trials=10, conditioning_rounds=1)).to_dict()
     assert list(two) == [
@@ -313,7 +315,7 @@ def test_report_key_order_is_pinned():
         "verdict",
         "low_power",
     ]
-    assert (two["kind"], two["schema_version"]) == ("two_volume", 4)
+    assert (two["kind"], two["schema_version"]) == ("two_volume", 5)
     assert list(two["config"]) == CONFIG_KEYS + ["center_prime", "conditioning_rounds"]
     assert list(two["rounds"][0]) == ROUND_KEYS
 
@@ -405,6 +407,73 @@ def test_single_volume_deterministic_and_thread_invariant():
     assert r1 == r2 == r3
     assert r1.dist_digest == r3.dist_digest
     assert json.dumps(r1.to_dict()) == json.dumps(r3.to_dict())
+
+
+@pytest.fixture
+def blas():
+    """The getter of numpy's OpenBLAS thread count and the count a pinned body
+    sees; on any other BLAS there is no getter and both read None.  The
+    caller's count is 2 during the test and restored after it."""
+    found = hamiltonian._openblas_threads()
+    get, put = found if found else (lambda: None, lambda n: None)
+    original = get()
+    put(2)  # a caller's count the pin must not keep
+    yield get, (1 if found else None)
+    put(original)
+
+
+def test_one_blas_thread_restores_the_callers_count(blas, monkeypatch):
+    # Each run's eigensolves see one thread, and the caller gets its count
+    # back after a normal run, a run that raises inside a batch, and a
+    # nested pin.  On any other BLAS only the runs' results are checked.
+    get, pinned = blas
+    caller = get()
+    seen = []
+    gaps = experiments.min_gaps_to_sorted
+    monkeypatch.setattr(
+        experiments, "min_gaps_to_sorted", lambda *a: seen.append(get()) or gaps(*a)
+    )
+    report = run_single_volume(config_1v(trials=2100, threads=2))
+    assert get() == caller
+    overflowing = config_1v(dist=DistributionSpec.uniform(1.5e308, 1.7e308).to_dict(), threads=2)
+    with pytest.raises(ValueError, match="a field value overflows the operator diagonal"):
+        run_single_volume(overflowing)
+    assert get() == caller
+    with hamiltonian.one_blas_thread():
+        with hamiltonian.one_blas_thread():
+            nested = run_single_volume(config_1v(trials=2100, threads=2))
+        assert get() == pinned
+    assert get() == caller
+    assert nested == report
+    assert seen and set(seen) == {pinned}
+
+
+def test_one_blas_thread_holds_under_concurrent_bodies(blas):
+    # Eight threads enter and leave the pin at once, switching every
+    # microsecond: a lost update to its depth would restore the caller's
+    # count while a body still runs, or leave the pin held.
+    get, pinned = blas
+    caller = get()
+    inside = []
+
+    def enter_and_leave():
+        for _ in range(1000):
+            with hamiltonian.one_blas_thread():
+                inside.append(get())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert get() == caller and hamiltonian._pin_depth == 0
+    assert len(inside) == 8000 and set(inside) == {pinned}
 
 
 def test_single_volume_epsilon_monotone_under_shared_seed():
