@@ -3,6 +3,9 @@
 Subcommands read a JSON config file, run one library operation, and write a
 report to stdout or --out as JSON (the whole report, byte-stable, strict: a
 non-finite number is an error) or CSV (the tabular core of the same report).
+Each subcommand's handler takes the loaded config and the parsed arguments
+and returns its report and whether its check or bound held; `main` loads the
+config, writes the report and picks the exit code.
 Exit codes: 0 when the requested check or bound holds (or the command is
 purely informational), 2 when a bound or check is violated beyond statistical
 slack, 1 for usage, config, or I/O errors.
@@ -127,15 +130,13 @@ def write_report(report, fmt: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(data: dict, args):
     run = run_two_volume if args.command == "wegner-two" else run_single_volume
-    report = run(ExperimentConfig.from_dict(_load_config(args.config, args.seed), args.threads))
-    write_report(report, args.format, args.out)
-    return 0 if report.verdict == "holds" else 2
+    report = run(ExperimentConfig.from_dict(data, args.threads))
+    return report, report.verdict == "holds"
 
 
-def _cmd_geometry_classify(args) -> int:
-    data = _load_config(args.config)
+def _cmd_geometry_classify(data: dict, args):
     _check_keys(
         data,
         allowed={"dimension", "radius", "center", "center_prime"},
@@ -158,8 +159,7 @@ def _cmd_geometry_classify(args) -> int:
         "separation_classes": sorted(c.value for c in classes),
         "bound_choice": choose_bound(classes).value,
     }
-    write_report(payload, args.format, args.out)
-    return 0
+    return payload, True
 
 
 def _sampled(
@@ -182,8 +182,8 @@ def _sampled(
 
 
 @one_blas_thread()
-def _cmd_spectrum(args) -> int:
-    spec, site_values = _sampled(_load_config(args.config, args.seed), "hamiltonian")
+def _cmd_spectrum(data: dict, args):
+    spec, site_values = _sampled(data, "hamiltonian")
     template = HamiltonianTemplate(spec)
     eigs = np.linalg.eigvalsh(template.assemble_values(site_values))
     payload = {
@@ -191,8 +191,7 @@ def _cmd_spectrum(args) -> int:
         "source_dim": template.dim,
         "eigenvalues": [float(v) for v in eigs],
     }
-    write_report(payload, args.format, args.out)
-    return 0
+    return payload, True
 
 
 @_malformed("function")
@@ -226,8 +225,7 @@ def _function_from_config(data: Mapping) -> DMFunctionSpec:
     )
 
 
-def _cmd_stollmann_check(args) -> int:
-    data = _load_config(args.config, args.seed)
+def _cmd_stollmann_check(data: dict, args):
     _check_keys(
         data,
         allowed={"function", "dist", "interval", "mode", "trials", "master_seed"},
@@ -262,12 +260,10 @@ def _cmd_stollmann_check(args) -> int:
         "interval": [interval.lower, interval.upper],
         **asdict(res),
     }
-    write_report(payload, args.format, args.out)
-    return 0 if holds else 2
+    return payload, holds
 
 
-def _cmd_dm_check(args) -> int:
-    data = _load_config(args.config, args.seed)
+def _cmd_dm_check(data: dict, args):
     target = data.get("target", "function")
     if target == "function":
         _check_keys(
@@ -295,9 +291,7 @@ def _cmd_dm_check(args) -> int:
         report = verify_dm_eigenvalues(spec, site_values, trials, rng, tolerance=tolerance)
     else:
         raise ValueError(f"unknown dm-check target {target!r}")
-    payload = {"kind": "dm_check", **asdict(report)}
-    write_report(payload, args.format, args.out)
-    return 0 if report.passed else 2
+    return {"kind": "dm_check", **asdict(report)}, report.passed
 
 
 def _build_parser() -> _Parser:
@@ -357,7 +351,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("error: a subcommand is required", file=sys.stderr)
         return 1
     try:
-        return args.handler(args)
+        report, ok = args.handler(_load_config(args.config, getattr(args, "seed", None)), args)
+        write_report(report, args.format, args.out)
+        return 0 if ok else 2
     except (_UsageError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

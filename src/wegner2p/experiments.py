@@ -41,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import ClassVar, Mapping, Sequence
 
@@ -261,12 +261,6 @@ class _Report:
             **body,
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping):
-        if data.get("kind") != cls.KIND:
-            raise ValueError(f"not a {cls.KIND.replace('_', '-')} report")
-        return cls(**{f.name: data[f.name] for f in fields(cls)})
-
 
 @dataclass
 class WegnerReport(_Report):
@@ -327,12 +321,6 @@ class TwoVolumeReport(_Report):
     low_power: bool
     schema_version: int = SCHEMA_VERSION
     tool_version: str = TOOL_VERSION
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "TwoVolumeReport":
-        report = super().from_dict(data)
-        report.rounds = [RoundRecord(**r) for r in report.rounds]
-        return report
 
 
 def _collect_distances(

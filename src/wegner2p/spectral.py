@@ -9,13 +9,11 @@ spectrum translates).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .hamiltonian import HamiltonianSpec, HamiltonianTemplate
+from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, one_blas_thread
 from .potential import RngStream
-from .stollmann import DMReport
+from .stollmann import DMReport, dm_report
 
 
 def min_gaps_to_sorted(rows: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -34,6 +32,7 @@ def min_gaps_to_sorted(rows: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return gaps.min(axis=-1)
 
 
+@one_blas_thread()
 def verify_dm_eigenvalues(
     spec: HamiltonianSpec,
     values: np.ndarray,
@@ -48,13 +47,13 @@ def verify_dm_eigenvalues(
     eigenvalue of the operator with all site values raised by t equals the
     original eigenvalue plus 2*g*t, up to `tolerance` relative error.  It also
     raises one random site by a random amount and checks no sorted eigenvalue
-    decreases by more than `tolerance`.  A trial with either error above
-    `tolerance` or NaN is flagged; the first five are the witnesses.  Trials
-    run in chunks of the template's `batch_rows`, each reduced before the
-    next is drawn.  Requires a nonnegative coupling (raising the field must
-    not lower the diagonal).  A field whose operator diagonal overflows, the
-    base one or a trial's, raises ValueError naming that field (trials count
-    from 0, as the witnesses do).
+    decreases by more than `tolerance`.  `stollmann.dm_report` reduces the
+    trials, which run in chunks of the template's `batch_rows`, each reduced
+    before the next is drawn, with OpenBLAS on one thread, so the report
+    does not depend on the host's BLAS thread count.  Requires a nonnegative
+    coupling (raising the field must not lower the diagonal).  A field whose
+    operator diagonal overflows, the base one or a trial's, raises
+    ValueError naming that field (trials count from 0, as the witnesses do).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -69,30 +68,24 @@ def verify_dm_eigenvalues(
     gen = rng.generator()
     g = spec.coupling
     rows = template.batch_rows
-    worst_shift = -math.inf
-    worst_mono = -math.inf
-    witnesses: list[dict] = []
-    for start in range(0, trials, rows):
-        n = min(rows, trials - start)
-        t, site, bump = np.empty(n), np.empty(n, dtype=int), np.empty(n)
-        # t, site, bump trial by trial: integers() buffers a half-word, so no block draw
-        for i in range(n):
-            t[i] = 10.0 * (1.0 - gen.random())  # in (0, 10]
-            site[i] = gen.integers(template.n_sites)
-            bump[i] = 10.0 * (1.0 - gen.random())
-        shifted_vals = base_vals + t[:, None]
-        shifted = np.linalg.eigvalsh(template.assemble_values(shifted_vals, first_trial=start))
-        shift_err = np.max(np.abs(shifted - base_eigs - 2.0 * g * t[:, None]) / scale, axis=1)
-        bumped_vals = np.tile(base_vals, (n, 1))
-        bumped_vals[np.arange(n), site] += bump
-        bumped = np.linalg.eigvalsh(template.assemble_values(bumped_vals, first_trial=start))
-        mono_gap = np.max(base_eigs - bumped, axis=1)
-        # fmax skips NaN errors; the flag test below counts them as failures
-        worst_shift = float(np.fmax.reduce(shift_err, initial=worst_shift))
-        worst_mono = float(np.fmax.reduce(mono_gap, initial=worst_mono))
-        flagged = np.flatnonzero(~((shift_err <= tolerance) & (mono_gap <= tolerance)))
-        witnesses += [
-            {
+
+    def chunks():
+        for start in range(0, trials, rows):
+            n = min(rows, trials - start)
+            t, site, bump = np.empty(n), np.empty(n, dtype=int), np.empty(n)
+            # t, site, bump trial by trial: integers() buffers a half-word, so no block draw
+            for i in range(n):
+                t[i] = 10.0 * (1.0 - gen.random())  # in (0, 10]
+                site[i] = gen.integers(template.n_sites)
+                bump[i] = 10.0 * (1.0 - gen.random())
+            shifted_vals = base_vals + t[:, None]
+            shifted = np.linalg.eigvalsh(template.assemble_values(shifted_vals, first_trial=start))
+            shift_err = np.max(np.abs(shifted - base_eigs - 2.0 * g * t[:, None]) / scale, axis=1)
+            bumped_vals = np.tile(base_vals, (n, 1))
+            bumped_vals[np.arange(n), site] += bump
+            bumped = np.linalg.eigvalsh(template.assemble_values(bumped_vals, first_trial=start))
+            mono_gap = np.max(base_eigs - bumped, axis=1)
+            yield mono_gap, shift_err, lambda i: {
                 "trial": start + int(i),
                 "t": float(t[i]),
                 "site": template.sites[site[i]],
@@ -100,14 +93,5 @@ def verify_dm_eigenvalues(
                 "shift_error": float(shift_err[i]),
                 "monotonicity_gap": float(mono_gap[i]),
             }
-            for i in flagged[: 5 - len(witnesses)]
-        ]
-    return DMReport(
-        name=f"eigenvalues_dim{template.dim}_g{g}",
-        passed=not witnesses,
-        checks=trials,
-        worst_monotonicity_violation=worst_mono,
-        worst_diagonal_defect=worst_shift,
-        tolerance=tolerance,
-        witnesses=witnesses,
-    )
+
+    return dm_report(f"eigenvalues_dim{template.dim}_g{g}", tolerance, chunks())

@@ -5,15 +5,16 @@ nondecreasing in every coordinate and grows at least linearly along the
 diagonal: Phi(v + t*1) - Phi(v) >= t for t > 0.  For such Phi and IID
 coordinates, the probability that Phi lands in an interval of length eps is
 at most p times the concentration function of the single-coordinate law at
-eps.  This module provides common DM families, a randomized DM checker, and
-the bound evaluated exactly (atomic laws) or by Monte Carlo.
+eps.  This module provides common DM families, the one reduction every DM
+check reports through, a randomized DM checker, and the bound evaluated
+exactly (atomic laws) or by Monte Carlo.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -135,6 +136,33 @@ class DMReport:
     witnesses: list[dict] = field(default_factory=list)
 
 
+def dm_report(
+    name: str,
+    tolerance: float,
+    chunks: Iterable[tuple[np.ndarray, np.ndarray, Callable[[int], dict]]],
+) -> DMReport:
+    """Reduce a DM check, chunk by chunk, to its report.
+
+    Each chunk gives its rows' monotonicity gaps and diagonal gaps (positive
+    = violation) and `witness(i)`, the dict that describes row i.  A row is
+    flagged when either gap exceeds `tolerance` or is NaN; the first five
+    flagged rows are the witnesses, and the check passes when there are
+    none.  The worst gaps are taken over the gaps that are not NaN.  A
+    chunk's witnesses are built before the next chunk is drawn, so `witness`
+    may read arrays that the next chunk replaces.
+    """
+    checks, worst_mono, worst_diag = 0, -math.inf, -math.inf
+    witnesses: list[dict] = []
+    for mono_gap, diag_gap, witness in chunks:
+        checks += len(mono_gap)
+        # fmax skips NaN gaps; the flag test below counts them as violations
+        worst_mono = float(np.fmax.reduce(mono_gap, initial=worst_mono))
+        worst_diag = float(np.fmax.reduce(diag_gap, initial=worst_diag))
+        flagged = np.flatnonzero(~((mono_gap <= tolerance) & (diag_gap <= tolerance)))
+        witnesses += [witness(i) for i in flagged[: 5 - len(witnesses)]]
+    return DMReport(name, not witnesses, checks, worst_mono, worst_diag, tolerance, witnesses)
+
+
 def check_dm_function(
     f: DMFunctionSpec,
     domain: tuple[float, float],
@@ -142,14 +170,12 @@ def check_dm_function(
     rng: RngStream,
     tolerance: float = 1e-12,
 ) -> DMReport:
-    """Randomised DM check on a box domain.
+    """Randomised DM check on a box domain, reduced by `dm_report`.
 
     Draws base points v uniformly from [lo, hi]^p, nonnegative perturbation
     vectors r with entries up to the domain span, and diagonal steps t in
-    (0, span].  Flags Phi(v + r) < Phi(v) - tolerance and diagonal increments
-    Phi(v + t*1) - Phi(v) < t - tolerance; a NaN gap is flagged too.  The
-    first five flagged samples are the witnesses, and the check passes when
-    there are none.  The worst gaps are taken over the gaps that are not NaN.
+    (0, span].  The gaps are Phi(v) - Phi(v + r) and t - (Phi(v + t*1) -
+    Phi(v)).
     """
     lo, hi = float(domain[0]), float(domain[1])
     if not lo < hi:
@@ -158,43 +184,27 @@ def check_dm_function(
         raise ValueError("need at least one sample")
     span, p = hi - lo, f.arity
     gen = rng.generator()
-    worst_mono = -math.inf
-    worst_diag = -math.inf
-    witnesses: list[dict] = []
-    for start in range(0, samples, _CHUNK):
-        n = min(_CHUNK, samples - start)
-        # one row per sample, drawn in the order v, r, t; numpy's uniform is
-        # low + (high - low) * next_double, so these are its values bit for bit
-        u = gen.random((n, 2 * p + 1))
-        v = lo + span * u[:, :p]
-        r = span * u[:, p : 2 * p]
-        t = span * (1.0 - u[:, 2 * p])  # lands in (0, span]
-        base = f(v)
-        mono_gap = base - f(v + r)
-        diag_gap = t - (f(v + t[:, None]) - base)
-        # fmax skips NaN gaps; the flag test below counts them as violations
-        worst_mono = float(np.fmax.reduce(mono_gap, initial=worst_mono))
-        worst_diag = float(np.fmax.reduce(diag_gap, initial=worst_diag))
-        flagged = np.flatnonzero(~((mono_gap <= tolerance) & (diag_gap <= tolerance)))
-        witnesses += [
-            {
+
+    def chunks():
+        for start in range(0, samples, _CHUNK):
+            # one row per sample, drawn in the order v, r, t; numpy's uniform is
+            # low + (high - low) * next_double, so these are its values bit for bit
+            u = gen.random((min(_CHUNK, samples - start), 2 * p + 1))
+            v = lo + span * u[:, :p]
+            r = span * u[:, p : 2 * p]
+            t = span * (1.0 - u[:, 2 * p])  # lands in (0, span]
+            base = f(v)
+            mono_gap = base - f(v + r)
+            diag_gap = t - (f(v + t[:, None]) - base)
+            yield mono_gap, diag_gap, lambda i: {
                 "v": v[i].tolist(),
                 "r": r[i].tolist(),
                 "t": float(t[i]),
                 "monotonicity_gap": float(mono_gap[i]),
                 "diagonal_gap": float(diag_gap[i]),
             }
-            for i in flagged[: 5 - len(witnesses)]
-        ]
-    return DMReport(
-        name=f.name,
-        passed=not witnesses,
-        checks=samples,
-        worst_monotonicity_violation=worst_mono,
-        worst_diagonal_defect=worst_diag,
-        tolerance=tolerance,
-        witnesses=witnesses,
-    )
+
+    return dm_report(f.name, tolerance, chunks())
 
 
 @dataclass(frozen=True)

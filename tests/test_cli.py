@@ -853,13 +853,25 @@ def test_module_entry_point_runs(tmp_path):
     "command, extra",
     [
         ("wegner-single", {"energy": 0.5, "epsilon": 1e-3, "trials": 256}),
+        (
+            "wegner-two",
+            {
+                "center_prime": [[100], [100]],
+                "epsilon": 1e-3,
+                "trials": 64,
+                "conditioning_rounds": 1,
+            },
+        ),
         ("spectrum", {"center": [[0], [1]]}),
+        ("dm-check", {"target": "eigenvalues", "trials": 20}),
     ],
-    ids=["wegner-single", "spectrum"],
+    ids=["wegner-single", "wegner-two", "spectrum", "dm-check"],
 )
 def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path, command, extra):
-    # d=1, L=8: blocks of 153 and 136 rows, or one of 289, where OpenBLAS
-    # rounds eigenvalues differently on one thread and on two
+    # d=1, L=8: blocks of 153 and 136 rows, or one of 289 (the spectrum's
+    # off-centre box, the two-volume run's frozen box and dm-check's
+    # operator), where OpenBLAS rounds eigenvalues differently on one thread
+    # and on two
     cfg = write_config(
         tmp_path,
         "c.json",

@@ -3,7 +3,8 @@
 `perfbench/tracer.py` wraps functions of the package by module attribute.
 A refactor that drops or renames one of them fails here, in a short run,
 instead of failing every benchmark operation.  The tracer patches modules
-for good, so it runs in a subprocess.
+for good, so it runs in a subprocess, which makes the benchmark's
+verification calls too.
 """
 
 import json
@@ -18,11 +19,17 @@ SCRIPT = """
 import json, sys
 from tracer import Tracer
 from wegner2p import cli
+from worker import run_verification
+from workloads import TRACED_COUNTS
 
 tracer = Tracer().install()
 codes = [cli.main(["wegner-single", "--config", sys.argv[1], "--out", sys.argv[3]]),
          cli.main(["wegner-two", "--config", sys.argv[2], "--out", sys.argv[4]])]
-print(json.dumps({"codes": codes, "layers": tracer.layer_metrics()}))
+layers = tracer.layer_metrics()
+run_verification(1)
+verified = tracer.layer_metrics()
+traced = {name: verified[name] for name in TRACED_COUNTS["sv_large_verify"]}
+print(json.dumps({"codes": codes, "layers": layers, "traced": traced}))
 """
 
 
@@ -63,3 +70,6 @@ def test_tracer_counts_single_and_two_volume_runs(tmp_path):
     assert layers["potential.rng_derive_calls"] == 1 + 1 + 1
     assert layers["experiments.eigvalsh_matrices"] > 0
     assert layers["hamiltonian.template_calls"] == 3
+    # with the verification calls, every count the benchmark's verifying
+    # workload checks is above zero, as a traced iteration requires
+    assert all(result["traced"].values()), result["traced"]
