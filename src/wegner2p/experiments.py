@@ -48,7 +48,7 @@ from typing import ClassVar, Mapping, Sequence
 import numpy as np
 
 from ._version import __version__ as TOOL_VERSION
-from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _pair, one_blas_thread
+from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _batch_rows, _pair, one_blas_thread
 from .lattice import (
     BoxSpec,
     PairPoint,
@@ -337,13 +337,14 @@ def _collect_distances(
     """Per-trial distances (float64) for trials 1..n_trials of one round.
 
     Each trial takes its `trial_values` for `free_positions` on top of
-    `base_values` (the frozen part), assembles the operator's blocks
-    (`template.sectors`), and records the least gap between any block's
-    spectrum and the sorted `reference` values.
-    Work is cut into batches of `template.batch_rows` trials, mapped over
-    `threads` worker threads and reassembled in trial order.  A trial's
-    values depend on its own index only, so the output array is identical
-    for every thread count and batch size.
+    `base_values` (the frozen part), and records the least gap between any
+    of its sector blocks' spectra and the sorted `reference` values.
+    Work is cut into spans of `template.batch_rows` trials, mapped over
+    `threads` worker threads and reassembled in trial order; a span's blocks
+    are diagonalised in the budgeted chunks `template.assemble_sectors`
+    yields, each folded into the span's running minimum.  A trial's values
+    depend on its own index only, so the output array is identical for every
+    thread count, batch size and chunk size.
     """
     rows = template.batch_rows
     bounds = [(lo, min(lo + rows - 1, n_trials)) for lo in range(1, n_trials + 1, rows)]
@@ -354,14 +355,14 @@ def _collect_distances(
         values[:, free_positions] = trial_values(
             dist, master_seed, round_index, trial_lo, trial_hi, free_positions.size
         )
+        gaps = np.full(len(values), np.inf)
         try:
-            gaps = [
-                min_gaps_to_sorted(np.linalg.eigvalsh(H), reference)
-                for H in template.assemble_sectors(values, first_trial=trial_lo)
-            ]
+            for lo, H in template.assemble_sectors(values, first_trial=trial_lo):
+                chunk = gaps[lo : lo + len(H)]
+                np.minimum(chunk, min_gaps_to_sorted(np.linalg.eigvalsh(H), reference), out=chunk)
         except np.linalg.LinAlgError as err:
             raise RuntimeError(f"trials {trial_lo}..{trial_hi}: eigensolver failed: {err}") from err
-        return np.minimum.reduce(gaps)
+        return gaps
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return np.concatenate(list(pool.map(batch, bounds)))
@@ -471,6 +472,7 @@ def run_two_volume(config: ExperimentConfig) -> TwoVolumeReport:
     if config.energy is not None:
         raise ValueError("two-volume experiment measures spectra against each other, not an energy")
     spec = config.hamiltonian
+    _batch_rows(spec.box.size)  # refuse an oversized box before any point set is built
     classes = classify_separation(spec.box.center, config.center_prime, spec.box.radius)
     if not classes:
         raise RuntimeError(

@@ -22,7 +22,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, reduce
-from typing import AbstractSet, Mapping
+from typing import AbstractSet, Iterator, Mapping
 
 import numpy as np
 
@@ -37,6 +37,10 @@ _BATCH = 1024
 # rows to fit, and HamiltonianTemplate refuses a box whose single matrix
 # exceeds it.
 _BATCH_BYTES = 128 * 2**20
+
+# Bytes of sector blocks one chunk of `assemble_sectors` may hold; a block
+# larger than this comes one matrix at a time.
+_CHUNK_BYTES = 512 * 2**10
 
 
 def _batch_rows(m: int) -> int:
@@ -352,8 +356,15 @@ class HamiltonianTemplate:
         """
         return self._with_diagonal(self.hopping, self._diagonal(site_values, name, first_trial))
 
-    def assemble_sectors(self, site_values: np.ndarray, first_trial: int = 1) -> list[np.ndarray]:
-        """One batch of blocks per sector for (..., n_sites) values; together their
-        eigenvalues are those of `assemble_values`, which refuses overflow alike."""
+    def assemble_sectors(
+        self, site_values: np.ndarray, first_trial: int = 1
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """(row offset, blocks) chunks for (trials, n_sites) values, sector by
+        sector, each within _CHUNK_BYTES or a single block.  The blocks of one
+        trial's sectors together have the eigenvalues of `assemble_values`,
+        which refuses overflow alike, before the first chunk."""
         diagonal = self._diagonal(site_values, "field", first_trial)
-        return [self._with_diagonal(block, diagonal[..., rep]) for block, rep in self.sectors]
+        for block, rep in self.sectors:
+            rows = max(1, _CHUNK_BYTES // block.nbytes)
+            for lo in range(0, len(diagonal), rows):
+                yield lo, self._with_diagonal(block, diagonal[lo : lo + rows, rep])

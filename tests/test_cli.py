@@ -14,6 +14,7 @@ import pytest
 
 import wegner2p.cli as cli
 import wegner2p.hamiltonian as hamiltonian
+import wegner2p.lattice as lattice
 from wegner2p import (
     DMFunctionSpec,
     DistributionSpec,
@@ -701,12 +702,18 @@ def test_box_over_the_batch_budget_exits_1_before_any_matrix(
     tmp_path, capsys, monkeypatch, command
 ):
     # one 25x25 matrix is over the budget: HamiltonianTemplate refuses the box
-    # before it forms a Kronecker product, so no matrix is built
+    # before it forms a Kronecker product, so no matrix is built, and
+    # wegner-two refuses it before it builds a cube's point set
     def must_not_build(*args):
         raise AssertionError("a Kronecker product was formed")
 
+    def must_not_enumerate(*args):
+        raise AssertionError("a cube's point set was built")
+
     monkeypatch.setattr(hamiltonian, "_BATCH_BYTES", 8 * 25**2 - 1)
     monkeypatch.setattr(hamiltonian, "reduce", must_not_build)
+    if command == "wegner-two":
+        monkeypatch.setattr(lattice, "_cube_point_set", must_not_enumerate)
     base, _ = OPERATOR_COMMANDS[command]
     cfg = write_config(tmp_path, "big.json", {**base, "radius": 2})  # m=25
     code, out, err = run_cli(capsys, command, "--config", cfg)

@@ -651,7 +651,21 @@ def test_batch_rows_fit_the_memory_budget():
 
 def test_small_batch_budget_keeps_every_distance(monkeypatch):
     # batches of three matrices give the distances of 1024-row batches, and
-    # the batch of trials 1024..1026 straddles two RNG blocks
+    # the batch of trials 1024..1026 straddles two RNG blocks; chunks of one
+    # 6x6 block (the m=9 swap box's symmetric sector) give them too, and no
+    # eigvalsh call holds more than a chunk's bytes unless it is one matrix
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a):
+        calls.append((int(np.prod(np.shape(a)[:-2])), a.nbytes))
+        return eigvalsh(a)
+
+    def assert_chunked():
+        assert calls and all(nbytes <= hamiltonian._CHUNK_BYTES or n == 1 for n, nbytes in calls)
+        calls.clear()
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     runs = [
         (run_single_volume, config_1v(trials=1100, threads=2)),
         (
@@ -662,6 +676,12 @@ def test_small_batch_budget_keeps_every_distance(monkeypatch):
     wide = [run(cfg) for run, cfg in runs]
     for threads in (1, 3):
         assert [run(dataclasses.replace(cfg, threads=threads)) for run, cfg in runs] == wide
+    assert_chunked()
+    monkeypatch.setattr(hamiltonian, "_CHUNK_BYTES", 8 * 6**2)
+    assert [run(cfg) for run, cfg in runs] == wide
+    # 6x6 blocks one at a time, 3x3 blocks four at a time, 9x9 matrices alone
+    assert {n for n, _ in calls} == {1, 4}
+    assert_chunked()
     # a trial's values do not depend on how many trials the run draws
     short = single_volume_distances(config_1v(trials=1500))
     assert np.array_equal(single_volume_distances(config_1v(trials=2100))[:1500], short)
@@ -671,6 +691,7 @@ def test_small_batch_budget_keeps_every_distance(monkeypatch):
     assert narrow[0].dist_digest == wide[0].dist_digest
     assert [r.dist_digest for r in narrow[1].rounds] == [r.dist_digest for r in wide[1].rounds]
     assert narrow == wide
+    assert_chunked()
 
 
 @pytest.mark.filterwarnings("error")

@@ -288,12 +288,16 @@ def test_swap_sectors_carry_the_whole_spectrum(centre, L, norm, g):
         HamiltonianSpec(make_box(PairPoint.of(centre, centre), L), inter, g, norm)
     )
     m, fixed_points = template.dim, (2 * L + 1) ** len(centre)
+    sizes = ((m + fixed_points) // 2, (m - fixed_points) // 2)
     fields = np.random.default_rng(L).uniform(-1.0, 1.0, size=(3, template.n_sites))
-    blocks = template.assemble_sectors(fields)
-    assert [b.shape for b in blocks] == [
-        (3, (m + fixed_points) // 2, (m + fixed_points) // 2),
-        (3, (m - fixed_points) // 2, (m - fixed_points) // 2),
-    ]
+    chunks = list(template.assemble_sectors(fields))
+    # sector by sector, each sector's chunks at the offsets of trials 0..2 in
+    # order; d2-L2's blocks exceed the chunk budget and come one at a time
+    assert all(H.nbytes <= hamiltonian._CHUNK_BYTES or len(H) == 1 for _, H in chunks)
+    rows = [(H.shape[-1], row) for lo, H in chunks for row in range(lo, lo + len(H))]
+    assert rows == [(k, row) for k in sizes for row in range(3)]
+    blocks = [np.concatenate([H for _, H in chunks if H.shape[-1] == k]) for k in sizes]
+    assert [b.shape for b in blocks] == [(3, k, k) for k in sizes]
     assert all(np.array_equal(b, b.swapaxes(-1, -2)) for b in blocks)
     merged = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks], axis=-1), axis=-1)
     full = np.linalg.eigvalsh(template.assemble_values(fields))
@@ -303,8 +307,8 @@ def test_swap_sectors_carry_the_whole_spectrum(centre, L, norm, g):
 def test_radius_zero_swap_box_is_one_symmetric_sector():
     # the one box point is its own swap, so no antisymmetric block remains
     template = HamiltonianTemplate(HamiltonianSpec(box1d(4, 4, 0), InteractionSpec({0: 2.0}), 0.5))
-    (block,) = template.assemble_sectors(np.array([0.25]))
-    assert block.tobytes() == template.assemble_values(np.array([0.25])).tobytes()
+    [(lo, block)] = template.assemble_sectors(np.array([[0.25]]))
+    assert lo == 0 and block.tobytes() == template.assemble_values(np.array([[0.25]])).tobytes()
 
 
 @pytest.mark.parametrize("centre", [((0,), (3,)), ((0, 1), (1, 0))], ids=["d1", "d2"])
