@@ -9,8 +9,8 @@ Modules
 -------
 lattice      pair points, boxes, projection sites, separation classifier
 potential    disorder laws, concentration function, field sampling
-hamiltonian  hopping graph by Kronecker products, interaction, batched assembly
-             under one memory budget, the one-BLAS-thread pin
+hamiltonian  hopping graph by Kronecker products, interaction, a size limit on
+             one matrix, assembly in stacks of one byte budget, the BLAS pin
 stollmann    diagonally monotone functions and Stollmann-type bounds
 spectral     spectral gaps, eigenvalue monotonicity checks
 experiments  analytic ceiling, single-volume and two-volume bound experiments

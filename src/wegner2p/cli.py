@@ -32,7 +32,7 @@ from .experiments import (
 )
 from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _check_keys, _pair, one_blas_thread
 from .lattice import classify_separation, projection_sites
-from .potential import DistributionSpec, RngStream, _malformed, sample_field
+from .potential import DistributionSpec, RngStream, _integer, _malformed, sample_field
 from .spectral import verify_dm_eigenvalues
 from .stollmann import (
     DMFunctionSpec,
@@ -146,7 +146,8 @@ def _cmd_geometry_classify(data: dict, args):
     u = _pair(data["center"], "center")
     u_prime = _pair(data["center_prime"], "center_prime")
     with _malformed("geometry"):
-        radius, dimension = int(data["radius"]), int(data["dimension"])
+        radius = _integer(data["radius"], "radius")
+        dimension = _integer(data["dimension"], "dimension")
     if u.dimension != dimension:
         raise ValueError("box centres must match the configured dimension")
     classes = classify_separation(u, u_prime, radius)
@@ -177,7 +178,7 @@ def _sampled(
     spec = HamiltonianSpec.from_dict(data, what, extra | seeded, required | seeded)
     dist = DistributionSpec.from_dict(data["dist"])
     with _malformed(what):
-        rng = RngStream(int(data["master_seed"]), 0)
+        rng = RngStream(_integer(data["master_seed"], "master_seed"), 0)
     return spec, sample_field(projection_sites(spec.box), dist, rng)
 
 
@@ -209,18 +210,19 @@ def _function_from_config(data: Mapping) -> DMFunctionSpec:
     if form not in allowed_by_form:
         raise ValueError(f"unknown function form {form!r}")
     _check_keys(data, allowed=allowed_by_form[form], required={"form"}, what=f"{form} function")
-    if form == "sum":
-        return coordinate_sum(int(data["arity"]))
-    if form == "max":
-        return coordinate_max(int(data["arity"]))
-    if form == "coordinate":
-        return single_coordinate(int(data["arity"]), int(data.get("index", 0)))
     if form == "linear":
         return positive_linear([float(c) for c in data["coeffs"]])
+    arity = _integer(data["arity"], "arity")
+    if form == "sum":
+        return coordinate_sum(arity)
+    if form == "max":
+        return coordinate_max(arity)
+    if form == "coordinate":
+        return single_coordinate(arity, _integer(data.get("index", 0), "index"))
     shifts = data.get("shifts")
     return order_statistic(
-        int(data["arity"]),
-        int(data["k"]),
+        arity,
+        _integer(data["k"], "k"),
         None if shifts is None else [float(s) for s in shifts],
     )
 
@@ -243,7 +245,8 @@ def _cmd_stollmann_check(data: dict, args):
         if mode == "mc":
             if "trials" not in data or "master_seed" not in data:
                 raise ValueError("mc mode needs trials and master_seed")
-            trials, rng = int(data["trials"]), RngStream(int(data["master_seed"]), 0)
+            trials = _integer(data["trials"], "trials")
+            rng = RngStream(_integer(data["master_seed"], "master_seed"), 0)
         elif mode != "exact":
             raise ValueError(f"unknown mode {mode!r}; pick exact or mc")
         elif "trials" in data or "master_seed" in data:
@@ -278,7 +281,8 @@ def _cmd_dm_check(data: dict, args):
             raise ValueError("domain must be [lo, hi]")
         with _malformed("dm function"):
             domain = (float(domain[0]), float(domain[1]))
-            samples, rng = int(data["samples"]), RngStream(int(data["master_seed"]), 0)
+            samples = _integer(data["samples"], "samples")
+            rng = RngStream(_integer(data["master_seed"], "master_seed"), 0)
             tolerance = float(data.get("tolerance", 1e-12))
         report = check_dm_function(f, domain, samples, rng, tolerance=tolerance)
     elif target == "eigenvalues":
@@ -286,7 +290,8 @@ def _cmd_dm_check(data: dict, args):
             data, "dm eigenvalue", extra={"target", "trials", "tolerance"}, required={"trials"}
         )
         with _malformed("dm eigenvalue"):
-            trials, rng = int(data["trials"]), RngStream(int(data["master_seed"]), 1)
+            trials = _integer(data["trials"], "trials")
+            rng = RngStream(_integer(data["master_seed"], "master_seed"), 1)
             tolerance = float(data.get("tolerance", 1e-9))
         report = verify_dm_eigenvalues(spec, site_values, trials, rng, tolerance=tolerance)
     else:

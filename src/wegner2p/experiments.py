@@ -48,7 +48,8 @@ from typing import ClassVar, Mapping, Sequence
 import numpy as np
 
 from ._version import __version__ as TOOL_VERSION
-from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _batch_rows, _pair, one_blas_thread
+from . import hamiltonian
+from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _pair, one_blas_thread
 from .lattice import (
     BoxSpec,
     PairPoint,
@@ -58,7 +59,7 @@ from .lattice import (
     make_box,
     projection_sites,
 )
-from .potential import DistributionSpec, RngStream, _malformed, concentration
+from .potential import DistributionSpec, RngStream, _integer, _malformed, concentration
 from .potential import draw_values, sample_field
 from .spectral import min_gaps_to_sorted
 from .stollmann import binomial_verdict
@@ -69,9 +70,15 @@ _BOUND_MODES = ("two_eps", "eps_over_g")
 
 _LOW_POWER_TRIALS = 100
 
-# Trials per RNG substream; fixed apart from the compute batch size (the
-# template's `batch_rows`), so a trial's values never depend on the batch budget.
+# Trials per RNG substream; fixed apart from the span size, so a trial's
+# values never depend on the size limit.
 _RNG_BLOCK = 1024
+
+
+def _span_rows(m: int) -> int:
+    """Trials per span: an RNG block, or as many m x m matrices as fit in
+    _MATRIX_BYTES, so that a big box still gives every thread work."""
+    return min(_RNG_BLOCK, hamiltonian._MATRIX_BYTES // (8 * m * m))
 
 
 class TwoVolumeBound(Enum):
@@ -233,11 +240,13 @@ class ExperimentConfig:
                 dist=DistributionSpec.from_dict(data["dist"]),
                 energy=float(data["energy"]) if "energy" in data else None,
                 epsilon=float(data["epsilon"]),
-                trials=int(data["trials"]),
+                trials=_integer(data["trials"], "trials"),
                 conditioning_rounds=(
-                    int(data["conditioning_rounds"]) if "conditioning_rounds" in data else None
+                    _integer(data["conditioning_rounds"], "conditioning_rounds")
+                    if "conditioning_rounds" in data
+                    else None
                 ),
-                master_seed=int(data["master_seed"]),
+                master_seed=_integer(data["master_seed"], "master_seed"),
                 bound_mode=data.get("bound_mode", "two_eps"),
                 threads=threads,
             )
@@ -339,14 +348,14 @@ def _collect_distances(
     Each trial takes its `trial_values` for `free_positions` on top of
     `base_values` (the frozen part), and records the least gap between any
     of its sector blocks' spectra and the sorted `reference` values.
-    Work is cut into spans of `template.batch_rows` trials, mapped over
-    `threads` worker threads and reassembled in trial order; a span's blocks
-    are diagonalised in the budgeted chunks `template.assemble_sectors`
-    yields, each folded into the span's running minimum.  A trial's values
-    depend on its own index only, so the output array is identical for every
-    thread count, batch size and chunk size.
+    Work is cut into spans of `_span_rows` trials, mapped over `threads`
+    worker threads and reassembled in trial order; a span's blocks are
+    diagonalised in the budgeted chunks `template.assemble_sectors` yields,
+    each folded into the span's running minimum.  A trial's values depend on
+    its own index only, so the output array is identical for every thread
+    count, span size and chunk size.
     """
-    rows = template.batch_rows
+    rows = _span_rows(template.dim)
     bounds = [(lo, min(lo + rows - 1, n_trials)) for lo in range(1, n_trials + 1, rows)]
 
     def batch(span: tuple[int, int]) -> np.ndarray:
@@ -472,7 +481,6 @@ def run_two_volume(config: ExperimentConfig) -> TwoVolumeReport:
     if config.energy is not None:
         raise ValueError("two-volume experiment measures spectra against each other, not an energy")
     spec = config.hamiltonian
-    _batch_rows(spec.box.size)  # refuse an oversized box before any point set is built
     classes = classify_separation(spec.box.center, config.center_prime, spec.box.radius)
     if not classes:
         raise RuntimeError(

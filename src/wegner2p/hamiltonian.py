@@ -27,34 +27,20 @@ from typing import AbstractSet, Iterator, Mapping
 import numpy as np
 
 from .lattice import BoxSpec, PairPoint, Site, _site_positions, make_box, projection_sites
-from .potential import _malformed
+from .potential import _integer, _malformed
 
 _HOPPING_NORMS = ("sup", "l1")
 
-_BATCH = 1024
+# Bytes one m x m matrix may take; HamiltonianSpec refuses a larger box.
+_MATRIX_BYTES = 128 * 2**20
 
-# Bytes of dense matrices one batch may hold; batches shrink below _BATCH
-# rows to fit, and HamiltonianTemplate refuses a box whose single matrix
-# exceeds it.
-_BATCH_BYTES = 128 * 2**20
-
-# Bytes of sector blocks one chunk of `assemble_sectors` may hold; a block
-# larger than this comes one matrix at a time.
+# Bytes of matrices one stack handed to eigvalsh may hold.
 _CHUNK_BYTES = 512 * 2**10
 
 
-def _batch_rows(m: int) -> int:
-    """Matrices per batch of m x m matrices: at most _BATCH, within _BATCH_BYTES.
-
-    Raises ValueError when a single matrix exceeds the budget.
-    """
-    rows = min(_BATCH, _BATCH_BYTES // (8 * m * m))
-    if rows < 1:
-        raise ValueError(
-            f"one {m}x{m} matrix takes {8 * m * m / 2**20:.0f} MiB, "
-            f"over the {_BATCH_BYTES >> 20} MiB batch budget"
-        )
-    return rows
+def _stack_rows(nbytes: int) -> int:
+    """Matrices of `nbytes` bytes each that fit in _CHUNK_BYTES, at least one."""
+    return max(1, _CHUNK_BYTES // nbytes)
 
 
 @cache
@@ -129,7 +115,7 @@ class InteractionSpec:
             raise ValueError("interaction cutoff must be nonnegative")
         clean: dict[int, float] = {}
         for r, v in self.table.items():
-            r = int(r)
+            r = _integer(r, "interaction distance")
             v = float(v)
             if r < 0:
                 raise ValueError("interaction distances must be nonnegative")
@@ -168,11 +154,16 @@ class InteractionSpec:
         if extra:
             raise ValueError(f"unknown keys in interaction config: {sorted(extra)}")
         entries = data.get("entries", [])
-        table = {int(r): float(v) for r, v in entries}
+        table: dict[int, float] = {}
+        for r, v in entries:
+            r = _integer(r, "interaction distance")
+            if r in table:
+                raise ValueError(f"interaction lists distance {r} twice")
+            table[r] = float(v)
         if "r_max" in data:
-            r_max = int(data["r_max"])
+            r_max = _integer(data["r_max"], "r_max")
         else:
-            r_max = max([int(default_r_max)] + [r for r, v in table.items() if v != 0.0])
+            r_max = max([default_r_max] + [r for r, v in table.items() if v != 0.0])
         return cls(table=table, r_max=r_max)
 
 
@@ -196,7 +187,7 @@ def _pair(raw, what: str) -> PairPoint:
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Everything needed to assemble the operator except the field itself."""
+    """Everything needed to assemble the operator except the field; refuses an oversized box."""
 
     box: BoxSpec
     interaction: InteractionSpec
@@ -209,6 +200,12 @@ class HamiltonianSpec:
         if self.hopping_norm not in _HOPPING_NORMS:
             raise ValueError(
                 f"hopping_norm must be one of {_HOPPING_NORMS}, got {self.hopping_norm!r}"
+            )
+        m = self.box.size
+        if 8 * m * m > _MATRIX_BYTES:
+            raise ValueError(
+                f"one {m}x{m} matrix takes {8 * m * m / 2**20:.0f} MiB, "
+                f"over the {_MATRIX_BYTES >> 20} MiB limit on one matrix"
             )
 
     @classmethod
@@ -235,12 +232,12 @@ class HamiltonianSpec:
             what=what,
         )
         with _malformed(what):
-            dimension = int(data["dimension"])
+            dimension = _integer(data["dimension"], "dimension")
             center = _pair(data["center"], "center")
             if center.dimension != dimension:
                 raise ValueError("box centre must match the configured dimension")
             return cls(
-                box=make_box(center, int(data["radius"])),
+                box=make_box(center, _integer(data["radius"], "radius")),
                 interaction=InteractionSpec.from_dict(
                     data.get("interaction", {"entries": []}), default_r_max=dimension
                 ),
@@ -259,9 +256,8 @@ class HamiltonianTemplate:
     enumeration of the union of the two projection cubes, and `first_index` /
     `second_index` give, for each box point, the positions of its particle
     coordinates in that enumeration.  The Monte Carlo drivers feed raw value
-    arrays straight in, `batch_rows` fields at a time.  A box whose single
-    matrix exceeds the batch budget raises ValueError before any matrix is
-    built.
+    arrays straight in; the spec has already refused a box whose single
+    matrix exceeds _MATRIX_BYTES.
 
     `sectors` lists (field-free block, representative box points) pairs whose
     blocks' spectra together are the operator's.  On a box centred at u1 = u2
@@ -274,7 +270,6 @@ class HamiltonianTemplate:
         self.spec = spec
         box = spec.box
         self.dim = box.size
-        self.batch_rows = _batch_rows(self.dim)  # before any matrix is built
         coords = box.coordinates()
         d, n = box.dimension, 2 * box.radius + 1
         # Box points run over the product of 2d coordinate ranges in
@@ -348,7 +343,7 @@ class HamiltonianTemplate:
         self, site_values: np.ndarray, name: str = "field", first_trial: int = 1
     ) -> np.ndarray:
         """Dense symmetric (..., m, m) matrices from (..., n_sites) values aligned
-        with `sites`; callers keep a batch within `batch_rows` fields.
+        with `sites`; callers size a stack by `_stack_rows`.
 
         A diagonal entry that overflows raises ValueError labelled with `name`
         for a single field, or with `trial k` for a batch, whose first row is
@@ -365,6 +360,6 @@ class HamiltonianTemplate:
         which refuses overflow alike, before the first chunk."""
         diagonal = self._diagonal(site_values, "field", first_trial)
         for block, rep in self.sectors:
-            rows = max(1, _CHUNK_BYTES // block.nbytes)
+            rows = _stack_rows(block.nbytes)
             for lo in range(0, len(diagonal), rows):
                 yield lo, self._with_diagonal(block, diagonal[lo : lo + rows, rep])

@@ -22,12 +22,14 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .potential import _integer
+
 Site = tuple[int, ...]
 
 
 def as_site(coords: Iterable[int]) -> Site:
     """Coerce a coordinate sequence to a lattice site (tuple of ints)."""
-    site = tuple(int(c) for c in coords)
+    site = tuple(_integer(c, "site coordinate") for c in coords)
     if not site:
         raise ValueError("a lattice site needs at least one coordinate")
     return site

@@ -16,8 +16,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .lattice import Site
-
 _KINDS = ("uniform", "gaussian", "bernoulli", "discrete")
 
 
@@ -33,6 +31,17 @@ def _malformed(what: str):
         yield
     except TypeError as err:
         raise ValueError(f"malformed {what} config: {err}") from None
+
+
+def _integer(value, what: str) -> int:
+    """`value` as an int: an int, numpy's included, or a float with an
+    integral value, as JSON may write 100000 as 1e5.  A fraction, a boolean,
+    a string or anything else raises ValueError naming `what`."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -238,7 +247,9 @@ def draw_values(dist: DistributionSpec, gen: np.random.Generator, n: int) -> np.
     return values[cdf.searchsorted(gen.random(n), side="right")]
 
 
-def sample_field(sites: Sequence[Site], dist: DistributionSpec, rng: RngStream) -> np.ndarray:
+def sample_field(
+    sites: Sequence[tuple[int, ...]], dist: DistributionSpec, rng: RngStream
+) -> np.ndarray:
     """Realise the potential on `sites`: IID draws aligned with the site order.
 
     The result is a pure function of the site order, the law and the stream,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, one_blas_thread
+from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _stack_rows, one_blas_thread
 from .potential import RngStream
 from .stollmann import DMReport, dm_report
 
@@ -48,7 +48,7 @@ def verify_dm_eigenvalues(
     original eigenvalue plus 2*g*t, up to `tolerance` relative error.  It also
     raises one random site by a random amount and checks no sorted eigenvalue
     decreases by more than `tolerance`.  `stollmann.dm_report` reduces the
-    trials, which run in chunks of the template's `batch_rows`, each reduced
+    trials, which run in chunks of `_stack_rows` full matrices, each reduced
     before the next is drawn, with OpenBLAS on one thread, so the report
     does not depend on the host's BLAS thread count.  Requires a nonnegative
     coupling (raising the field must not lower the diagonal).  A field whose
@@ -67,7 +67,7 @@ def verify_dm_eigenvalues(
     scale = 1.0 + np.abs(base_eigs)
     gen = rng.generator()
     g = spec.coupling
-    rows = template.batch_rows
+    rows = _stack_rows(template.hopping.nbytes)
 
     def chunks():
         for start in range(0, trials, rows):

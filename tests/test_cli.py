@@ -701,16 +701,16 @@ def test_overflowing_field_exits_1_naming_the_field(tmp_path, capsys, command):
 def test_box_over_the_batch_budget_exits_1_before_any_matrix(
     tmp_path, capsys, monkeypatch, command
 ):
-    # one 25x25 matrix is over the budget: HamiltonianTemplate refuses the box
-    # before it forms a Kronecker product, so no matrix is built, and
-    # wegner-two refuses it before it builds a cube's point set
+    # one 25x25 matrix is over the limit: HamiltonianSpec refuses the box
+    # when the config is parsed, so no Kronecker product is formed and
+    # wegner-two builds no cube's point set
     def must_not_build(*args):
         raise AssertionError("a Kronecker product was formed")
 
     def must_not_enumerate(*args):
         raise AssertionError("a cube's point set was built")
 
-    monkeypatch.setattr(hamiltonian, "_BATCH_BYTES", 8 * 25**2 - 1)
+    monkeypatch.setattr(hamiltonian, "_MATRIX_BYTES", 8 * 25**2 - 1)
     monkeypatch.setattr(hamiltonian, "reduce", must_not_build)
     if command == "wegner-two":
         monkeypatch.setattr(lattice, "_cube_point_set", must_not_enumerate)
@@ -783,6 +783,60 @@ def test_wrongly_typed_hamiltonian_values_exit_1(tmp_path, capsys, command, base
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command, base, bad, error",
+    [
+        ("wegner-single", SINGLE_CFG, {"radius": 2.7}, "radius must be an integer, got 2.7"),
+        ("wegner-single", SINGLE_CFG, {"trials": True}, "trials must be an integer, got True"),
+        ("wegner-single", SINGLE_CFG, {"master_seed": 7.9}, "master_seed must be an integer"),
+        ("wegner-single", SINGLE_CFG, {"trials": "200"}, "trials must be an integer, got '200'"),
+        ("wegner-single", SINGLE_CFG, {"center": [[0.5], [0]]}, "site coordinate must be an"),
+        ("wegner-two", TWO_CFG, {"conditioning_rounds": 1.5}, "conditioning_rounds must be"),
+        ("spectrum", HAM_CFG, {"master_seed": 3.5}, "master_seed must be an integer"),
+        ("spectrum", HAM_CFG, {"interaction": {"entries": [[0, 1.0]], "r_max": 1.5}}, "r_max must"),
+        (
+            "spectrum",
+            HAM_CFG,
+            {"interaction": {"entries": [[0, 1.0], [0, 2.0]]}},
+            "interaction lists distance 0 twice",
+        ),
+        ("geometry-classify", GEO_CFG, {"radius": 1.5}, "radius must be an integer, got 1.5"),
+        ("stollmann-check", STOLLMANN_MC_CFG, {"trials": 5000.5}, "trials must be an integer"),
+        (
+            "stollmann-check",
+            STOLLMANN_MC_CFG,
+            {"function": {"form": "max", "arity": 3.5}},
+            "arity must be an integer, got 3.5",
+        ),
+        ("dm-check", DM_FN_CFG, {"samples": 10.5}, "samples must be an integer, got 10.5"),
+        ("dm-check", DM_EIG_CFG, {"trials": 2.5}, "trials must be an integer, got 2.5"),
+    ],
+    ids=[
+        "fractional-radius",
+        "boolean-trials",
+        "fractional-seed",
+        "string-trials",
+        "fractional-center",
+        "fractional-rounds",
+        "sampled-seed",
+        "fractional-r_max",
+        "repeated-distance",
+        "geometry-radius",
+        "stollmann-trials",
+        "function-arity",
+        "dm-samples",
+        "dm-trials",
+    ],
+)
+def test_integer_config_values_must_be_integers(tmp_path, capsys, command, base, bad, error):
+    # each config once ran, truncating or casting the value; now it is refused
+    cfg = write_config(tmp_path, "bad.json", {**base, **bad})
+    code, out, err = run_cli(capsys, command, "--config", cfg)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert error in err
 
 
 @pytest.mark.parametrize(

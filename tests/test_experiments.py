@@ -29,8 +29,7 @@ from wegner2p import (
     trial_values,
 )
 from wegner2p import experiments, hamiltonian
-from wegner2p.experiments import _RNG_BLOCK, _collect_distances, choose_bound
-from wegner2p.hamiltonian import _batch_rows
+from wegner2p.experiments import _RNG_BLOCK, _collect_distances, _span_rows, choose_bound
 from wegner2p.potential import draw_values
 
 UNIFORM01 = DistributionSpec.uniform(0.0, 1.0)
@@ -641,17 +640,19 @@ def test_two_volume_round_dist_digest_is_that_rounds_distances():
         assert report.rounds[0].dist_digest != report.rounds[1].dist_digest
 
 
-def test_batch_rows_fit_the_memory_budget():
+def test_span_rows_fit_the_matrix_limit():
     # pure arithmetic: nothing of these sizes is allocated
-    assert _batch_rows(25) == _batch_rows(121) == 1024  # the m=121 batch is 114 MiB
-    assert _batch_rows(625) == 42  # d=2, L=2: 1024 rows would take 3.0 GiB
-    with pytest.raises(ValueError, match="batch budget"):
-        _batch_rows(6561)  # d=2, L=4: one matrix takes 328 MiB
+    assert _span_rows(25) == _span_rows(121) == 1024  # the m=121 span is 114 MiB of matrices
+    assert _span_rows(625) == 42  # d=2, L=2: 1024 rows would take 3.0 GiB
+    assert _span_rows(4096) == 1  # one matrix is the whole limit
+    box = make_box(PairPoint.of((0, 0), (0, 0)), 4)
+    with pytest.raises(ValueError, match="^one 6561x6561 matrix takes 328 MiB"):
+        HamiltonianSpec(box, InteractionSpec.zero(), 1.0)  # d=2, L=4
 
 
 def test_small_batch_budget_keeps_every_distance(monkeypatch):
-    # batches of three matrices give the distances of 1024-row batches, and
-    # the batch of trials 1024..1026 straddles two RNG blocks; chunks of one
+    # spans of three trials give the distances of 1024-trial spans, and the
+    # span of trials 1024..1026 straddles two RNG blocks; chunks of one
     # 6x6 block (the m=9 swap box's symmetric sector) give them too, and no
     # eigvalsh call holds more than a chunk's bytes unless it is one matrix
     calls = []
@@ -685,8 +686,8 @@ def test_small_batch_budget_keeps_every_distance(monkeypatch):
     # a trial's values do not depend on how many trials the run draws
     short = single_volume_distances(config_1v(trials=1500))
     assert np.array_equal(single_volume_distances(config_1v(trials=2100))[:1500], short)
-    monkeypatch.setattr(hamiltonian, "_BATCH_BYTES", 3 * 8 * 9**2)
-    assert _batch_rows(9) == 3
+    monkeypatch.setattr(hamiltonian, "_MATRIX_BYTES", 3 * 8 * 9**2)
+    assert _span_rows(9) == 3
     narrow = [run(cfg) for run, cfg in runs]
     assert narrow[0].dist_digest == wide[0].dist_digest
     assert [r.dist_digest for r in narrow[1].rounds] == [r.dist_digest for r in wide[1].rounds]

@@ -18,7 +18,7 @@ from wegner2p import (
     sup_norm_pair,
     trial_values,
 )
-from wegner2p.experiments import _collect_distances
+from wegner2p.experiments import _collect_distances, _span_rows
 from wegner2p.spectral import min_gaps_to_sorted
 
 
@@ -233,13 +233,14 @@ def test_assemble_batch_equals_stacked_singles():
 
 
 def test_template_refuses_a_box_over_the_batch_budget(monkeypatch):
-    spec = HamiltonianSpec(box1d(0, 0, 2), InteractionSpec.zero(), 1.0)  # m=25
-    assert HamiltonianTemplate(spec).batch_rows == 1024
-    monkeypatch.setattr(hamiltonian, "_BATCH_BYTES", 8 * 25**2 - 1)
-    with pytest.raises(ValueError, match="^one 25x25 matrix takes .* batch budget$"):
-        HamiltonianTemplate(spec)
-    monkeypatch.setattr(hamiltonian, "_BATCH_BYTES", 3 * 8 * 25**2)
-    assert HamiltonianTemplate(spec).batch_rows == 3
+    box = box1d(0, 0, 2)  # m=25
+    assert _span_rows(25) == 1024
+    monkeypatch.setattr(hamiltonian, "_MATRIX_BYTES", 8 * 25**2 - 1)
+    with pytest.raises(ValueError, match="^one 25x25 matrix takes .* limit on one matrix$"):
+        HamiltonianSpec(box, InteractionSpec.zero(), 1.0)
+    monkeypatch.setattr(hamiltonian, "_MATRIX_BYTES", 3 * 8 * 25**2)
+    HamiltonianTemplate(HamiltonianSpec(box, InteractionSpec.zero(), 1.0))
+    assert _span_rows(25) == 3
 
 
 @pytest.mark.filterwarnings("error")

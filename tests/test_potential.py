@@ -14,7 +14,21 @@ from wegner2p import (
     concentration,
     sample_field,
 )
-from wegner2p.potential import draw_values
+from wegner2p.potential import _integer, draw_values
+
+
+# ---------------------------------------------------------------------------
+# config integers
+# ---------------------------------------------------------------------------
+
+
+def test_integer_takes_ints_and_integral_floats_only():
+    assert [_integer(v, "n") for v in (3, np.int64(-3), np.uint8(7), 2.0, 1e5)] == [
+        3, -3, 7, 2, 100000
+    ]
+    for bad in (2.5, True, np.bool_(False), "3", None, math.inf, math.nan, [1]):
+        with pytest.raises(ValueError, match="^n must be an integer, got "):
+            _integer(bad, "n")
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,7 @@ def test_verifier_chunks_match_per_trial_reference(monkeypatch, tolerance):
         calls.append(np.shape(a)[:-2])
         return eigvalsh(a)
 
-    monkeypatch.setattr(hamiltonian, "_BATCH_BYTES", 3 * 8 * 9**2)
+    monkeypatch.setattr(hamiltonian, "_CHUNK_BYTES", 3 * 8 * 9**2)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     narrow = verify_dm_eigenvalues(spec, field, 20, RngStream(4, 1), tolerance)
     monkeypatch.undo()
