@@ -311,7 +311,13 @@ def _build_parser() -> _Parser:
     seed = ("--seed", {"type": int, "default": None, "help": "override master_seed"})
     threads = (
         "--threads",
-        {"type": int, "default": 1, "help": "the run's whole thread budget; OpenBLAS runs one"},
+        {
+            "type": int,
+            "default": 1,
+            "metavar": "N",
+            "help": "worker processes: this one and up to N-1 forked helpers, "
+            "each with OpenBLAS on one thread",
+        },
     )
 
     def add(name: str, handler, help_text: str, *options) -> None:

@@ -34,13 +34,18 @@ only, never on the trial count, the thread count or the batch schedule, and
 `trial_values` replays any trial on its own.  Round r freezes its
 conditioning field from substream r * 2**32; single-volume trials use
 round 0.
+
+Workers: a round's trials are cut into spans, and `threads` worker
+processes compute them, the calling process and helpers forked from it
+(fork, so that they inherit the loaded modules, the operator template and
+the one-thread OpenBLAS pin).  Their distances are put back in trial order,
+so a report is the same for every `threads`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import ClassVar, Mapping, Sequence
@@ -148,9 +153,12 @@ class ExperimentConfig:
     `hamiltonian` holds the (first) box and the operator on it.
     `center_prime` and `conditioning_rounds` belong to the two-volume
     experiment, `energy` to the single-volume one; the runners enforce the
-    split.  `threads` is the run's whole thread budget (the runners keep
-    OpenBLAS on one thread) and never changes results, so it is left out of
-    the serialised echo.
+    split.  `threads` is the run's whole budget of worker processes: the
+    calling one and up to threads - 1 forked helpers, each with OpenBLAS on
+    one thread.  It never changes results, so it is left out of the
+    serialised echo.  `trials`, `conditioning_rounds`, `master_seed` and
+    `threads` take an integer or an integral float, stored as an int, and
+    refuse anything else with ValueError, as the config parsers do.
     """
 
     hamiltonian: HamiltonianSpec
@@ -165,6 +173,11 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        integers = {"trials": self.trials, "master_seed": self.master_seed, "threads": self.threads}
+        if self.conditioning_rounds is not None:
+            integers["conditioning_rounds"] = self.conditioning_rounds
+        for key, value in integers.items():
+            object.__setattr__(self, key, _integer(value, key))
         box = self.hamiltonian.box
         if self.center_prime is not None and (
             self.center_prime.dimension != box.dimension
@@ -177,7 +190,7 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
         if self.trials >= 2**32:
             raise ValueError("trials must be below 2**32, the per-round trial index range")
-        if not 0 <= int(self.master_seed) < 2**64:
+        if not 0 <= self.master_seed < 2**64:
             raise ValueError("master seed must fit in an unsigned 64-bit integer")
         if self.bound_mode not in _BOUND_MODES:
             raise ValueError(f"bound_mode must be one of {_BOUND_MODES}")
@@ -240,13 +253,13 @@ class ExperimentConfig:
                 dist=DistributionSpec.from_dict(data["dist"]),
                 energy=float(data["energy"]) if "energy" in data else None,
                 epsilon=float(data["epsilon"]),
-                trials=_integer(data["trials"], "trials"),
+                trials=data["trials"],
                 conditioning_rounds=(
                     _integer(data["conditioning_rounds"], "conditioning_rounds")
                     if "conditioning_rounds" in data
                     else None
                 ),
-                master_seed=_integer(data["master_seed"], "master_seed"),
+                master_seed=data["master_seed"],
                 bound_mode=data.get("bound_mode", "two_eps"),
                 threads=threads,
             )
@@ -332,6 +345,43 @@ class TwoVolumeReport(_Report):
     tool_version: str = TOOL_VERSION
 
 
+def _fork_helper(share, worker: int):
+    """Start `share(worker)` in a process forked from this one; return the
+    process and the connection its (gaps, error) result arrives on.
+
+    Fork, not spawn: the helper inherits the template, the loaded numpy and
+    the one-thread OpenBLAS pin instead of importing them again.
+    """
+    import multiprocessing  # only runs with helpers pay for the import
+
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    process = context.Process(target=_helper_main, args=(share, worker, send))
+    process.start()
+    send.close()
+    return process, receive
+
+
+def _helper_main(share, worker: int, send) -> None:
+    import signal
+
+    # Ctrl-C reaches the whole process group; the caller stops the helpers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    send.send(share(worker))
+
+
+def _received(process, receive, worker: int):
+    """A helper's (gaps, error) result; a helper that died first is an
+    invariant failure, since its spans' outcomes are unknown."""
+    try:
+        return receive.recv()
+    except EOFError:
+        process.join()
+        raise RuntimeError(
+            f"helper process {worker} exited with code {process.exitcode} before sending its spans"
+        ) from None
+
+
 def _collect_distances(
     template: HamiltonianTemplate,
     dist: DistributionSpec,
@@ -348,15 +398,24 @@ def _collect_distances(
     Each trial takes its `trial_values` for `free_positions` on top of
     `base_values` (the frozen part), and records the least gap between any
     of its sector blocks' spectra and the sorted `reference` values.
-    Work is cut into spans of `_span_rows` trials, mapped over `threads`
-    worker threads and reassembled in trial order; a span's blocks are
-    diagonalised in the budgeted chunks `template.assemble_sectors` yields,
-    each folded into the span's running minimum.  A trial's values depend on
-    its own index only, so the output array is identical for every thread
-    count, span size and chunk size.
+    Work is cut into spans of `_span_rows` trials and dealt to
+    T = min(threads, spans) workers, span i to worker i mod T.  Worker 0 is
+    the calling process; the other T - 1 are helper processes forked from it
+    (a one-span run forks nothing), whose gap arrays come back through pipes
+    and are reassembled in trial order.  Processes rather than threads,
+    because threads calling `eigvalsh` on small blocks get in each other's
+    way inside OpenBLAS.  Each worker stops at its first failing span, and
+    the first failing span in trial order raises, so the error is the same
+    for every thread count; a helper that dies raises RuntimeError, and no
+    helper outlives the call.  A span's blocks are diagonalised in the
+    budgeted chunks `template.assemble_sectors` yields, each folded into the
+    span's running minimum.  A trial's values depend on its own index only,
+    so the output array is identical for every thread count, span size and
+    chunk size.
     """
     rows = _span_rows(template.dim)
     bounds = [(lo, min(lo + rows - 1, n_trials)) for lo in range(1, n_trials + 1, rows)]
+    workers = min(threads, len(bounds))
 
     def batch(span: tuple[int, int]) -> np.ndarray:
         trial_lo, trial_hi = span
@@ -373,8 +432,34 @@ def _collect_distances(
             raise RuntimeError(f"trials {trial_lo}..{trial_hi}: eigensolver failed: {err}") from err
         return gaps
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(list(pool.map(batch, bounds)))
+    def share(worker: int) -> tuple[list[np.ndarray], Exception | None]:
+        """Gaps of the worker's spans, in order, up to the first that raises."""
+        done = []
+        for span in bounds[worker::workers]:
+            try:
+                done.append(batch(span))
+            except Exception as err:  # raised below if no earlier span failed
+                return done, err
+        return done, None
+
+    helpers = []
+    try:
+        for worker in range(1, workers):
+            helpers.append(_fork_helper(share, worker))
+        shares = [share(0)] + [_received(*h, w) for w, h in enumerate(helpers, 1)]
+    finally:
+        # A helper that has sent its share has nothing left to do.
+        for process, receive in helpers:
+            receive.close()
+            process.kill()
+            process.join()
+    gaps = []
+    for i in range(len(bounds)):
+        done, error = shares[i % workers]
+        if i // workers == len(done):
+            raise error
+        gaps.append(done[i // workers])
+    return np.concatenate(gaps)
 
 
 def _tally(dists: np.ndarray, epsilon: float, bound: float) -> dict:

@@ -73,8 +73,9 @@ _pin_saved = 1  # the caller's OpenBLAS thread count, restored by the last to le
 def one_blas_thread():
     """Run the body with numpy's OpenBLAS on one thread, then restore the count.
 
-    The caller's Python threads then own the cores, and every eigenvalue is
-    rounded as one-thread OpenBLAS rounds it, whatever the host's core count.
+    The caller's worker processes then own the cores (a helper forked inside
+    the body inherits the pin), and every eigenvalue is rounded as
+    one-thread OpenBLAS rounds it, whatever the host's core count.
     Nested and concurrent bodies share one pin: the last to leave restores
     the caller's count, also when its body raises.  On any other BLAS this
     does nothing.

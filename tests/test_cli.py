@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import wegner2p.cli as cli
+import wegner2p.experiments as experiments
 import wegner2p.hamiltonian as hamiltonian
 import wegner2p.lattice as lattice
 from wegner2p import (
@@ -955,6 +957,30 @@ def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path, command, extra
     ]
     assert [r.returncode for r in reports] == [0, 0], [r.stderr for r in reports]
     assert reports[0].stdout == reports[1].stdout
+
+
+def test_helper_that_dies_mid_run_exits_2_and_leaves_no_process(tmp_path, capsys, monkeypatch):
+    # Every process but the caller dies at its first gap reduction: the run
+    # fails as an invariant violation with one line, and the dead helper
+    # has been reaped (a zombie would still answer signal 0).
+    caller = os.getpid()
+    died = tmp_path / "died"
+    gaps = experiments.min_gaps_to_sorted
+
+    def dying(*args):
+        if os.getpid() != caller:
+            died.write_text(str(os.getpid()))
+            os._exit(3)
+        return gaps(*args)
+
+    monkeypatch.setattr(experiments, "min_gaps_to_sorted", dying)
+    cfg = write_config(tmp_path, "c.json", {**SINGLE_CFG, "trials": 2100})  # three spans
+    code, out, err = run_cli(capsys, "wegner-single", "--config", cfg, "--threads", "2")
+    assert (code, out) == (2, "")
+    assert err == "invariant violated: helper process 1 exited with code 3 before sending its spans\n"
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(died.read_text()), 0)
+    assert multiprocessing.active_children() == []
 
 
 def test_console_script_version():

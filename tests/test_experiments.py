@@ -4,10 +4,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import re
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -205,6 +208,27 @@ def test_config_holds_one_hamiltonian_spec():
     assert direct == config_1v()
     names = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert not names & {"dimension", "radius", "center", "interaction", "coupling", "hopping_norm"}
+
+
+def test_config_counts_must_be_integers():
+    # the dataclass itself refuses a fraction or a boolean, as the config
+    # parsers do, and stores an integral float as an int
+    spec = HamiltonianSpec(make_box(PairPoint.of((0,), (0,)), 1), InteractionSpec.zero(1), 1.0)
+    good = dict(hamiltonian=spec, dist=UNIFORM01, epsilon=0.05, trials=200, master_seed=7, energy=0.0)
+    for key, value in [
+        ("trials", 10.5),
+        ("master_seed", 7.9),
+        ("threads", 2.5),
+        ("threads", True),
+        ("conditioning_rounds", 1.5),
+        ("trials", "200"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value!r}$"):
+            ExperimentConfig(**{**good, key: value})
+    whole = ExperimentConfig(**{**good, "trials": 2e2, "master_seed": 7.0, "threads": 2.0})
+    assert (whole.trials, whole.master_seed, whole.threads) == (200, 7, 2)
+    assert all(type(v) is int for v in (whole.trials, whole.master_seed, whole.threads))
+    assert whole == ExperimentConfig(**{**good, "threads": 2})
 
 
 def test_config_rejects_trials_beyond_trial_index_range():
@@ -406,6 +430,31 @@ def test_single_volume_deterministic_and_thread_invariant():
     assert json.dumps(r1.to_dict()) == json.dumps(r3.to_dict())
 
 
+def _recorder(path: Path):
+    """A function that appends its arguments, after this process's pid, as
+    one line to `path`: forked helper processes record there too."""
+
+    def record(*fields) -> None:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(" ".join(map(str, (os.getpid(), *fields))) + "\n")
+
+    return record
+
+
+def _assert_reaped(pids) -> None:
+    """No process has any of these pids any more, not even as a zombie."""
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid), 0)
+
+
+def _records(path: Path) -> list[list[str]]:
+    """The lines `_recorder(path)` wrote, split into fields; empties the file."""
+    lines = path.read_text(encoding="utf-8").splitlines() if path.exists() else []
+    path.write_text("", encoding="utf-8")
+    return [line.split() for line in lines]
+
+
 @pytest.fixture
 def blas():
     """The getter of numpy's OpenBLAS thread count and the count a pinned body
@@ -419,18 +468,24 @@ def blas():
     put(original)
 
 
-def test_one_blas_thread_restores_the_callers_count(blas, monkeypatch):
-    # Each run's eigensolves see one thread, and the caller gets its count
-    # back after a normal run, a run that raises inside a batch, and a
-    # nested pin.  On any other BLAS only the runs' results are checked.
+def test_one_blas_thread_restores_the_callers_count(blas, monkeypatch, tmp_path):
+    # Each run's eigensolves see one thread, in the calling process and in
+    # its forked helper alike, and the caller gets its count back after a
+    # normal run, a run that raises inside a batch, and a nested pin.  On
+    # any other BLAS only the runs' results are checked.
     get, pinned = blas
     caller = get()
-    seen = []
+    seen = tmp_path / "seen"
+    record = _recorder(seen)
     gaps = experiments.min_gaps_to_sorted
     monkeypatch.setattr(
-        experiments, "min_gaps_to_sorted", lambda *a: seen.append(get()) or gaps(*a)
+        experiments, "min_gaps_to_sorted", lambda *a: record(get()) or gaps(*a)
     )
     report = run_single_volume(config_1v(trials=2100, threads=2))
+    first = _records(seen)
+    pids = {pid for pid, _ in first}
+    assert str(os.getpid()) in pids and len(pids) == 2
+    _assert_reaped(pids - {str(os.getpid())})
     assert get() == caller
     overflowing = config_1v(dist=DistributionSpec.uniform(1.5e308, 1.7e308).to_dict(), threads=2)
     with pytest.raises(ValueError, match="a field value overflows the operator diagonal"):
@@ -442,7 +497,7 @@ def test_one_blas_thread_restores_the_callers_count(blas, monkeypatch):
         assert get() == pinned
     assert get() == caller
     assert nested == report
-    assert seen and set(seen) == {pinned}
+    assert {count for _, count in first + _records(seen)} == {str(pinned)}
 
 
 def test_one_blas_thread_holds_under_concurrent_bodies(blas):
@@ -650,21 +705,24 @@ def test_span_rows_fit_the_matrix_limit():
         HamiltonianSpec(box, InteractionSpec.zero(), 1.0)  # d=2, L=4
 
 
-def test_small_batch_budget_keeps_every_distance(monkeypatch):
+def test_small_batch_budget_keeps_every_distance(monkeypatch, tmp_path):
     # spans of three trials give the distances of 1024-trial spans, and the
     # span of trials 1024..1026 straddles two RNG blocks; chunks of one
     # 6x6 block (the m=9 swap box's symmetric sector) give them too, and no
-    # eigvalsh call holds more than a chunk's bytes unless it is one matrix
-    calls = []
+    # eigvalsh call, in the calling process or a helper, holds more than a
+    # chunk's bytes unless it is one matrix
+    log = tmp_path / "eigvalsh"
+    record = _recorder(log)
     eigvalsh = np.linalg.eigvalsh
 
     def recording(a):
-        calls.append((int(np.prod(np.shape(a)[:-2])), a.nbytes))
+        record(int(np.prod(np.shape(a)[:-2])), a.nbytes)
         return eigvalsh(a)
 
-    def assert_chunked():
-        assert calls and all(nbytes <= hamiltonian._CHUNK_BYTES or n == 1 for n, nbytes in calls)
-        calls.clear()
+    def assert_chunked() -> list[tuple[str, int, int]]:
+        calls = [(pid, int(n), int(nbytes)) for pid, n, nbytes in _records(log)]
+        assert calls and all(nbytes <= hamiltonian._CHUNK_BYTES or n == 1 for _, n, nbytes in calls)
+        return calls
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     runs = [
@@ -675,14 +733,17 @@ def test_small_batch_budget_keeps_every_distance(monkeypatch):
         ),
     ]
     wide = [run(cfg) for run, cfg in runs]
+    # two spans per call: the caller and one helper for the single-volume
+    # run and for each round, all of them diagonalising in chunks
+    pids = {pid for pid, _, _ in assert_chunked()}
+    assert str(os.getpid()) in pids and len(pids) == 4
     for threads in (1, 3):
         assert [run(dataclasses.replace(cfg, threads=threads)) for run, cfg in runs] == wide
     assert_chunked()
     monkeypatch.setattr(hamiltonian, "_CHUNK_BYTES", 8 * 6**2)
     assert [run(cfg) for run, cfg in runs] == wide
     # 6x6 blocks one at a time, 3x3 blocks four at a time, 9x9 matrices alone
-    assert {n for n, _ in calls} == {1, 4}
-    assert_chunked()
+    assert {n for _, n, _ in assert_chunked()} == {1, 4}
     # a trial's values do not depend on how many trials the run draws
     short = single_volume_distances(config_1v(trials=1500))
     assert np.array_equal(single_volume_distances(config_1v(trials=2100))[:1500], short)
@@ -693,6 +754,43 @@ def test_small_batch_budget_keeps_every_distance(monkeypatch):
     assert [r.dist_digest for r in narrow[1].rounds] == [r.dist_digest for r in wide[1].rounds]
     assert narrow == wide
     assert_chunked()
+
+
+def test_first_failing_trial_in_a_helpers_span_is_named_for_every_thread_count(monkeypatch):
+    # Three-trial spans; under this seed trials 5, 13 and 16 draw 1.6e308,
+    # whose doubled diagonal overflows.  Trial 5's span goes to a helper at
+    # --threads 2 and 3, and at 2 the caller's own share fails later, at
+    # trial 13: the first failure in trial order is the one raised.
+    monkeypatch.setattr(hamiltonian, "_MATRIX_BYTES", 3 * 8 * 9**2)
+    dist = DistributionSpec.bernoulli(0.01, (0.0, 1.6e308)).to_dict()
+    values = trial_values(DistributionSpec.from_dict(dist), 86, 0, 1, 30, 3)
+    assert list(np.flatnonzero(values.any(axis=1)) + 1) == [5, 13, 16]
+    for threads in (1, 2, 3):
+        with pytest.raises(ValueError, match="^trial 5: a field value overflows"):
+            run_single_volume(config_1v(dist=dist, trials=30, master_seed=86, threads=threads))
+    assert multiprocessing.active_children() == []
+
+
+def test_helper_count_is_threads_or_spans_less_one(monkeypatch):
+    # A stand-in for the fork runs each helper's share in this process and
+    # counts the helpers started: min(threads, spans) - 1, none for one span.
+    started = []
+
+    def recording(share, worker):
+        started.append(worker)
+        result = share(worker)
+        process = SimpleNamespace(kill=lambda: None, join=lambda: None)
+        return process, SimpleNamespace(recv=lambda: result, close=lambda: None)
+
+    monkeypatch.setattr(experiments, "_fork_helper", recording)
+    monkeypatch.setattr(hamiltonian, "_MATRIX_BYTES", 3 * 8 * 9**2)  # 3-trial spans
+    reference = run_single_volume(config_1v(trials=300))
+    for threads, trials, helpers in [(1, 300, 0), (2, 3, 0), (3, 6, 1), (8, 9, 2), (50, 300, 49)]:
+        started.clear()
+        report = run_single_volume(config_1v(trials=trials, threads=threads))
+        assert started == list(range(1, helpers + 1))
+        if trials == 300:
+            assert report == reference
 
 
 @pytest.mark.filterwarnings("error")
