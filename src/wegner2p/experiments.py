@@ -38,14 +38,18 @@ round 0.
 Workers: a round's trials are cut into spans, and `threads` worker
 processes compute them, the calling process and helpers forked from it
 (fork, so that they inherit the loaded modules, the operator template and
-the one-thread OpenBLAS pin).  Their distances are put back in trial order,
-so a report is the same for every `threads`.
+the one-thread OpenBLAS pin).  They write their distances into one shared
+array, each at its trial's index, so a report is the same for every
+`threads`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import mmap
+import os
+import signal
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import ClassVar, Mapping, Sequence
@@ -345,43 +349,6 @@ class TwoVolumeReport(_Report):
     tool_version: str = TOOL_VERSION
 
 
-def _fork_helper(share, worker: int):
-    """Start `share(worker)` in a process forked from this one; return the
-    process and the connection its (gaps, error) result arrives on.
-
-    Fork, not spawn: the helper inherits the template, the loaded numpy and
-    the one-thread OpenBLAS pin instead of importing them again.
-    """
-    import multiprocessing  # only runs with helpers pay for the import
-
-    context = multiprocessing.get_context("fork")
-    receive, send = context.Pipe(duplex=False)
-    process = context.Process(target=_helper_main, args=(share, worker, send))
-    process.start()
-    send.close()
-    return process, receive
-
-
-def _helper_main(share, worker: int, send) -> None:
-    import signal
-
-    # Ctrl-C reaches the whole process group; the caller stops the helpers.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    send.send(share(worker))
-
-
-def _received(process, receive, worker: int):
-    """A helper's (gaps, error) result; a helper that died first is an
-    invariant failure, since its spans' outcomes are unknown."""
-    try:
-        return receive.recv()
-    except EOFError:
-        process.join()
-        raise RuntimeError(
-            f"helper process {worker} exited with code {process.exitcode} before sending its spans"
-        ) from None
-
-
 def _collect_distances(
     template: HamiltonianTemplate,
     dist: DistributionSpec,
@@ -401,65 +368,83 @@ def _collect_distances(
     Work is cut into spans of `_span_rows` trials and dealt to
     T = min(threads, spans) workers, span i to worker i mod T.  Worker 0 is
     the calling process; the other T - 1 are helper processes forked from it
-    (a one-span run forks nothing), whose gap arrays come back through pipes
-    and are reassembled in trial order.  Processes rather than threads,
-    because threads calling `eigvalsh` on small blocks get in each other's
-    way inside OpenBLAS.  Each worker stops at its first failing span, and
-    the first failing span in trial order raises, so the error is the same
-    for every thread count; a helper that dies raises RuntimeError, and no
-    helper outlives the call.  A span's blocks are diagonalised in the
-    budgeted chunks `template.assemble_sectors` yields, each folded into the
-    span's running minimum.  A trial's values depend on its own index only,
-    so the output array is identical for every thread count, span size and
-    chunk size.
+    (a one-span run forks nothing).  Every worker writes its spans' gaps
+    into one shared anonymous mapping and marks each span it finishes in a
+    second.  Processes rather than threads, because threads calling
+    `eigvalsh` on small blocks get in each other's way inside OpenBLAS.  A
+    worker stops at its first failing span, and the first unfinished span
+    in trial order names the error, the same for every thread count: the
+    caller's own if the span is the caller's, else the one the caller meets
+    computing the span again (a span is a pure function of its trial
+    indices), or a RuntimeError if it meets none, since the helper died of
+    something else.  No helper outlives the call.  A span's blocks are
+    diagonalised in the budgeted chunks `template.assemble_sectors` yields,
+    each folded into the span's running minimum.  A trial's values depend
+    on its own index only, so the output array is identical for every
+    thread count, span size and chunk size.
     """
     rows = _span_rows(template.dim)
     bounds = [(lo, min(lo + rows - 1, n_trials)) for lo in range(1, n_trials + 1, rows)]
     workers = min(threads, len(bounds))
+    if workers > 1 and not hasattr(os, "fork"):
+        raise ValueError("threads above 1 need os.fork, which this platform does not have")
+    gaps = np.frombuffer(mmap.mmap(-1, 8 * n_trials), dtype=np.float64)
+    done = np.frombuffer(mmap.mmap(-1, len(bounds)), dtype=bool)
 
-    def batch(span: tuple[int, int]) -> np.ndarray:
-        trial_lo, trial_hi = span
+    def batch(i: int) -> None:
+        trial_lo, trial_hi = bounds[i]
         values = np.tile(base_values, (trial_hi - trial_lo + 1, 1))
         values[:, free_positions] = trial_values(
             dist, master_seed, round_index, trial_lo, trial_hi, free_positions.size
         )
-        gaps = np.full(len(values), np.inf)
+        span = gaps[trial_lo - 1 : trial_hi]
+        span.fill(np.inf)
         try:
             for lo, H in template.assemble_sectors(values, first_trial=trial_lo):
-                chunk = gaps[lo : lo + len(H)]
+                chunk = span[lo : lo + len(H)]
                 np.minimum(chunk, min_gaps_to_sorted(np.linalg.eigvalsh(H), reference), out=chunk)
         except np.linalg.LinAlgError as err:
             raise RuntimeError(f"trials {trial_lo}..{trial_hi}: eigensolver failed: {err}") from err
-        return gaps
+        done[i] = True
 
-    def share(worker: int) -> tuple[list[np.ndarray], Exception | None]:
-        """Gaps of the worker's spans, in order, up to the first that raises."""
-        done = []
-        for span in bounds[worker::workers]:
-            try:
-                done.append(batch(span))
-            except Exception as err:  # raised below if no earlier span failed
-                return done, err
-        return done, None
+    def share(worker: int) -> None:
+        for i in range(worker, len(bounds), workers):
+            batch(i)
 
-    helpers = []
+    pids, codes, failure = [], [], None  # helper w is pids[w - 1]; codes of those reaped
     try:
         for worker in range(1, workers):
-            helpers.append(_fork_helper(share, worker))
-        shares = [share(0)] + [_received(*h, w) for w, h in enumerate(helpers, 1)]
+            pid = os.fork()
+            if pid == 0:  # a helper never returns into the caller's code
+                code = 1
+                try:
+                    # Ctrl-C reaches the whole process group; the caller stops the helpers.
+                    signal.signal(signal.SIGINT, signal.SIG_IGN)
+                    share(worker)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        try:
+            share(0)
+        except Exception as err:  # raised below if no earlier span failed
+            failure = err
+        for pid in pids:
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
     finally:
-        # A helper that has sent its share has nothing left to do.
-        for process, receive in helpers:
-            receive.close()
-            process.kill()
-            process.join()
-    gaps = []
-    for i in range(len(bounds)):
-        done, error = shares[i % workers]
-        if i // workers == len(done):
-            raise error
-        gaps.append(done[i // workers])
-    return np.concatenate(gaps)
+        for pid in pids[len(codes) :]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if not done.all():
+        first = int(np.argmin(done))
+        worker = first % workers
+        if worker == 0:
+            raise failure
+        batch(first)
+        raise RuntimeError(
+            f"helper process {worker} exited with code {codes[worker - 1]} before sending its spans"
+        )
+    return gaps
 
 
 def _tally(dists: np.ndarray, epsilon: float, bound: float) -> dict:

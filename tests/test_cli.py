@@ -2,7 +2,6 @@
 
 import argparse
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -33,6 +32,7 @@ from wegner2p import (
     run_single_volume,
     sample_field,
 )
+from test_experiments import _assert_reaped
 
 
 def write_config(tmp_path, name, data):
@@ -978,9 +978,36 @@ def test_helper_that_dies_mid_run_exits_2_and_leaves_no_process(tmp_path, capsys
     code, out, err = run_cli(capsys, "wegner-single", "--config", cfg, "--threads", "2")
     assert (code, out) == (2, "")
     assert err == "invariant violated: helper process 1 exited with code 3 before sending its spans\n"
-    with pytest.raises(ProcessLookupError):
-        os.kill(int(died.read_text()), 0)
-    assert multiprocessing.active_children() == []
+    _assert_reaped([died.read_text()])
+
+
+def test_more_than_one_worker_without_fork_exits_1_before_any_span(tmp_path, capsys, monkeypatch):
+    spans = []
+    values_of = experiments.trial_values
+    monkeypatch.setattr(experiments, "trial_values", lambda *a: spans.append(a) or values_of(*a))
+    monkeypatch.delattr(os, "fork")
+    cfg = write_config(tmp_path, "c.json", {**SINGLE_CFG, "trials": 2100})  # three spans
+    code, out, err = run_cli(capsys, "wegner-single", "--config", cfg, "--threads", "2")
+    assert (code, out, spans) == (1, "", [])
+    assert err == "error: threads above 1 need os.fork, which this platform does not have\n"
+    code, out, err = run_cli(capsys, "wegner-single", "--config", cfg, "--threads", "1")
+    assert (code, err) == (0, "") and json.loads(out)["trials"] == 2100
+
+
+def test_no_run_imports_multiprocessing():
+    script = (
+        "import sys, wegner2p.cli\n"
+        "from wegner2p import ExperimentConfig, run_single_volume\n"
+        f"run_single_volume(ExperimentConfig.from_dict({dict(SINGLE_CFG, trials=2100)!r}, threads=2))\n"
+        "print([name for name in sys.modules if name.split('.')[0] == 'multiprocessing'])\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_console_script_version():

@@ -7,10 +7,11 @@ import math
 import multiprocessing
 import os
 import re
+import signal
 import sys
 import threading
+import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -756,11 +757,18 @@ def test_small_batch_budget_keeps_every_distance(monkeypatch, tmp_path):
     assert_chunked()
 
 
-def test_first_failing_trial_in_a_helpers_span_is_named_for_every_thread_count(monkeypatch):
+def test_first_failing_trial_in_a_helpers_span_is_named_for_every_thread_count(
+    monkeypatch, tmp_path
+):
     # Three-trial spans; under this seed trials 5, 13 and 16 draw 1.6e308,
     # whose doubled diagonal overflows.  Trial 5's span goes to a helper at
     # --threads 2 and 3, and at 2 the caller's own share fails later, at
-    # trial 13: the first failure in trial order is the one raised.
+    # trial 13: the first failure in trial order is the one raised.  Every
+    # worker records its pid as it starts a span.
+    seen = tmp_path / "seen"
+    record = _recorder(seen)
+    values_of = experiments.trial_values
+    monkeypatch.setattr(experiments, "trial_values", lambda *a: record() or values_of(*a))
     monkeypatch.setattr(hamiltonian, "_MATRIX_BYTES", 3 * 8 * 9**2)
     dist = DistributionSpec.bernoulli(0.01, (0.0, 1.6e308)).to_dict()
     values = trial_values(DistributionSpec.from_dict(dist), 86, 0, 1, 30, 3)
@@ -768,29 +776,102 @@ def test_first_failing_trial_in_a_helpers_span_is_named_for_every_thread_count(m
     for threads in (1, 2, 3):
         with pytest.raises(ValueError, match="^trial 5: a field value overflows"):
             run_single_volume(config_1v(dist=dist, trials=30, master_seed=86, threads=threads))
-    assert multiprocessing.active_children() == []
+    pids = {pid for pid, in _records(seen)}
+    assert str(os.getpid()) in pids and len(pids) == 4  # the caller, one helper, two helpers
+    _assert_reaped(pids - {str(os.getpid())})
 
 
-def test_helper_count_is_threads_or_spans_less_one(monkeypatch):
-    # A stand-in for the fork runs each helper's share in this process and
-    # counts the helpers started: min(threads, spans) - 1, none for one span.
-    started = []
-
-    def recording(share, worker):
-        started.append(worker)
-        result = share(worker)
-        process = SimpleNamespace(kill=lambda: None, join=lambda: None)
-        return process, SimpleNamespace(recv=lambda: result, close=lambda: None)
-
-    monkeypatch.setattr(experiments, "_fork_helper", recording)
+def test_helper_count_is_threads_or_spans_less_one(monkeypatch, tmp_path):
+    # Every worker records its pid at each gap reduction: min(threads, spans)
+    # processes take part, the caller alone in a one-span run, and every
+    # helper has been reaped when the run returns.
+    seen = tmp_path / "seen"
+    record = _recorder(seen)
+    gaps = experiments.min_gaps_to_sorted
+    monkeypatch.setattr(experiments, "min_gaps_to_sorted", lambda *a: record() or gaps(*a))
     monkeypatch.setattr(hamiltonian, "_MATRIX_BYTES", 3 * 8 * 9**2)  # 3-trial spans
     reference = run_single_volume(config_1v(trials=300))
-    for threads, trials, helpers in [(1, 300, 0), (2, 3, 0), (3, 6, 1), (8, 9, 2), (50, 300, 49)]:
-        started.clear()
+    for threads, trials, workers in [(1, 300, 1), (2, 3, 1), (3, 6, 2), (8, 9, 3), (50, 300, 50)]:
+        _records(seen)
         report = run_single_volume(config_1v(trials=trials, threads=threads))
-        assert started == list(range(1, helpers + 1))
+        pids = {pid for pid, in _records(seen)}
+        assert str(os.getpid()) in pids and len(pids) == workers
+        _assert_reaped(pids - {str(os.getpid())})
         if trials == 300:
             assert report == reference
+
+
+def test_a_failure_in_one_worker_alone_is_raised_by_the_caller(monkeypatch, tmp_path):
+    # Three spans: the caller's, the helper's, the caller's.  A MemoryError
+    # met only in the helper leaves its span unfinished, and the caller
+    # computes that span cleanly, so the helper died of something its span
+    # does not explain.  Met only in the caller, the caller's own error is
+    # raised.
+    caller = str(os.getpid())
+    seen = tmp_path / "seen"
+    record = _recorder(seen)
+    gaps = experiments.min_gaps_to_sorted
+
+    def failing_in(side: str):
+        def reduce(*args):
+            record()
+            if (str(os.getpid()) == caller) == (side == "caller"):
+                raise MemoryError(f"in the {side}")
+            return gaps(*args)
+
+        return reduce
+
+    cfg = config_1v(trials=2100, threads=2)
+    monkeypatch.setattr(experiments, "min_gaps_to_sorted", failing_in("helper"))
+    with pytest.raises(
+        RuntimeError, match="^helper process 1 exited with code 1 before sending its spans$"
+    ):
+        run_single_volume(cfg)
+    monkeypatch.setattr(experiments, "min_gaps_to_sorted", failing_in("caller"))
+    with pytest.raises(MemoryError, match="^in the caller$"):
+        run_single_volume(cfg)
+    pids = {pid for pid, in _records(seen)}
+    assert caller in pids and len(pids) == 3
+    _assert_reaped(pids - {caller})
+
+
+def test_ctrl_c_stops_and_reaps_the_helpers(monkeypatch, tmp_path):
+    # Ctrl-C signals the whole process group.  The helper ignores its
+    # SIGINT and goes on; the caller's KeyboardInterrupt ends the run at
+    # once, and the helper, still busy, is killed and reaped.
+    caller = os.getpid()
+    seen = tmp_path / "seen"
+    record = _recorder(seen)
+
+    def interrupted(*args):
+        if os.getpid() != caller:
+            record("signalled")
+            os.kill(os.getpid(), signal.SIGINT)
+            record("continued")
+            time.sleep(60)
+        deadline = time.monotonic() + 30
+        while len(seen.read_text().splitlines() if seen.exists() else []) < 2:
+            assert time.monotonic() < deadline, "the helper did not go on after SIGINT"
+            time.sleep(0.01)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(experiments, "min_gaps_to_sorted", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_single_volume(config_1v(trials=2100, threads=2))
+    assert time.monotonic() - start < 30
+    records = _records(seen)
+    assert [event for _, event in records] == ["signalled", "continued"]
+    _assert_reaped({pid for pid, _ in records})
+
+
+def test_a_pool_worker_runs_with_helpers_of_its_own():
+    # A daemonic process may not start multiprocessing children, but it may
+    # fork: a run with two workers inside a Pool worker matches one worker's.
+    cfg = config_1v(trials=2100)  # three spans
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        reports = pool.map(run_single_volume, [cfg, dataclasses.replace(cfg, threads=2)])
+    assert reports == [run_single_volume(cfg)] * 2
 
 
 @pytest.mark.filterwarnings("error")
