@@ -344,13 +344,8 @@ def _build_parser() -> _Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code instead of raising."""
     parser = _build_parser()
-    args_list = list(sys.argv[1:] if argv is None else argv)
-    if not args_list:
-        parser.print_usage(sys.stderr)
-        print("error: a subcommand is required", file=sys.stderr)
-        return 1
     try:
-        args = parser.parse_args(args_list)
+        args = parser.parse_args(argv)
     except _UsageError as err:
         parser.print_usage(sys.stderr)
         print(f"error: {err}", file=sys.stderr)

@@ -447,14 +447,35 @@ def _collect_distances(
     return gaps
 
 
-def _tally(dists: np.ndarray, epsilon: float, bound: float) -> dict:
-    """The statistics a report carries for one run's or round's distances.
+def _round(
+    config: ExperimentConfig,
+    template: HamiltonianTemplate,
+    bound: float,
+    round_index: int,
+    reference: np.ndarray,
+    base_values: np.ndarray,
+    free_positions: np.ndarray,
+) -> dict:
+    """The statistics a report carries for one round's `config.trials` trials.
 
-    A trial hits when its distance is at most epsilon; the verdict is
-    `binomial_verdict`'s.  `dist_digest` fingerprints every distance bit for
-    bit, in trial order, the way `frozen_digest` fingerprints a frozen field.
+    The distances come from `_collect_distances`; a single-volume run is
+    round 0 with every site free.  A trial hits when its distance is at most
+    epsilon; the verdict is `binomial_verdict`'s.  `dist_digest` fingerprints
+    every distance bit for bit, in trial order, the way `frozen_digest`
+    fingerprints a frozen field.
     """
-    hits = int(np.count_nonzero(dists <= epsilon))
+    dists = _collect_distances(
+        template,
+        config.dist,
+        config.master_seed,
+        round_index,
+        config.trials,
+        config.threads,
+        reference,
+        base_values,
+        free_positions,
+    )
+    hits = int(np.count_nonzero(dists <= config.epsilon))
     estimate, std_error, holds = binomial_verdict(hits, dists.size, bound)
     return {
         "hits": hits,
@@ -489,23 +510,13 @@ def run_single_volume(config: ExperimentConfig) -> WegnerReport:
     bound = analytic_bound(
         [spec.box], spec.box, config.dist, config.epsilon, spec.coupling, config.bound_mode
     )
-    dists = _collect_distances(
-        template,
-        config.dist,
-        config.master_seed,
-        round_index=0,
-        n_trials=config.trials,
-        threads=config.threads,
-        reference=np.array([float(config.energy)]),
-        base_values=np.zeros(template.n_sites),
-        free_positions=np.arange(template.n_sites),
-    )
+    energy, n = np.array([float(config.energy)]), template.n_sites
     return WegnerReport(
         config=config.to_dict(),
         analytic_bound=bound,
         trials=config.trials,
         low_power=config.trials < _LOW_POWER_TRIALS,
-        **_tally(dists, config.epsilon, bound),
+        **_round(config, template, bound, 0, energy, np.zeros(n), np.arange(n)),
     )
 
 
@@ -585,23 +596,12 @@ def run_two_volume(config: ExperimentConfig) -> TwoVolumeReport:
         cond_eigs = np.linalg.eigvalsh(frozen_H)
         base_values = np.zeros(free_template.n_sites)
         base_values[shared_dst] = frozen_vals[shared_src]
-        dists = _collect_distances(
-            free_template,
-            config.dist,
-            config.master_seed,
-            round_index=r,
-            n_trials=config.trials,
-            threads=config.threads,
-            reference=cond_eigs,
-            base_values=base_values,
-            free_positions=free_positions,
-        )
         rounds.append(
             RoundRecord(
                 round_index=r,
                 frozen_digest=digest,
                 trials=config.trials,
-                **_tally(dists, config.epsilon, bound),
+                **_round(config, free_template, bound, r, cond_eigs, base_values, free_positions),
             )
         )
     return TwoVolumeReport(

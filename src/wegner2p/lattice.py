@@ -5,9 +5,11 @@ volumes are boxes, products of two lattice cubes of common radius L centred at
 the components of a pair point.  The classifier below decides, for two boxes
 whose centres are far apart (at least max(8L, 1) in the symmetrized
 sup-distance), which of the four projection cubes is disjoint from all the
-others.  At least
-one of the five separation classes always applies; the survey functions scan
-relative geometries exhaustively to confirm that.
+others.  Two radius-L cubes are disjoint exactly when the sup-norm gap between
+their centres exceeds 2L, so the classifier works from centre coordinates
+alone and never lists a cube's points.  At least one of the five separation
+classes always applies; the survey functions scan relative geometries
+exhaustively to confirm that.
 """
 
 from __future__ import annotations
@@ -92,12 +94,6 @@ def distance_condition(u: PairPoint, u_prime: PairPoint, radius: int) -> bool:
     return min(direct, swapped) >= max(8 * radius, 1)
 
 
-@lru_cache(maxsize=65536)
-def _cube_point_set(center: Site, radius: int) -> frozenset[Site]:
-    ranges = [range(c - radius, c + radius + 1) for c in center]
-    return frozenset(itertools.product(*ranges))
-
-
 @dataclass(frozen=True)
 class BoxSpec:
     """Box on the pair lattice: the product of two radius-L cubes.
@@ -147,8 +143,12 @@ def projection_sites(box: BoxSpec) -> list[Site]:
     These are the sites whose potential values enter the box operator, in
     the order every field array aligned with a box follows.
     """
-    center, radius = box.center, box.radius
-    return sorted(_cube_point_set(center.first, radius) | _cube_point_set(center.second, radius))
+    n, d = 2 * box.radius + 1, box.dimension
+    offsets = np.indices((n,) * d).reshape(d, -1).T - box.radius
+    cubes = np.concatenate([offsets + box.center.first, offsets + box.center.second])
+    cubes = cubes[np.lexsort(cubes.T[::-1])]  # rows in lexicographic order
+    fresh = np.concatenate([[True], (cubes[1:] != cubes[:-1]).any(axis=1)])
+    return list(map(tuple, cubes[fresh].tolist()))
 
 
 def _site_positions(queries: np.ndarray, sites: np.ndarray) -> np.ndarray:
@@ -178,39 +178,51 @@ class SeparationClass(Enum):
     SECOND_PARTICLE2_ISOLATED = "second_particle2_isolated"
 
 
+# Index order of the six centre pairs, that of itertools.combinations(u + u', 2):
+# (u1,u2), (u1,q1), (u1,q2), (u2,q1), (u2,q2), (q1,q2)
+_PAIR_U1U2, _PAIR_U1Q1, _PAIR_U1Q2, _PAIR_U2Q1, _PAIR_U2Q2, _PAIR_Q1Q2 = range(6)
+
+# Centre pairs whose cubes must be disjoint, per separation class.
+_CLASS_PAIRS = {
+    SeparationClass.COMPLETELY_SEPARATED: (_PAIR_U1Q1, _PAIR_U1Q2, _PAIR_U2Q1, _PAIR_U2Q2),
+    SeparationClass.FIRST_PARTICLE1_ISOLATED: (_PAIR_U1U2, _PAIR_U1Q1, _PAIR_U1Q2),
+    SeparationClass.FIRST_PARTICLE2_ISOLATED: (_PAIR_U1U2, _PAIR_U2Q1, _PAIR_U2Q2),
+    SeparationClass.SECOND_PARTICLE1_ISOLATED: (_PAIR_Q1Q2, _PAIR_U1Q1, _PAIR_U2Q1),
+    SeparationClass.SECOND_PARTICLE2_ISOLATED: (_PAIR_Q1Q2, _PAIR_U1Q2, _PAIR_U2Q2),
+}
+
+# The classes that hold, by the mask whose bit k is set when pair k's cubes are disjoint.
+_CLASSES_BY_MASK = [
+    frozenset(c for c, pairs in _CLASS_PAIRS.items() if all(mask >> k & 1 for k in pairs))
+    for mask in range(64)
+]
+
+
 def classify_separation(
     u: PairPoint, u_prime: PairPoint, radius: int
 ) -> frozenset[SeparationClass]:
     """All separation classes that hold for boxes at u and u' of given radius.
 
     Requires the 8L centre-distance condition; geometries violating it are
-    rejected with ValueError.  Membership is decided by exact set operations
-    on the four projection cubes.  An empty answer would contradict the
-    separation dichotomy, and downstream code treats it as a hard failure.
+    rejected with ValueError.  Membership follows from the sup-norm gaps
+    between the four cube centres: two radius-L cubes are disjoint exactly
+    when their centres' gap exceeds 2L.  An empty answer would contradict
+    the separation dichotomy, and downstream code treats it as a hard failure.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if not distance_condition(u, u_prime, radius):
+    _check_same_dimension(u, u_prime)
+    centre_pairs = itertools.combinations(u + u_prime, 2)
+    gaps = [max(map(abs, map(operator.sub, a, b))) for a, b in centre_pairs]
+    direct = max(gaps[_PAIR_U1Q1], gaps[_PAIR_U2Q2])
+    swapped = max(gaps[_PAIR_U1Q2], gaps[_PAIR_U2Q1])
+    if min(direct, swapped) < max(8 * radius, 1):
         raise ValueError("box centres violate the 8L separation condition")
-    p1 = _cube_point_set(u.first, radius)
-    p2 = _cube_point_set(u.second, radius)
-    q1 = _cube_point_set(u_prime.first, radius)
-    q2 = _cube_point_set(u_prime.second, radius)
-    q_union = q1 | q2
-    p_union = p1 | p2
-
-    classes: set[SeparationClass] = set()
-    if p_union.isdisjoint(q_union):
-        classes.add(SeparationClass.COMPLETELY_SEPARATED)
-    if p1.isdisjoint(p2) and p1.isdisjoint(q_union):
-        classes.add(SeparationClass.FIRST_PARTICLE1_ISOLATED)
-    if p2.isdisjoint(p1) and p2.isdisjoint(q_union):
-        classes.add(SeparationClass.FIRST_PARTICLE2_ISOLATED)
-    if q1.isdisjoint(q2) and q1.isdisjoint(p_union):
-        classes.add(SeparationClass.SECOND_PARTICLE1_ISOLATED)
-    if q2.isdisjoint(q1) and q2.isdisjoint(p_union):
-        classes.add(SeparationClass.SECOND_PARTICLE2_ISOLATED)
-    return frozenset(classes)
+    mask = 0
+    for k, gap in enumerate(gaps):
+        if gap > 2 * radius:
+            mask |= 1 << k
+    return _CLASSES_BY_MASK[mask]
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +240,10 @@ def classify_separation(
 # profile: two bits for each of the six centre pairs (gap above 2L, gap at
 # least max(8L, 1)), and axes combine by OR-ing profiles.  Both surveys walk
 # the realisable profiles of the d=1 grid (one axis for the line, ordered
-# pairs for the plane), classify one witness per admissible combination
-# set-wise against the profile's predicted classes, and add its weight: the
-# profile's grid count on the line, one per profile pair on the plane.
+# pairs for the plane), classify one witness per admissible combination with
+# classify_separation against the profile's predicted classes, and add its
+# weight: the profile's grid count on the line, one per profile pair on the
+# plane.
 # ---------------------------------------------------------------------------
 
 
@@ -250,20 +263,7 @@ class SeparationSurvey:
         return self.empty == 0
 
 
-# Index order of the six centre pairs in a profile, two bits each:
-# (u1,u2), (u1,q1), (u1,q2), (u2,q1), (u2,q2), (q1,q2)
-_PAIR_U1U2, _PAIR_U1Q1, _PAIR_U1Q2, _PAIR_U2Q1, _PAIR_U2Q2, _PAIR_Q1Q2 = range(6)
-
-# Centre pairs whose cubes must be disjoint, per separation class.
-_CLASS_PAIRS = {
-    SeparationClass.COMPLETELY_SEPARATED: (_PAIR_U1Q1, _PAIR_U1Q2, _PAIR_U2Q1, _PAIR_U2Q2),
-    SeparationClass.FIRST_PARTICLE1_ISOLATED: (_PAIR_U1U2, _PAIR_U1Q1, _PAIR_U1Q2),
-    SeparationClass.FIRST_PARTICLE2_ISOLATED: (_PAIR_U1U2, _PAIR_U2Q1, _PAIR_U2Q2),
-    SeparationClass.SECOND_PARTICLE1_ISOLATED: (_PAIR_Q1Q2, _PAIR_U1Q1, _PAIR_U2Q1),
-    SeparationClass.SECOND_PARTICLE2_ISOLATED: (_PAIR_Q1Q2, _PAIR_U1Q2, _PAIR_U2Q2),
-}
-
-# Grid geometries the line survey classifies set-wise besides the witnesses.
+# Grid geometries the line survey classifies directly besides the witnesses.
 _SPOT_CHECKS = 1000
 
 # A per-axis profile: packed code, witness (w, a, b) and weight.
@@ -309,8 +309,8 @@ def _predict_classes(profile: int) -> frozenset[SeparationClass] | None:
 
     Cubes of a pair are disjoint when the pair's gap exceeds 2L on some axis
     (bit 0); centres are far when it reaches the admissibility threshold on
-    some axis (bit 1).  This route never touches point sets, so it
-    cross-checks the set-based classifier.
+    some axis (bit 1).  This route combines per-axis bits and never sees a
+    whole geometry's gaps, so it cross-checks `classify_separation`.
     """
     disjoint = [bool(profile >> (2 * k) & 1) for k in range(6)]
     far = [bool(profile >> (2 * k) & 2) for k in range(6)]
@@ -320,7 +320,7 @@ def _predict_classes(profile: int) -> frozenset[SeparationClass] | None:
 
 
 def _checked_classes(u: PairPoint, u_prime: PairPoint, L: int, predicted) -> frozenset:
-    """Set-based classes of one geometry; raises if they differ from `predicted`."""
+    """`classify_separation` of one geometry; raises if it differs from `predicted`."""
     found = classify_separation(u, u_prime, L)
     if found != predicted:
         raise RuntimeError(
@@ -367,20 +367,20 @@ def _survey(L: int, axes: list[list[_Profile]]) -> SeparationSurvey:
     )
 
 
-def survey_separation_line(L: int, side: int | None = None) -> SeparationSurvey:
+def survey_separation_line(L: int) -> SeparationSurvey:
     """Classify every admissible centre geometry on a d=1 grid.
 
     Fixes the first particle of the first centre at the origin (classification
     is translation invariant) and covers the remaining three coordinates over
-    a centred grid of the given side (default 40L+20, wide enough to realise
-    every geometry class, see the gap-compression note above).  Counts are
+    a centred grid of side 40L+20, wide enough to realise every geometry
+    class (see the gap-compression note above).  Counts are
     per grid geometry, gathered profile by profile; a strided sample of grid
-    geometries is also classified set-wise, and any disagreement with the
+    geometries is also classified directly, and any disagreement with the
     profile prediction raises.
     """
     if L < 0:
         raise ValueError("radius must be nonnegative")
-    side = 40 * L + 20 if side is None else side
+    side = 40 * L + 20
     survey = _survey(L, [_axis_profiles(L, side)])
     stride = max(1, side**3 // _SPOT_CHECKS)
     while math.gcd(stride, side) > 1:  # so the sample reaches every b column
@@ -395,18 +395,17 @@ def survey_separation_line(L: int, side: int | None = None) -> SeparationSurvey:
     return survey
 
 
-def survey_separation_plane(L: int, side: int | None = None) -> SeparationSurvey:
+def survey_separation_plane(L: int) -> SeparationSurvey:
     """Classify every admissible centre geometry over Z^2.
 
     The two axes are independent, so the survey walks every ordered pair of
     realisable per-axis profiles (from the d=1 grid scan) and classifies a
-    witness geometry with those profiles as its x and y axes set-wise,
+    witness geometry with those profiles as its x and y axes directly,
     raising if the profile prediction disagrees.  Each profile pair counts
     once.  Coverage is exact for all of Z^2, not just a finite grid, by the
     gap-compression argument above.
     """
     if L < 0:
         raise ValueError("radius must be nonnegative")
-    side = 40 * L + 20 if side is None else side
-    axis = [(code, witness, 1) for code, witness, _ in _axis_profiles(L, side)]
+    axis = [(code, witness, 1) for code, witness, _ in _axis_profiles(L, 40 * L + 20)]
     return _survey(L, [axis, axis])

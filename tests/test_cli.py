@@ -15,7 +15,6 @@ import pytest
 import wegner2p.cli as cli
 import wegner2p.experiments as experiments
 import wegner2p.hamiltonian as hamiltonian
-import wegner2p.lattice as lattice
 from wegner2p import (
     DMFunctionSpec,
     DistributionSpec,
@@ -97,9 +96,9 @@ HAM_CFG = {
 
 
 def test_no_arguments_is_usage_error(capsys):
-    code, _, err = run_cli(capsys)
-    assert code == 1
-    assert "subcommand" in err
+    code, out, err = run_cli(capsys)
+    assert (code, out) == (1, "")
+    assert err == cli._build_parser().format_usage() + "error: a subcommand is required\n"
 
 
 def test_unknown_subcommand(capsys):
@@ -196,6 +195,41 @@ def test_geometry_classify_csv(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "geometry-classify", "--config", cfg, "--format", "csv")
     assert code == 0
     assert out.splitlines() == ["separation_class", "completely_separated"]
+
+
+def test_geometry_classify_decides_huge_cubes_from_their_centres(tmp_path):
+    # d=3, L=10**6: each projection cube has about 8e18 points, so listing
+    # them would exhaust memory.  The child runs under a 1 GiB address-space
+    # limit, so a classifier that lists points fails here instead of taking
+    # the machine's memory.  One OpenBLAS thread keeps numpy's own buffers
+    # far below the limit on a many-core host.
+    big, far = 10**6, 10**8
+    cfg = write_config(
+        tmp_path,
+        "g.json",
+        {
+            "dimension": 3,
+            "radius": big,
+            "center": [[0, 0, 0], [far, 0, 0]],
+            "center_prime": [[far + big, 5, 5], [0, 3 * far, 0]],
+        },
+    )
+    limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))"
+    run = "import sys; from wegner2p.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{limit}; {run}", "geometry-classify", "--config", cfg],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    payload = strict_loads(proc.stdout)
+    assert payload["separation_classes"] == [
+        "first_particle1_isolated",
+        "second_particle2_isolated",
+    ]
+    assert payload["bound_choice"] == "condition_on_second"
 
 
 def test_geometry_classify_rejects_close_centres(tmp_path, capsys):
@@ -704,18 +738,12 @@ def test_box_over_the_batch_budget_exits_1_before_any_matrix(
     tmp_path, capsys, monkeypatch, command
 ):
     # one 25x25 matrix is over the limit: HamiltonianSpec refuses the box
-    # when the config is parsed, so no Kronecker product is formed and
-    # wegner-two builds no cube's point set
+    # when the config is parsed, so no Kronecker product is formed
     def must_not_build(*args):
         raise AssertionError("a Kronecker product was formed")
 
-    def must_not_enumerate(*args):
-        raise AssertionError("a cube's point set was built")
-
     monkeypatch.setattr(hamiltonian, "_MATRIX_BYTES", 8 * 25**2 - 1)
     monkeypatch.setattr(hamiltonian, "reduce", must_not_build)
-    if command == "wegner-two":
-        monkeypatch.setattr(lattice, "_cube_point_set", must_not_enumerate)
     base, _ = OPERATOR_COMMANDS[command]
     cfg = write_config(tmp_path, "big.json", {**base, "radius": 2})  # m=25
     code, out, err = run_cli(capsys, command, "--config", cfg)

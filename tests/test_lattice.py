@@ -248,7 +248,7 @@ def test_classification_never_empty(geom):
     assert classify_separation(u, up, L)
 
 
-@given(admissible_geometry(max_dim=2, max_radius=3))
+@given(admissible_geometry(max_dim=3, max_radius=3))
 @settings(max_examples=60)
 def test_classification_matches_brute_force(geom):
     u, up, L = geom
@@ -339,17 +339,17 @@ def test_plane_survey_small(L):
 
 
 def test_line_survey_matches_direct_recount():
-    # independent recount of the L=0 survey on a small explicit grid
-    res = survey_separation_line(0, side=6)
+    # independent recount of the L=0 survey over its whole side-20 grid
+    res = survey_separation_line(0)
     geoms = 0
-    for w in range(-3, 3):
-        for a in range(-3, 3):
-            for b in range(-3, 3):
+    for w in range(-10, 10):
+        for a in range(-10, 10):
+            for b in range(-10, 10):
                 u = PairPoint.of((0,), (w,))
                 up = PairPoint.of((a,), (b,))
                 if distance_condition(u, up, 0):
                     geoms += 1
-    assert res.geometries == geoms == 6**3 - 11
+    assert res.geometries == geoms == 20**3 - 39 == LINE_SURVEY_COUNTS[0][0]
     assert res.empty == 0
 
 
@@ -378,16 +378,20 @@ def test_plane_survey_counts_are_pinned():
 
 
 def test_line_survey_counts_match_direct_scan_on_small_grid():
-    # every geometry of a side-9 grid, classified one at a time
+    # every geometry of the L=0 survey's side-20 grid, classified one at a
+    # time; the classifier refuses exactly the inadmissible ones
     counts = dict.fromkeys(SeparationClass, 0)
     geometries = 0
-    for w, a, b in itertools.product(range(-4, 5), repeat=3):
+    for w, a, b in itertools.product(range(-10, 10), repeat=3):
         u, up = PairPoint.of((0,), (w,)), PairPoint.of((a,), (b,))
         if distance_condition(u, up, 0):
             geometries += 1
             for c in classify_separation(u, up, 0):
                 counts[c] += 1
-    res = survey_separation_line(0, side=9)
+        else:
+            with pytest.raises(ValueError, match="8L separation condition"):
+                classify_separation(u, up, 0)
+    res = survey_separation_line(0)
     assert res.geometries == geometries
     assert res.class_counts == counts
 
