@@ -371,10 +371,21 @@ def test_line_survey_counts_are_pinned(L):
     assert res.empty == 0 and res.dimension == 1 and res.radius == L
 
 
-def test_plane_survey_counts_are_pinned():
-    res = survey_separation_plane(0)
-    assert res.geometries == 218
-    assert [res.class_counts[c] for c in (CS, A, B, C, D)] == [146, 161, 161, 161, 161]
+# Profile-pair and per-class counts (CS, A, B, C, D) of the plane survey.
+PLANE_SURVEY_COUNTS = {
+    0: (218, (146, 161, 161, 161, 161)),
+    1: (101929, (84885, 87423, 87423, 87423, 87423)),
+    2: (102203, (85159, 87697, 87697, 87697, 87697)),
+}
+
+
+@pytest.mark.parametrize("L", [0, 1, 2])
+def test_plane_survey_counts_are_pinned(L):
+    res = survey_separation_plane(L)
+    geometries, per_class = PLANE_SURVEY_COUNTS[L]
+    assert res.geometries == geometries
+    assert [res.class_counts[c] for c in (CS, A, B, C, D)] == list(per_class)
+    assert res.empty == 0 and res.dimension == 2 and res.radius == L
 
 
 def test_line_survey_counts_match_direct_scan_on_small_grid():
