@@ -17,9 +17,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -238,12 +238,12 @@ def classify_separation(
 #
 # Per axis, a geometry enters the classifier only through its threshold
 # profile: two bits for each of the six centre pairs (gap above 2L, gap at
-# least max(8L, 1)), and axes combine by OR-ing profiles.  Both surveys walk
-# the realisable profiles of the d=1 grid (one axis for the line, ordered
-# pairs for the plane), classify one witness per admissible combination with
-# classify_separation against the profile's predicted classes, and add its
-# weight: the profile's grid count on the line, one per profile pair on the
-# plane.
+# least max(8L, 1)), and axes combine by OR-ing profiles, so geometries with
+# one profile share their classes.  Both surveys walk the realisable profiles
+# of the d=1 grid (one axis for the line, ordered pairs for the plane),
+# classify one witness per combination with classify_separation, skip the
+# combinations it refuses as inadmissible, and add the weight of the rest:
+# the profile's grid count on the line, one per profile pair on the plane.
 # ---------------------------------------------------------------------------
 
 
@@ -263,11 +263,8 @@ class SeparationSurvey:
         return self.empty == 0
 
 
-# Grid geometries the line survey classifies directly besides the witnesses.
-_SPOT_CHECKS = 1000
-
-# A per-axis profile: packed code, witness (w, a, b) and weight.
-_Profile = tuple[int, tuple[int, int, int], int]
+# A per-axis profile: its witness (w, a, b) and weight.
+_Profile = tuple[tuple[int, int, int], int]
 
 
 def _profile_codes(w, a, b, L: int):
@@ -295,74 +292,45 @@ def _axis_profiles(L: int, side: int) -> list[_Profile]:
     """
     vals = np.arange(side) - side // 2
     codes = _profile_codes(vals[:, None, None], vals[None, :, None], vals[None, None, :], L)
-    uniq, first, counts = np.unique(codes.ravel(), return_index=True, return_counts=True)
+    _, first, counts = np.unique(codes.ravel(), return_index=True, return_counts=True)
     iw, ia, ib = np.unravel_index(first, codes.shape)
     return [
-        (code, (int(vals[i]), int(vals[j]), int(vals[k])), count)
-        for code, i, j, k, count in zip(uniq.tolist(), iw, ia, ib, counts.tolist())
+        ((int(vals[i]), int(vals[j]), int(vals[k])), count)
+        for i, j, k, count in zip(iw, ia, ib, counts.tolist())
     ]
-
-
-@lru_cache(maxsize=4**6)  # every packed six-pair profile
-def _predict_classes(profile: int) -> frozenset[SeparationClass] | None:
-    """Separation classes implied by a packed threshold profile, None if inadmissible.
-
-    Cubes of a pair are disjoint when the pair's gap exceeds 2L on some axis
-    (bit 0); centres are far when it reaches the admissibility threshold on
-    some axis (bit 1).  This route combines per-axis bits and never sees a
-    whole geometry's gaps, so it cross-checks `classify_separation`.
-    """
-    disjoint = [bool(profile >> (2 * k) & 1) for k in range(6)]
-    far = [bool(profile >> (2 * k) & 2) for k in range(6)]
-    if not ((far[_PAIR_U1Q1] or far[_PAIR_U2Q2]) and (far[_PAIR_U1Q2] or far[_PAIR_U2Q1])):
-        return None
-    return frozenset(c for c, pairs in _CLASS_PAIRS.items() if all(disjoint[k] for k in pairs))
-
-
-def _checked_classes(u: PairPoint, u_prime: PairPoint, L: int, predicted) -> frozenset:
-    """`classify_separation` of one geometry; raises if it differs from `predicted`."""
-    found = classify_separation(u, u_prime, L)
-    if found != predicted:
-        raise RuntimeError(
-            f"axis-profile prediction {predicted} disagrees with "
-            f"set-based classification {found} at u={u}, u'={u_prime}, L={L}"
-        )
-    return found
 
 
 def _survey(L: int, axes: list[list[_Profile]]) -> SeparationSurvey:
     """Weighted classification of every admissible combination of axis profiles.
 
-    `axes` holds one list of (profile, witness, weight) per lattice axis.  A
-    combination's profile is the OR of its axes' profiles, its witness puts
-    each axis's witness on that axis, and its weight is the product.
+    `axes` holds one list of (witness, weight) per lattice axis.  A
+    combination's witness puts each axis's witness on that axis, and its
+    weight is the product.  Combinations whose witness `classify_separation`
+    refuses fail the 8L condition and are left out.
     """
     d = len(axes)
-    counts: dict[SeparationClass, int] = {c: 0 for c in SeparationClass}
-    geometries = 0
-    empty = 0
+    weights_by_classes: Counter[frozenset[SeparationClass]] = Counter()
     empty_examples: list[tuple[PairPoint, PairPoint]] = []
     for combo in itertools.product(*axes):
-        predicted = _predict_classes(reduce(operator.or_, (c[0] for c in combo)))
-        if predicted is None:
-            continue
-        w, a, b = zip(*(c[1] for c in combo))
+        witnesses, weights = zip(*combo)
+        w, a, b = zip(*witnesses)
         u, u_prime = PairPoint((0,) * d, w), PairPoint(a, b)
-        found = _checked_classes(u, u_prime, L, predicted)
-        weight = math.prod(c[2] for c in combo)
-        geometries += weight
-        for c in found:
-            counts[c] += weight
-        if not found:
-            empty += weight
-            if len(empty_examples) < 5:
-                empty_examples.append((u, u_prime))
+        try:
+            found = classify_separation(u, u_prime, L)
+        except ValueError:
+            continue
+        weights_by_classes[found] += math.prod(weights)
+        if not found and len(empty_examples) < 5:
+            empty_examples.append((u, u_prime))
     return SeparationSurvey(
         dimension=d,
         radius=L,
-        geometries=geometries,
-        empty=empty,
-        class_counts=counts,
+        geometries=sum(weights_by_classes.values()),
+        empty=weights_by_classes[frozenset()],
+        class_counts={
+            c: sum(n for found, n in weights_by_classes.items() if c in found)
+            for c in SeparationClass
+        },
         empty_examples=empty_examples,
     )
 
@@ -373,26 +341,13 @@ def survey_separation_line(L: int) -> SeparationSurvey:
     Fixes the first particle of the first centre at the origin (classification
     is translation invariant) and covers the remaining three coordinates over
     a centred grid of side 40L+20, wide enough to realise every geometry
-    class (see the gap-compression note above).  Counts are
-    per grid geometry, gathered profile by profile; a strided sample of grid
-    geometries is also classified directly, and any disagreement with the
-    profile prediction raises.
+    class (see the gap-compression note above).  Counts are per grid
+    geometry: each profile's witness is classified with classify_separation
+    and stands for every grid geometry with that profile.
     """
     if L < 0:
         raise ValueError("radius must be nonnegative")
-    side = 40 * L + 20
-    survey = _survey(L, [_axis_profiles(L, side)])
-    stride = max(1, side**3 // _SPOT_CHECKS)
-    while math.gcd(stride, side) > 1:  # so the sample reaches every b column
-        stride += 1
-    sample = np.unravel_index(np.arange(0, side**3, stride), (side,) * 3)
-    w, a, b = (i - side // 2 for i in sample)
-    codes = _profile_codes(w, a, b, L).tolist()
-    for code, wi, ai, bi in zip(codes, w.tolist(), a.tolist(), b.tolist()):
-        predicted = _predict_classes(code)
-        if predicted is not None:
-            _checked_classes(PairPoint((0,), (wi,)), PairPoint((ai,), (bi,)), L, predicted)
-    return survey
+    return _survey(L, [_axis_profiles(L, 40 * L + 20)])
 
 
 def survey_separation_plane(L: int) -> SeparationSurvey:
@@ -400,12 +355,12 @@ def survey_separation_plane(L: int) -> SeparationSurvey:
 
     The two axes are independent, so the survey walks every ordered pair of
     realisable per-axis profiles (from the d=1 grid scan) and classifies a
-    witness geometry with those profiles as its x and y axes directly,
-    raising if the profile prediction disagrees.  Each profile pair counts
-    once.  Coverage is exact for all of Z^2, not just a finite grid, by the
-    gap-compression argument above.
+    witness geometry with those profiles as its x and y axes with
+    classify_separation.  Each profile pair counts once.  Coverage is exact
+    for all of Z^2, not just a finite grid, by the gap-compression argument
+    above.
     """
     if L < 0:
         raise ValueError("radius must be nonnegative")
-    axis = [(code, witness, 1) for code, witness, _ in _axis_profiles(L, 40 * L + 20)]
+    axis = [(witness, 1) for witness, _ in _axis_profiles(L, 40 * L + 20)]
     return _survey(L, [axis, axis])

@@ -1,5 +1,6 @@
 """Geometry layer: pair points, boxes, projection sites, separation classes."""
 
+import functools
 import itertools
 
 import pytest
@@ -407,27 +408,70 @@ def test_line_survey_counts_match_direct_scan_on_small_grid():
     assert res.class_counts == counts
 
 
-def test_line_survey_spot_check_catches_a_non_witness_disagreement(monkeypatch):
-    # A classifier that is wrong only away from the profile witnesses passes
-    # the witness checks; the strided set-based sample must still catch it.
-    witnesses = {(0, w, a, b) for _, (w, a, b), _ in lattice._axis_profiles(1, 60)}
-    honest = lattice.classify_separation
-
-    def wrong_off_witness(u, u_prime, L):
-        found = honest(u, u_prime, L)
-        if u.first + u.second + u_prime.first + u_prime.second in witnesses:
-            return found
-        return found - {CS}
-
-    monkeypatch.setattr(lattice, "classify_separation", wrong_off_witness)
-    with pytest.raises(RuntimeError, match="disagrees"):
-        survey_separation_line(1)
+def _classes_or_refusal(u, u_prime, L):
+    try:
+        return classify_separation(u, u_prime, L)
+    except ValueError:
+        return "refused"
 
 
-def test_surveys_raise_when_classifier_and_profiles_disagree(monkeypatch):
-    honest = lattice.classify_separation
-    monkeypatch.setattr(
-        lattice, "classify_separation", lambda u, up, L: honest(u, up, L) | {CS}
+def _geometry(axes):
+    """u = (0, w), u' = (a, b) with one (w, a, b) per axis."""
+    w, a, b = zip(*axes)
+    return PairPoint((0,) * len(axes), w), PairPoint(a, b)
+
+
+@functools.lru_cache
+def _witness_by_profile(L):
+    return {
+        int(lattice._profile_codes(*witness, L)): witness
+        for witness, _ in lattice._axis_profiles(L, 40 * L + 20)
+    }
+
+
+@pytest.mark.parametrize("dim, L", [(1, 1), (2, 0), (2, 1)])
+@given(data=st.data())
+@settings(max_examples=150)
+def test_geometry_classifies_as_its_profile_witness(dim, L, data):
+    # The surveys' premise: a geometry's classes, or its refusal, depend only
+    # on its per-axis threshold profiles, so one witness stands for them all.
+    side = 40 * L + 20
+    axis = st.tuples(*[st.integers(-(side // 2), side - side // 2 - 1)] * 3)
+    axes = data.draw(st.lists(axis, min_size=dim, max_size=dim))
+    witnesses = [_witness_by_profile(L)[int(lattice._profile_codes(*g, L))] for g in axes]
+    assert _classes_or_refusal(*_geometry(axes), L) == _classes_or_refusal(
+        *_geometry(witnesses), L
     )
-    with pytest.raises(RuntimeError, match="disagrees"):
-        survey_separation_plane(0)
+
+
+@pytest.mark.parametrize("emptied", ["first three", "completely separated"])
+def test_line_survey_reports_witnesses_without_classes(monkeypatch, emptied):
+    honest = lattice.classify_separation
+    admissible = []
+    for witness, weight in lattice._axis_profiles(1, 60):
+        u, up = _geometry([witness])
+        if distance_condition(u, up, 1):
+            admissible.append((u, up, weight))
+    if emptied == "first three":
+        chosen = admissible[:3]
+    else:
+        chosen = [g for g in admissible if CS in honest(g[0], g[1], 1)]
+    keys = {(u, up) for u, up, _ in chosen}
+    monkeypatch.setattr(
+        lattice,
+        "classify_separation",
+        lambda u, up, L: frozenset() if (u, up) in keys else honest(u, up, L),
+    )
+    res = survey_separation_line(1)
+    assert res.empty == sum(weight for _, _, weight in chosen) > 0
+    assert res.empty_examples == [(u, up) for u, up, _ in chosen[:5]]
+    assert not res.all_classified
+    assert res.geometries == LINE_SURVEY_COUNTS[1][0]
+    if emptied == "completely separated":
+        assert res.empty == LINE_SURVEY_COUNTS[1][1][0] and res.class_counts[CS] == 0
+
+
+@pytest.mark.parametrize("survey", [survey_separation_line, survey_separation_plane])
+def test_surveys_refuse_a_negative_radius(survey):
+    with pytest.raises(ValueError, match="nonnegative"):
+        survey(-1)
