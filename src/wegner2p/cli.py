@@ -1,11 +1,11 @@
 """Command line front end.
 
 Subcommands read a JSON config file, run one library operation, and write a
-report to stdout or --out as JSON (the whole report, byte-stable, strict: a
-non-finite number is an error) or CSV (the tabular core of the same report).
-Each subcommand's handler takes the loaded config and the parsed arguments
-and returns its report and whether its check or bound held; `main` loads the
-config, writes the report and picks the exit code.
+report to stdout or --out as JSON (byte-stable and strict: a non-finite
+number is an error).  Each subcommand's handler takes the loaded config and
+the parsed arguments and returns its report as a dict and whether its check
+or bound held; `main` loads the config, writes the report and picks the exit
+code.
 Exit codes: 0 when the requested check or bound holds (or the command is
 purely informational), 2 when a bound or check is violated beyond statistical
 slack, 1 for usage, config, or I/O errors.
@@ -17,19 +17,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
 
 from ._version import __version__
-from .experiments import (
-    ExperimentConfig,
-    RoundRecord,
-    choose_bound,
-    run_single_volume,
-    run_two_volume,
-)
+from .experiments import ExperimentConfig, choose_bound, run_single_volume, run_two_volume
 from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _check_keys, _pair, one_blas_thread
 from .lattice import classify_separation, projection_sites
 from .potential import DistributionSpec, RngStream, _integer, _malformed, sample_field
@@ -84,45 +78,13 @@ def _load_config(path: str, seed: int | None = None) -> dict:
     return data
 
 
-def _csv_lines(payload: dict) -> list[str]:
-    kind = payload.get("kind")
-    if kind == "two_volume":
-        cols = [f.name for f in fields(RoundRecord)]
-        lines = [",".join(cols)]
-        for r in payload["rounds"]:
-            lines.append(",".join(str(r[c]) for c in cols))
-        return lines
-    if kind == "spectrum":
-        lines = ["index,eigenvalue"]
-        for i, v in enumerate(payload["eigenvalues"]):
-            lines.append(f"{i},{v!r}")
-        return lines
-    if kind == "geometry":
-        return ["separation_class"] + list(payload["separation_classes"])
-    # flat field,value table for the remaining report kinds
-    lines = ["field,value"]
-    for k, v in payload.items():
-        if isinstance(v, (dict, list)):
-            continue
-        lines.append(f"{k},{v}")
-    return lines
+def write_report(report: dict, out: str | None) -> None:
+    """Write a report as JSON with a trailing newline to `out` or stdout.
 
-
-def write_report(report, fmt: str, out: str | None) -> None:
-    """Serialise a report (object with to_dict, or a plain dict) and write it.
-
-    JSON output is the full report with a trailing newline; identical reports
-    serialise to identical bytes.  A NaN or infinity has no JSON form, so it
-    raises ValueError before anything is written.  CSV output carries the
-    tabular core only.
+    Identical reports serialise to identical bytes.  A NaN or infinity has no
+    JSON form, so it raises ValueError before anything is written.
     """
-    payload = report.to_dict() if hasattr(report, "to_dict") else report
-    if fmt == "json":
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    elif fmt == "csv":
-        text = "\n".join(_csv_lines(payload)) + "\n"
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -133,7 +95,7 @@ def write_report(report, fmt: str, out: str | None) -> None:
 def _cmd_experiment(data: dict, args):
     run = run_two_volume if args.command == "wegner-two" else run_single_volume
     report = run(ExperimentConfig.from_dict(data, args.threads))
-    return report, report.verdict == "holds"
+    return report.to_dict(), report.verdict == "holds"
 
 
 def _cmd_geometry_classify(data: dict, args):
@@ -178,7 +140,7 @@ def _sampled(
     spec = HamiltonianSpec.from_dict(data, what, extra | seeded, required | seeded)
     dist = DistributionSpec.from_dict(data["dist"])
     with _malformed(what):
-        rng = RngStream(_integer(data["master_seed"], "master_seed"), 0)
+        rng = RngStream(data["master_seed"], 0)
     return spec, sample_field(projection_sites(spec.box), dist, rng)
 
 
@@ -246,7 +208,7 @@ def _cmd_stollmann_check(data: dict, args):
             if "trials" not in data or "master_seed" not in data:
                 raise ValueError("mc mode needs trials and master_seed")
             trials = _integer(data["trials"], "trials")
-            rng = RngStream(_integer(data["master_seed"], "master_seed"), 0)
+            rng = RngStream(data["master_seed"], 0)
         elif mode != "exact":
             raise ValueError(f"unknown mode {mode!r}; pick exact or mc")
         elif "trials" in data or "master_seed" in data:
@@ -282,7 +244,7 @@ def _cmd_dm_check(data: dict, args):
         with _malformed("dm function"):
             domain = (float(domain[0]), float(domain[1]))
             samples = _integer(data["samples"], "samples")
-            rng = RngStream(_integer(data["master_seed"], "master_seed"), 0)
+            rng = RngStream(data["master_seed"], 0)
             tolerance = float(data.get("tolerance", 1e-12))
         report = check_dm_function(f, domain, samples, rng, tolerance=tolerance)
     elif target == "eigenvalues":
@@ -291,7 +253,7 @@ def _cmd_dm_check(data: dict, args):
         )
         with _malformed("dm eigenvalue"):
             trials = _integer(data["trials"], "trials")
-            rng = RngStream(_integer(data["master_seed"], "master_seed"), 1)
+            rng = RngStream(data["master_seed"], 1)
             tolerance = float(data.get("tolerance", 1e-9))
         report = verify_dm_eigenvalues(spec, site_values, trials, rng, tolerance=tolerance)
     else:
@@ -324,7 +286,6 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
         p.set_defaults(handler=handler)
@@ -358,7 +319,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     try:
         report, ok = args.handler(_load_config(args.config, getattr(args, "seed", None)), args)
-        write_report(report, args.format, args.out)
+        write_report(report, out=args.out)
         return 0 if ok else 2
     except (_UsageError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -57,6 +57,14 @@ class PairPoint(NamedTuple):
         return PairPoint(a, b)
 
 
+def _radius(value) -> int:
+    """`value` as a nonnegative int (see potential._integer)."""
+    radius = _integer(value, "radius")
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    return radius
+
+
 def _check_same_dimension(a: PairPoint, b: PairPoint) -> None:
     dims = {len(a.first), len(a.second), len(b.first), len(b.second)}
     if len(dims) != 1:
@@ -86,8 +94,7 @@ def distance_condition(u: PairPoint, u_prime: PairPoint, radius: int) -> bool:
     zero only demands that the centres differ as swap orbits, without which
     single-point boxes can coincide and no separation class can hold.
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    radius = _radius(radius)
     _check_same_dimension(u, u_prime)
     direct = sup_norm_pair(u, u_prime)
     swapped = sup_norm_pair(apply_symmetry(u), u_prime)
@@ -107,8 +114,7 @@ class BoxSpec:
     radius: int
 
     def __post_init__(self) -> None:
-        if self.radius < 0:
-            raise ValueError("box radius must be nonnegative")
+        object.__setattr__(self, "radius", _radius(self.radius))
         if len(self.center.first) != len(self.center.second):
             raise ValueError("box centre components disagree in dimension")
         if max(abs(c) for c in self.center.first + self.center.second) + self.radius >= 2**62:
@@ -209,8 +215,7 @@ def classify_separation(
     when their centres' gap exceeds 2L.  An empty answer would contradict
     the separation dichotomy, and downstream code treats it as a hard failure.
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    radius = _radius(radius)
     _check_same_dimension(u, u_prime)
     centre_pairs = itertools.combinations(u + u_prime, 2)
     gaps = [max(map(abs, map(operator.sub, a, b))) for a, b in centre_pairs]
@@ -345,8 +350,7 @@ def survey_separation_line(L: int) -> SeparationSurvey:
     geometry: each profile's witness is classified with classify_separation
     and stands for every grid geometry with that profile.
     """
-    if L < 0:
-        raise ValueError("radius must be nonnegative")
+    L = _radius(L)
     return _survey(L, [_axis_profiles(L, 40 * L + 20)])
 
 
@@ -360,7 +364,6 @@ def survey_separation_plane(L: int) -> SeparationSurvey:
     for all of Z^2, not just a finite grid, by the gap-compression argument
     above.
     """
-    if L < 0:
-        raise ValueError("radius must be nonnegative")
+    L = _radius(L)
     axis = [(witness, 1) for witness, _ in _axis_profiles(L, 40 * L + 20)]
     return _survey(L, [axis, axis])

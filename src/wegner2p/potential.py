@@ -214,7 +214,9 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.master_seed) < 2**64:
+        object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed"))
+        object.__setattr__(self, "stream_index", _integer(self.stream_index, "stream_index"))
+        if not 0 <= self.master_seed < 2**64:
             raise ValueError("master seed must fit in an unsigned 64-bit integer")
         if self.stream_index < 0:
             raise ValueError("stream index must be nonnegative")

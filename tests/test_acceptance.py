@@ -311,3 +311,45 @@ def test_criterion_8_known_tensor_sum_spectrum():
     want = np.sort((lam[:, None] + lam[None, :]).ravel())
     worst = float(np.max(np.abs(got - want)))
     outcome(8, worst <= 1e-10, f"9 eigenvalues match the pairwise sums within {worst:.2e}")
+
+
+def test_criterion_9_ceiling_nearly_binds():
+    """Verdicts hold where the eps/g ceiling is attained or nearly so.
+
+    d=1, U(0,1), eps = 1e-3 g, E = g.  At L=0 the box is one point and the
+    exact hit probability is known: eps/g at centre (0,0), equal to the
+    ceiling, and 2eps/g - (eps/g)^2 at centre (0,1), against 2eps/g.  At
+    g=20 and L=1, 2 the slack of the ceiling is about 2x and 3x.
+    """
+    cells = (  # radius, centre, coupling, exact probability or None
+        (0, [[0], [0]], 1.0, 1e-3),
+        (0, [[0], [1]], 1.0, 2e-3 - 1e-6),
+        (1, [[0], [0]], 20.0, None),
+        (2, [[0], [0]], 20.0, None),
+    )
+    trials = 100_000
+    failures = []
+    for i, (radius, center, coupling, exact) in enumerate(cells):
+        data = {
+            "dimension": 1,
+            "radius": radius,
+            "center": center,
+            "dist": UNIFORM01,
+            "energy": coupling,
+            "epsilon": 1e-3 * coupling,
+            "trials": trials,
+            "master_seed": 9000 + i,
+            "coupling": coupling,
+            "bound_mode": "eps_over_g",
+        }
+        report = run_single_volume(ExperimentConfig.from_dict(data, threads=4))
+        p_hat = report.empirical_probability
+        off = exact is not None and abs(p_hat - exact) > 4 * np.sqrt(exact * (1 - exact) / trials)
+        if report.verdict != "holds" or off:
+            failures.append((radius, center, coupling, p_hat, report.analytic_bound, report.verdict))
+    outcome(
+        9,
+        not failures,
+        "4 cells x 100000 trials under eps_over_g, L=0 estimates match the exact "
+        "probability and every verdict holds" + (f"; failures: {failures}" if failures else ""),
+    )

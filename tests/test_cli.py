@@ -158,6 +158,14 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, com
     assert f"error: unrecognized arguments: {flag} {value}" in err
 
 
+def test_format_is_an_unknown_option(tmp_path, capsys):
+    # JSON is the only report format; --format csv is a usage error
+    cfg = write_config(tmp_path, "w.json", SINGLE_CFG)
+    code, out, err = run_cli(capsys, "wegner-single", "--config", cfg, "--format", "csv")
+    assert (code, out) == (1, "")
+    assert "error: unrecognized arguments: --format csv" in err
+
+
 def test_version_and_help(capsys):
     assert run_cli(capsys, "--version")[0] == 0
     assert run_cli(capsys, "--help")[0] == 0
@@ -184,17 +192,6 @@ def test_geometry_classify_json(tmp_path, capsys):
         "second_particle2_isolated",
     ]
     assert payload["bound_choice"] == "condition_on_second"
-
-
-def test_geometry_classify_csv(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        "g.json",
-        {"dimension": 1, "radius": 1, "center": [[0], [0]], "center_prime": [[100], [100]]},
-    )
-    code, out, _ = run_cli(capsys, "geometry-classify", "--config", cfg, "--format", "csv")
-    assert code == 0
-    assert out.splitlines() == ["separation_class", "completely_separated"]
 
 
 def test_geometry_classify_decides_huge_cubes_from_their_centres(tmp_path):
@@ -274,20 +271,6 @@ def test_spectrum_matches_matrix(tmp_path, capsys):
     assert np.all(diffs >= 0)
 
 
-def test_spectrum_csv_rows(tmp_path, capsys):
-    # one index,eigenvalue row per eigenvalue, each the JSON report's value
-    cfg = write_config(tmp_path, "h.json", HAM_CFG)
-    code, out, _ = run_cli(capsys, "spectrum", "--config", cfg)
-    assert code == 0
-    eigenvalues = strict_loads(out)["eigenvalues"]
-    code, out, _ = run_cli(capsys, "spectrum", "--config", cfg, "--format", "csv")
-    assert code == 0
-    rows = out.splitlines()
-    assert rows[0] == "index,eigenvalue"
-    assert rows[1:] == [f"{i},{v!r}" for i, v in enumerate(eigenvalues)]
-    assert len(rows) == 1 + 9
-
-
 def test_interaction_cutoff_beyond_dimension_needs_r_max(tmp_path, capsys):
     # an entry at distance 2 exceeds the d=1 default cutoff unless r_max says so
     bad = {**HAM_CFG, "interaction": {"entries": [[2, 0.5]]}}
@@ -336,18 +319,6 @@ def test_wegner_single_seed_override(tmp_path, capsys):
         ExperimentConfig.from_dict({**SINGLE_CFG, "master_seed": 99})
     )
     assert {k: payload[k] for k in DIST_KEYS} == {k: getattr(report, k) for k in DIST_KEYS}
-
-
-def test_wegner_single_csv(tmp_path, capsys):
-    cfg = write_config(tmp_path, "w.json", SINGLE_CFG)
-    code, out, _ = run_cli(capsys, "wegner-single", "--config", cfg, "--format", "csv")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "field,value"
-    rows = dict(line.split(",", 1) for line in lines[1:])
-    report = run_single_volume(ExperimentConfig.from_dict(SINGLE_CFG))
-    assert rows["hits"] == str(report.hits)
-    assert rows["dist_digest"] == report.dist_digest
 
 
 def test_wegner_single_out_file_and_threads_identical(tmp_path, capsys):
@@ -416,19 +387,6 @@ def test_wegner_two_json_report(tmp_path, capsys):
     assert payload["bound_choice"] == "condition_on_second"
     assert len(payload["rounds"]) == 2
     assert payload["verdict"] == "holds"
-
-
-def test_wegner_two_csv_rows(tmp_path, capsys):
-    cfg = write_config(tmp_path, "w2.json", TWO_CFG)
-    code, out, _ = run_cli(capsys, "wegner-two", "--config", cfg, "--format", "csv")
-    assert code == 0
-    rows = out.splitlines()
-    assert len(rows) == 3  # header plus one row per round
-    assert rows[0] == (
-        "round_index,frozen_digest,trials,hits,empirical_probability,"
-        "std_error,verdict,dist_min,dist_mean,dist_max,dist_digest"
-    )
-    assert all(len(row.split(",")) == 11 for row in rows)
 
 
 def test_wegner_two_rejects_single_volume_config(tmp_path, capsys):
@@ -666,7 +624,7 @@ def test_non_finite_report_is_refused_and_writes_nothing(tmp_path):
     report = check_dm_function(nan_everywhere, (0.0, 1.0), 100, RngStream(0, 0))
     out = tmp_path / "dm.json"
     with pytest.raises(ValueError):
-        cli.write_report({"kind": "dm_check", **asdict(report)}, "json", str(out))
+        cli.write_report({"kind": "dm_check", **asdict(report)}, out=str(out))
     assert not out.exists()
 
 

@@ -2,7 +2,9 @@
 
 import functools
 import itertools
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -268,20 +270,11 @@ def test_classification_translation_invariant(geom, t):
 
     def move(p):
         return PairPoint(
-            tuple(c + s for c, s in zip(p.first, shift * u.dimension)),
-            tuple(c + s for c, s in zip(p.second, shift * u.dimension)),
+            tuple(c + s for c, s in zip(p.first, shift)),
+            tuple(c + s for c, s in zip(p.second, shift)),
         )
 
-    tr = tuple(t[0] for _ in range(u.dimension))
-    moved_u = PairPoint(
-        tuple(c + x for c, x in zip(u.first, tr)),
-        tuple(c + x for c, x in zip(u.second, tr)),
-    )
-    moved_up = PairPoint(
-        tuple(c + x for c, x in zip(up.first, tr)),
-        tuple(c + x for c, x in zip(up.second, tr)),
-    )
-    assert classify_separation(moved_u, moved_up, L) == classify_separation(u, up, L)
+    assert classify_separation(move(u), move(up), L) == classify_separation(u, up, L)
 
 
 SWAP_FIRST = {CS: CS, A: B, B: A, C: C, D: D}
@@ -475,3 +468,30 @@ def test_line_survey_reports_witnesses_without_classes(monkeypatch, emptied):
 def test_surveys_refuse_a_negative_radius(survey):
     with pytest.raises(ValueError, match="nonnegative"):
         survey(-1)
+
+
+U0, U_FAR = PairPoint.of((0,), (0,)), PairPoint.of((100,), (100,))
+RADIUS_ENTRY_POINTS = {
+    "make_box": lambda L: make_box(U0, L),
+    "distance_condition": lambda L: distance_condition(U0, U_FAR, L),
+    "classify_separation": lambda L: classify_separation(U0, U_FAR, L),
+    "survey_separation_line": survey_separation_line,
+    "survey_separation_plane": survey_separation_plane,
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "2"], ids=repr)
+@pytest.mark.parametrize("entry", RADIUS_ENTRY_POINTS.values(), ids=RADIUS_ENTRY_POINTS)
+def test_radius_must_be_an_integer(entry, bad):
+    with pytest.raises(ValueError, match=f"^radius must be an integer, got {re.escape(repr(bad))}$"):
+        entry(bad)
+
+
+@pytest.mark.parametrize("entry", RADIUS_ENTRY_POINTS.values(), ids=RADIUS_ENTRY_POINTS)
+def test_radius_takes_numpy_integers(entry):
+    assert entry(np.int64(0)) == entry(0)
+
+
+def test_box_stores_its_radius_as_an_int():
+    box = make_box(U0, np.uint8(1))
+    assert type(box.radius) is int and box.size == 9

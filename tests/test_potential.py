@@ -180,6 +180,20 @@ def test_stream_validation():
         RngStream(0, -1)
 
 
+@pytest.mark.parametrize("bad", [7.9, True, "2"], ids=repr)
+@pytest.mark.parametrize("field", ["master_seed", "stream_index"])
+def test_stream_takes_integers_only(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        RngStream(**{"master_seed": 1, "stream_index": 0, field: bad})
+
+
+def test_stream_stores_numpy_integers_as_ints():
+    stream = RngStream(np.uint64(7), np.int32(3))
+    assert stream == RngStream(7, 3)
+    assert type(stream.master_seed) is int and type(stream.stream_index) is int
+    assert np.array_equal(stream.generator().random(4), RngStream(7, 3).generator().random(4))
+
+
 def test_draw_values_ranges():
     gen = RngStream(5, 0).generator()
     u = draw_values(DistributionSpec.uniform(2.0, 3.0), gen, 1000)
