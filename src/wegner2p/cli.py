@@ -26,7 +26,7 @@ from ._version import __version__
 from .experiments import ExperimentConfig, choose_bound, run_single_volume, run_two_volume
 from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _check_keys, _pair, one_blas_thread
 from .lattice import classify_separation, projection_sites
-from .potential import DistributionSpec, RngStream, _integer, _malformed, sample_field
+from .potential import DistributionSpec, RngStream, _integer, _malformed, _real, sample_field
 from .spectral import verify_dm_eigenvalues
 from .stollmann import (
     DMFunctionSpec,
@@ -60,15 +60,27 @@ def _finite(literal: str) -> float:
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    data: dict = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"config repeats the key {key!r}")
+        data[key] = value
+    return data
+
+
 def _load_config(path: str, seed: int | None = None) -> dict:
     """The JSON object at `path`, with `master_seed` overridden by `seed`.
 
     Strict JSON only: NaN, Infinity and literals that overflow a float, such
-    as 1e400, are refused before any work starts.
+    as 1e400, are refused before any work starts, and so is an object that
+    repeats a key, at any depth.
     """
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh, parse_constant=_finite, parse_float=_finite)
+            data = json.load(
+                fh, parse_constant=_finite, parse_float=_finite, object_pairs_hook=_unique_keys
+            )
         except json.JSONDecodeError as err:
             raise ValueError(f"config is not valid JSON: {err}") from None
     if not isinstance(data, dict):
@@ -173,7 +185,7 @@ def _function_from_config(data: Mapping) -> DMFunctionSpec:
         raise ValueError(f"unknown function form {form!r}")
     _check_keys(data, allowed=allowed_by_form[form], required={"form"}, what=f"{form} function")
     if form == "linear":
-        return positive_linear([float(c) for c in data["coeffs"]])
+        return positive_linear(data["coeffs"])
     arity = _integer(data["arity"], "arity")
     if form == "sum":
         return coordinate_sum(arity)
@@ -181,12 +193,7 @@ def _function_from_config(data: Mapping) -> DMFunctionSpec:
         return coordinate_max(arity)
     if form == "coordinate":
         return single_coordinate(arity, _integer(data.get("index", 0), "index"))
-    shifts = data.get("shifts")
-    return order_statistic(
-        arity,
-        _integer(data["k"], "k"),
-        None if shifts is None else [float(s) for s in shifts],
-    )
+    return order_statistic(arity, _integer(data["k"], "k"), data.get("shifts"))
 
 
 def _cmd_stollmann_check(data: dict, args):
@@ -203,7 +210,7 @@ def _cmd_stollmann_check(data: dict, args):
         raise ValueError("interval must be [lower, upper]")
     mode = data.get("mode", "exact")
     with _malformed("stollmann"):
-        interval = IntervalSpec(lower=float(raw_interval[0]), upper=float(raw_interval[1]))
+        interval = IntervalSpec(*(_real(x, "interval") for x in raw_interval))
         if mode == "mc":
             if "trials" not in data or "master_seed" not in data:
                 raise ValueError("mc mode needs trials and master_seed")
@@ -242,10 +249,9 @@ def _cmd_dm_check(data: dict, args):
         if not isinstance(domain, (list, tuple)) or len(domain) != 2:
             raise ValueError("domain must be [lo, hi]")
         with _malformed("dm function"):
-            domain = (float(domain[0]), float(domain[1]))
             samples = _integer(data["samples"], "samples")
             rng = RngStream(data["master_seed"], 0)
-            tolerance = float(data.get("tolerance", 1e-12))
+            tolerance = _real(data.get("tolerance", 1e-12), "tolerance")
         report = check_dm_function(f, domain, samples, rng, tolerance=tolerance)
     elif target == "eigenvalues":
         spec, site_values = _sampled(
@@ -254,7 +260,7 @@ def _cmd_dm_check(data: dict, args):
         with _malformed("dm eigenvalue"):
             trials = _integer(data["trials"], "trials")
             rng = RngStream(data["master_seed"], 1)
-            tolerance = float(data.get("tolerance", 1e-9))
+            tolerance = _real(data.get("tolerance", 1e-9), "tolerance")
         report = verify_dm_eigenvalues(spec, site_values, trials, rng, tolerance=tolerance)
     else:
         raise ValueError(f"unknown dm-check target {target!r}")

@@ -68,7 +68,7 @@ from .lattice import (
     make_box,
     projection_sites,
 )
-from .potential import DistributionSpec, RngStream, _integer, _malformed, concentration
+from .potential import DistributionSpec, RngStream, _integer, _malformed, _real, concentration
 from .potential import draw_values, sample_field
 from .spectral import min_gaps_to_sorted
 from .stollmann import binomial_verdict
@@ -255,8 +255,8 @@ class ExperimentConfig:
                     _pair(data["center_prime"], "center_prime") if "center_prime" in data else None
                 ),
                 dist=DistributionSpec.from_dict(data["dist"]),
-                energy=float(data["energy"]) if "energy" in data else None,
-                epsilon=float(data["epsilon"]),
+                energy=_real(data["energy"], "energy") if "energy" in data else None,
+                epsilon=_real(data["epsilon"], "epsilon"),
                 trials=data["trials"],
                 conditioning_rounds=(
                     _integer(data["conditioning_rounds"], "conditioning_rounds")

@@ -27,7 +27,7 @@ from typing import AbstractSet, Iterator, Mapping
 import numpy as np
 
 from .lattice import BoxSpec, PairPoint, Site, _site_positions, make_box, projection_sites
-from .potential import _integer, _malformed
+from .potential import _integer, _malformed, _real
 
 _HOPPING_NORMS = ("sup", "l1")
 
@@ -117,7 +117,7 @@ class InteractionSpec:
         clean: dict[int, float] = {}
         for r, v in self.table.items():
             r = _integer(r, "interaction distance")
-            v = float(v)
+            v = _real(v, "interaction energy")
             if r < 0:
                 raise ValueError("interaction distances must be nonnegative")
             if not math.isfinite(v):
@@ -160,7 +160,7 @@ class InteractionSpec:
             r = _integer(r, "interaction distance")
             if r in table:
                 raise ValueError(f"interaction lists distance {r} twice")
-            table[r] = float(v)
+            table[r] = _real(v, "interaction energy")
         if "r_max" in data:
             r_max = _integer(data["r_max"], "r_max")
         else:
@@ -242,7 +242,7 @@ class HamiltonianSpec:
                 interaction=InteractionSpec.from_dict(
                     data.get("interaction", {"entries": []}), default_r_max=dimension
                 ),
-                coupling=float(data.get("coupling", 1.0)),
+                coupling=_real(data.get("coupling", 1.0), "coupling"),
                 hopping_norm=data.get("hopping_norm", "sup"),
             )
 

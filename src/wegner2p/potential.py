@@ -10,22 +10,23 @@ substreams so that a trial is a pure function of (master seed, stream index).
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-_KINDS = ("uniform", "gaussian", "bernoulli", "discrete")
+_KINDS = ("uniform", "gaussian", "discrete")
 
 
 @contextmanager
 def _malformed(what: str):
     """Turn a wrongly typed config value into a ValueError naming `what`.
 
-    Config parsers convert with int() and float() and test keys with `in`;
-    a null or a list in the wrong place makes those raise TypeError, which
-    this reports like any other bad value.  Usable as a decorator too.
+    Config parsers index, unpack and iterate config values and test keys
+    with `in`; a null or a number in the wrong place makes those raise
+    TypeError, which this reports like any other bad value.  Usable as a
+    decorator too.
     """
     try:
         yield
@@ -44,15 +45,26 @@ def _integer(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _real(value, what: str) -> float:
+    """`value` as a float: an int, a float or a numpy integer or float.  A
+    boolean, a string, an int too large for a float or anything else raises
+    ValueError naming `what`."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        with suppress(OverflowError):
+            return float(value)
+    raise ValueError(f"{what} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """A single-site law.  Only the fields for the given kind are meaningful.
 
     uniform    lo, hi              flat on [lo, hi), lo < hi
     gaussian   mean, sigma         normal, sigma > 0
-    bernoulli  p, values           values[1] with probability p, else values[0]
     discrete   atoms               ((value, prob), ...), probs summing to 1
 
+    `discrete` is the one atomic law: a two-valued law that takes b with
+    probability p and a otherwise is discrete(((a, 1 - p), (b, p))).
     Parameters are checked once, at construction, and discrete atoms are
     sorted by value with duplicates merged; nonsense raises ValueError.
     """
@@ -62,8 +74,6 @@ class DistributionSpec:
     hi: float = 1.0
     mean: float = 0.0
     sigma: float = 1.0
-    p: float = 0.5
-    values: tuple[float, float] = (0.0, 1.0)
     atoms: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
@@ -81,11 +91,6 @@ class DistributionSpec:
                 raise ValueError("gaussian parameters must be finite")
             if self.sigma <= 0:
                 raise ValueError("gaussian law needs sigma > 0")
-        elif self.kind == "bernoulli":
-            if not 0.0 <= self.p <= 1.0:
-                raise ValueError("bernoulli weight must lie in [0, 1]")
-            if len(self.values) != 2 or not all(math.isfinite(v) for v in self.values):
-                raise ValueError("bernoulli needs two finite outcome values")
         else:
             if not self.atoms:
                 raise ValueError("discrete law needs at least one atom")
@@ -103,31 +108,26 @@ class DistributionSpec:
 
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "DistributionSpec":
-        return cls(kind="uniform", lo=float(lo), hi=float(hi))
+        return cls(kind="uniform", lo=_real(lo, "lo"), hi=_real(hi, "hi"))
 
     @classmethod
     def gaussian(cls, mean: float, sigma: float) -> "DistributionSpec":
-        return cls(kind="gaussian", mean=float(mean), sigma=float(sigma))
-
-    @classmethod
-    def bernoulli(
-        cls, p: float, values: tuple[float, float] = (0.0, 1.0)
-    ) -> "DistributionSpec":
-        return cls(kind="bernoulli", p=float(p), values=(float(values[0]), float(values[1])))
+        return cls(kind="gaussian", mean=_real(mean, "mean"), sigma=_real(sigma, "sigma"))
 
     @classmethod
     def discrete(
         cls, atoms: Iterable[tuple[float, float]]
     ) -> "DistributionSpec":
-        return cls(kind="discrete", atoms=tuple((float(v), float(w)) for v, w in atoms))
+        return cls(
+            kind="discrete",
+            atoms=tuple((_real(v, "atom value"), _real(w, "atom weight")) for v, w in atoms),
+        )
 
     def to_dict(self) -> dict:
         if self.kind == "uniform":
             return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
         if self.kind == "gaussian":
             return {"kind": "gaussian", "mean": self.mean, "sigma": self.sigma}
-        if self.kind == "bernoulli":
-            return {"kind": "bernoulli", "p": self.p, "values": list(self.values)}
         return {"kind": "discrete", "atoms": [list(a) for a in self.atoms]}
 
     @classmethod
@@ -139,7 +139,6 @@ class DistributionSpec:
         allowed = {
             "uniform": {"kind", "lo", "hi"},
             "gaussian": {"kind", "mean", "sigma"},
-            "bernoulli": {"kind", "p", "values"},
             "discrete": {"kind", "atoms"},
         }
         if kind not in allowed:
@@ -151,22 +150,7 @@ class DistributionSpec:
             return cls.uniform(data["lo"], data["hi"])
         if kind == "gaussian":
             return cls.gaussian(data["mean"], data["sigma"])
-        if kind == "bernoulli":
-            values = tuple(data.get("values", (0.0, 1.0)))
-            if len(values) != 2:
-                raise ValueError("bernoulli 'values' must hold exactly two numbers")
-            return cls.bernoulli(data["p"], values)  # type: ignore[arg-type]
         return cls.discrete(tuple((v, w) for v, w in data["atoms"]))
-
-
-def _atoms(spec: DistributionSpec) -> tuple[tuple[float, float], ...]:
-    """Sorted (value, weight) atoms of a purely atomic law."""
-    if spec.kind == "discrete":
-        return spec.atoms
-    if spec.kind == "bernoulli":
-        a, b = spec.values
-        return DistributionSpec(kind="discrete", atoms=((a, 1.0 - spec.p), (b, spec.p))).atoms
-    raise ValueError(f"{spec.kind} law has no atoms")
 
 
 def concentration(dist: DistributionSpec, eps: float) -> float:
@@ -187,13 +171,12 @@ def concentration(dist: DistributionSpec, eps: float) -> float:
         return min(eps / (dist.hi - dist.lo), 1.0)
     if dist.kind == "gaussian":
         return math.erf(eps / (2.0 * dist.sigma * math.sqrt(2.0)))
-    atoms = _atoms(dist)
-    values = [v for v, _ in atoms]
-    weights = [w for _, w in atoms]
+    values = [v for v, _ in dist.atoms]
+    weights = [w for _, w in dist.atoms]
     best = 0.0
-    for i in range(len(atoms)):
+    for i in range(len(values)):
         acc = 0.0
-        for j in range(i, len(atoms)):
+        for j in range(i, len(values)):
             if math.fsum((values[j], -values[i], -eps)) >= 0:  # exact sign
                 break
             acc += weights[j]
@@ -239,9 +222,6 @@ def draw_values(dist: DistributionSpec, gen: np.random.Generator, n: int) -> np.
         return gen.uniform(dist.lo, dist.hi, size=n)
     if dist.kind == "gaussian":
         return gen.normal(dist.mean, dist.sigma, size=n)
-    if dist.kind == "bernoulli":
-        lo_val, hi_val = dist.values
-        return np.where(gen.random(n) < dist.p, hi_val, lo_val)
     values, weights = np.array(dist.atoms).T
     # Generator.choice(len(values), n, p=...)'s CDF and uniforms, bit for bit
     cdf = (weights / weights.sum()).cumsum()
@@ -260,5 +240,4 @@ def sample_field(
     site_list = [tuple(int(c) for c in s) for s in sites]
     if len(set(site_list)) != len(site_list):
         raise ValueError("duplicate sites in field domain")
-    draws = draw_values(dist, rng.generator(), len(site_list))
-    return draws.astype(float, copy=False)
+    return draw_values(dist, rng.generator(), len(site_list))

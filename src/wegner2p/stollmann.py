@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .potential import DistributionSpec, RngStream, _atoms, concentration, draw_values
+from .potential import DistributionSpec, RngStream, _real, concentration, draw_values
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def positive_linear(coeffs: Sequence[float]) -> DMFunctionSpec:
     Nonnegative coefficients give coordinatewise monotonicity; the diagonal
     increment is t * sum c_j, so the coefficient sum must reach 1.
     """
-    w = np.array([float(c) for c in coeffs])
+    w = np.array([_real(c, "coeffs") for c in coeffs])
     if w.size < 1:
         raise ValueError("need at least one coefficient")
     if np.any(w < 0):
@@ -97,7 +97,7 @@ def order_statistic(p: int, k: int, shifts: Sequence[float] | None = None) -> DM
     """
     if not 1 <= k <= p:
         raise ValueError("order index must lie in 1..p")
-    off = np.zeros(p) if shifts is None else np.array([float(s) for s in shifts])
+    off = np.zeros(p) if shifts is None else np.array([_real(s, "shifts") for s in shifts])
     if off.shape != (p,):
         raise ValueError("need one shift per coordinate")
     return DMFunctionSpec(
@@ -177,7 +177,7 @@ def check_dm_function(
     (0, span].  The gaps are Phi(v) - Phi(v + r) and t - (Phi(v + t*1) -
     Phi(v)).
     """
-    lo, hi = float(domain[0]), float(domain[1])
+    lo, hi = _real(domain[0], "domain"), _real(domain[1], "domain")
     if not lo < hi:
         raise ValueError("domain needs lo < hi")
     if samples < 1:
@@ -254,7 +254,9 @@ def stollmann_exact(
     interval, and compares against arity * concentration(dist, |interval|).
     Continuous laws and enumerations beyond 10^7 combinations are rejected.
     """
-    atoms = _atoms(dist)  # raises for continuous laws
+    if dist.kind != "discrete":
+        raise ValueError(f"{dist.kind} law has no atoms")
+    atoms = dist.atoms
     n, p = len(atoms), f.arity
     if n**p > 10**7:
         raise ValueError(f"{n}^{p} atom combinations exceed the enumeration limit")

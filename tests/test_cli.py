@@ -827,6 +827,116 @@ def test_integer_config_values_must_be_integers(tmp_path, capsys, command, base,
     assert error in err
 
 
+UNIFORM = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
+
+
+@pytest.mark.parametrize("literal", ["0.5", True], ids=["string", "boolean"])
+@pytest.mark.parametrize(
+    "command, base, bad, name",
+    [
+        ("wegner-single", SINGLE_CFG, lambda x: {"energy": x}, "energy"),
+        ("wegner-single", SINGLE_CFG, lambda x: {"epsilon": x}, "epsilon"),
+        ("wegner-single", SINGLE_CFG, lambda x: {"coupling": x}, "coupling"),
+        ("wegner-single", SINGLE_CFG, lambda x: {"dist": {**UNIFORM, "lo": x}}, "lo"),
+        ("wegner-single", SINGLE_CFG, lambda x: {"dist": {**UNIFORM, "hi": x}}, "hi"),
+        (
+            "wegner-single",
+            SINGLE_CFG,
+            lambda x: {"dist": {"kind": "gaussian", "mean": x, "sigma": 1.0}},
+            "mean",
+        ),
+        (
+            "wegner-single",
+            SINGLE_CFG,
+            lambda x: {"dist": {"kind": "gaussian", "mean": 0.0, "sigma": x}},
+            "sigma",
+        ),
+        (
+            "stollmann-check",
+            STOLLMANN_EXACT_CFG,
+            lambda x: {"dist": {"kind": "discrete", "atoms": [[x, 0.5], [1.0, 0.5]]}},
+            "atom value",
+        ),
+        (
+            "stollmann-check",
+            STOLLMANN_EXACT_CFG,
+            lambda x: {"dist": {"kind": "discrete", "atoms": [[0.0, x], [1.0, 0.5]]}},
+            "atom weight",
+        ),
+        (
+            "spectrum",
+            HAM_CFG,
+            lambda x: {"interaction": {"entries": [[0, x]]}},
+            "interaction energy",
+        ),
+        ("stollmann-check", STOLLMANN_EXACT_CFG, lambda x: {"interval": [x, 1.5]}, "interval"),
+        ("dm-check", DM_FN_CFG, lambda x: {"domain": [x, 1.0]}, "domain"),
+        ("dm-check", DM_FN_CFG, lambda x: {"tolerance": x}, "tolerance"),
+        ("dm-check", DM_EIG_CFG, lambda x: {"tolerance": x}, "tolerance"),
+        (
+            "stollmann-check",
+            STOLLMANN_EXACT_CFG,
+            lambda x: {"function": {"form": "linear", "coeffs": [x, 1.0]}},
+            "coeffs",
+        ),
+        (
+            "stollmann-check",
+            STOLLMANN_EXACT_CFG,
+            lambda x: {"function": {"form": "order", "arity": 2, "k": 1, "shifts": [x, 0.0]}},
+            "shifts",
+        ),
+    ],
+    ids=[
+        "energy",
+        "epsilon",
+        "coupling",
+        "uniform-lo",
+        "uniform-hi",
+        "gaussian-mean",
+        "gaussian-sigma",
+        "atom-value",
+        "atom-weight",
+        "interaction-energy",
+        "interval",
+        "dm-domain",
+        "dm-function-tolerance",
+        "dm-eigenvalue-tolerance",
+        "linear-coeffs",
+        "order-shifts",
+    ],
+)
+def test_real_config_values_must_be_numbers(tmp_path, capsys, command, base, bad, name, literal):
+    # each config once ran, reading "0.5" as 0.5 and true as 1.0
+    cfg = write_config(tmp_path, "bad.json", {**base, **bad(literal)})
+    code, out, err = run_cli(capsys, command, "--config", cfg)
+    assert (code, out) == (1, "")
+    assert err == f"error: {name} must be a real number, got {literal!r}\n"
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (json.dumps(SINGLE_CFG)[:-1] + ', "trials": 7}', "trials"),
+        (json.dumps(SINGLE_CFG).replace('"lo": 0.0', '"lo": 0.0, "lo": 0.5'), "lo"),
+    ],
+    ids=["top-level", "nested"],
+)
+def test_a_repeated_config_key_exits_1_and_is_named(tmp_path, capsys, text, key):
+    # json keeps the last of two equal keys: the first config once ran 7 trials
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "wegner-single", "--config", str(path))
+    assert (code, out, err) == (1, "", f"error: config repeats the key '{key}'\n")
+
+
+def test_a_bernoulli_law_is_an_unknown_kind(tmp_path, capsys):
+    # a two-valued law is written {"kind": "discrete", "atoms": [[a, 1 - p], [b, p]]}
+    bernoulli = {"kind": "bernoulli", "p": 0.3, "values": [0.0, 1.0]}
+    cfg = write_config(tmp_path, "b.json", {**SINGLE_CFG, "dist": bernoulli})
+    code, out, err = run_cli(capsys, "wegner-single", "--config", cfg)
+    assert (code, out, err) == (1, "", "error: unknown distribution kind 'bernoulli'\n")
+
+
 @pytest.mark.parametrize(
     "command, base, key, literal",
     [
@@ -835,14 +945,22 @@ def test_integer_config_values_must_be_integers(tmp_path, capsys, command, base,
         ("wegner-single", SINGLE_CFG, "epsilon", "-Infinity"),
         ("spectrum", HAM_CFG, "radius", "1e400"),
         ("dm-check", DM_FN_CFG, "tolerance", "NaN"),
+        ("wegner-single", SINGLE_CFG, "epsilon", "1" + "0" * 400),
     ],
-    ids=["single-inf", "single-1e400", "single-minus-inf", "spectrum-1e400", "dm-nan"],
+    ids=[
+        "single-inf",
+        "single-1e400",
+        "single-minus-inf",
+        "spectrum-1e400",
+        "dm-nan",
+        "single-integer-over-float-range",
+    ],
 )
 def test_non_finite_config_numbers_exit_1(
     tmp_path, capsys, monkeypatch, command, base, key, literal
 ):
-    # NaN, the infinities and literals overflowing a float are not strict
-    # JSON; such a config is refused before any work starts
+    # NaN, the infinities and literals overflowing a float, an integer one
+    # included, are refused before any work starts
     def must_not_run(*args, **kwargs):
         raise AssertionError("the command started its work")
 

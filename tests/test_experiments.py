@@ -32,7 +32,7 @@ from wegner2p import (
     run_two_volume,
     trial_values,
 )
-from wegner2p import experiments, hamiltonian
+from wegner2p import experiments, hamiltonian, lattice
 from wegner2p.experiments import _RNG_BLOCK, _collect_distances, _span_rows, choose_bound
 from wegner2p.potential import draw_values
 
@@ -627,6 +627,46 @@ def test_two_volume_single_class_geometry_conditions_on_first():
     assert report.verdict == "holds"
 
 
+def test_free_sites_shift_every_eigenvalue_at_the_rate_of_the_separation_class():
+    # One d=1 geometry per class combination at L=2: the first survey witness
+    # of each.  In the free box choose_bound picks, with the sites
+    # run_two_volume leaves free, rate is the least number of a box point's
+    # coordinates on free sites: 2 under complete separation, else 1.
+    # Raising the free sites by t adds g t times that number to each
+    # diagonal entry, so by Weyl every sorted eigenvalue moves by between
+    # rate g t and 2 g t.
+    L, g, t = 2, 0.5, 1.0
+    witnesses = {}
+    for (w, a, b), _ in lattice._axis_profiles(L, 40 * L + 20):
+        u, u_prime = PairPoint.of((0,), (w,)), PairPoint.of((a,), (b,))
+        try:
+            witnesses.setdefault(lattice.classify_separation(u, u_prime, L), (u, u_prime))
+        except ValueError:  # not admissible
+            continue
+    assert len(witnesses) == 12
+    gen = RngStream(31, 0).generator()
+    choices = set()
+    for classes, (u, u_prime) in witnesses.items():
+        which = choose_bound(classes)
+        choices.add(which)
+        boxes = make_box(u, L), make_box(u_prime, L)
+        free_box, cond_box = boxes if which is TwoVolumeBound.CONDITION_ON_SECOND else boxes[::-1]
+        spec = HamiltonianSpec(free_box, InteractionSpec({0: 1.0, 1: 0.5}, r_max=1), g)
+        template = HamiltonianTemplate(spec)
+        cond_sites = np.array(lattice.projection_sites(cond_box))
+        free = (lattice._site_positions(np.array(template.sites), cond_sites) < 0).astype(float)
+        rate = (free[template.first_index] + free[template.second_index]).min()
+        assert rate == (2 if SeparationClass.COMPLETELY_SEPARATED in classes else 1), classes
+        values = gen.uniform(0.0, 1.0, template.n_sites)
+        before, after = (
+            np.linalg.eigvalsh(template.assemble_values(v)) for v in (values, values + t * free)
+        )
+        shift = after - before
+        assert shift.min() >= rate * g * t * (1 - 1e-9), classes
+        assert shift.max() <= 2 * g * t * (1 + 1e-9), classes
+    assert choices == set(TwoVolumeBound)
+
+
 def test_two_volume_deterministic_and_thread_invariant():
     cfg_a = config_2v(trials=1100, conditioning_rounds=2)
     cfg_b = config_2v(trials=1100, conditioning_rounds=2, threads=3)
@@ -760,22 +800,38 @@ def test_small_batch_budget_keeps_every_distance(monkeypatch, tmp_path):
 def test_first_failing_trial_in_a_helpers_span_is_named_for_every_thread_count(
     monkeypatch, tmp_path
 ):
-    # Three-trial spans; under this seed trials 5, 13 and 16 draw 1.6e308,
-    # whose doubled diagonal overflows.  Trial 5's span goes to a helper at
-    # --threads 2 and 3, and at 2 the caller's own share fails later, at
-    # trial 13: the first failure in trial order is the one raised.  Every
-    # worker records its pid as it starts a span.
+    # Three-trial spans, span i dealt to worker i mod threads, worker 0 the
+    # caller; a trial that draws 1.6e308 overflows its doubled diagonal.  The
+    # seed is the first one whose first overflowing trial falls in a helper's
+    # span at --threads 2 and 3 while a later one falls in the caller's own
+    # span at 2: seed 17, trials 22 and 26.  The first failure in trial order
+    # is the one raised.  Every worker records its pid as it starts a span.
     seen = tmp_path / "seen"
     record = _recorder(seen)
     values_of = experiments.trial_values
     monkeypatch.setattr(experiments, "trial_values", lambda *a: record() or values_of(*a))
     monkeypatch.setattr(hamiltonian, "_MATRIX_BYTES", 3 * 8 * 9**2)
-    dist = DistributionSpec.bernoulli(0.01, (0.0, 1.6e308)).to_dict()
-    values = trial_values(DistributionSpec.from_dict(dist), 86, 0, 1, 30, 3)
-    assert list(np.flatnonzero(values.any(axis=1)) + 1) == [5, 13, 16]
+    law = DistributionSpec.discrete([(0.0, 0.99), (1.6e308, 0.01)])
+
+    def overflowing(seed):
+        return list(np.flatnonzero(trial_values(law, seed, 0, 1, 30, 3).any(axis=1)) + 1)
+
+    def fits(trials):
+        spans = [(t - 1) // 3 for t in trials]
+        return (
+            bool(spans)
+            and spans[0] % 2 == 1  # the first is a helper's at 2 threads
+            and spans[0] % 3 != 0  # and at 3
+            and any(s % 2 == 0 for s in spans[1:])  # a later one is the caller's at 2
+        )
+
+    seed = next(s for s in range(1000) if fits(overflowing(s)))
+    assert (seed, overflowing(seed)) == (17, [22, 26])
     for threads in (1, 2, 3):
-        with pytest.raises(ValueError, match="^trial 5: a field value overflows"):
-            run_single_volume(config_1v(dist=dist, trials=30, master_seed=86, threads=threads))
+        with pytest.raises(ValueError, match="^trial 22: a field value overflows"):
+            run_single_volume(
+                config_1v(dist=law.to_dict(), trials=30, master_seed=seed, threads=threads)
+            )
     pids = {pid for pid, in _records(seen)}
     assert str(os.getpid()) in pids and len(pids) == 4  # the caller, one helper, two helpers
     _assert_reaped(pids - {str(os.getpid())})

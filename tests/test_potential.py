@@ -14,7 +14,7 @@ from wegner2p import (
     concentration,
     sample_field,
 )
-from wegner2p.potential import _integer, draw_values
+from wegner2p.potential import _integer, _real, draw_values
 
 
 # ---------------------------------------------------------------------------
@@ -29,6 +29,16 @@ def test_integer_takes_ints_and_integral_floats_only():
     for bad in (2.5, True, np.bool_(False), "3", None, math.inf, math.nan, [1]):
         with pytest.raises(ValueError, match="^n must be an integer, got "):
             _integer(bad, "n")
+
+
+def test_real_takes_ints_and_floats_only():
+    assert [_real(v, "x") for v in (3, -0.5, np.int64(2), np.float32(0.5), 1e308)] == [
+        3.0, -0.5, 2.0, 0.5, 1e308
+    ]
+    assert all(type(_real(v, "x")) is float for v in (3, np.int64(2), np.float32(0.5)))
+    for bad in (True, np.bool_(False), "0.5", None, [1.0], 1j, 10**400):
+        with pytest.raises(ValueError, match="^x must be a real number, got "):
+            _real(bad, "x")
 
 
 # ---------------------------------------------------------------------------
@@ -52,13 +62,6 @@ def test_discrete_concentration_values():
     assert concentration(law, 1.0) == 0.7
     assert concentration(law, 1.0 + 1e-9) == pytest.approx(1.0)
     assert concentration(law, 0.0) == 0.0
-
-
-def test_bernoulli_concentration_values():
-    law = DistributionSpec.bernoulli(0.3)
-    assert concentration(law, 0.5) == 0.7
-    assert concentration(law, 1.0) == 0.7
-    assert concentration(law, 1.5) == 1.0
 
 
 def test_gaussian_concentration_formula():
@@ -113,15 +116,14 @@ def test_validate_rejects_nonsense():
     with pytest.raises(ValueError):
         DistributionSpec.gaussian(0.0, 0.0)
     with pytest.raises(ValueError):
-        DistributionSpec.bernoulli(1.5)
-    with pytest.raises(ValueError):
         DistributionSpec.discrete([(0.0, 0.4), (1.0, 0.4)])
     with pytest.raises(ValueError):
         DistributionSpec.discrete([(0.0, -0.2), (1.0, 1.2)])
     with pytest.raises(ValueError):
         DistributionSpec.discrete([])
-    with pytest.raises(ValueError):
-        DistributionSpec(kind="triangular")
+    for kind in ("triangular", "bernoulli"):
+        with pytest.raises(ValueError, match=f"^unknown distribution kind '{kind}'$"):
+            DistributionSpec(kind=kind)
 
 
 def test_uniform_width_must_be_finite():
@@ -141,7 +143,6 @@ def test_dict_round_trip():
     laws = [
         DistributionSpec.uniform(-1.0, 3.0),
         DistributionSpec.gaussian(0.5, 2.0),
-        DistributionSpec.bernoulli(0.25, (-1.0, 4.0)),
         DistributionSpec.discrete([(0.0, 0.5), (2.0, 0.5)]),
     ]
     for law in laws:
@@ -198,8 +199,6 @@ def test_draw_values_ranges():
     gen = RngStream(5, 0).generator()
     u = draw_values(DistributionSpec.uniform(2.0, 3.0), gen, 1000)
     assert np.all((u >= 2.0) & (u < 3.0))
-    b = draw_values(DistributionSpec.bernoulli(0.5, (-1.0, 3.0)), gen, 1000)
-    assert set(np.unique(b)) <= {-1.0, 3.0}
     d = draw_values(DistributionSpec.discrete([(0.5, 0.5), (1.5, 0.5)]), gen, 1000)
     assert set(np.unique(d)) <= {0.5, 1.5}
     with pytest.raises(ValueError):
@@ -215,8 +214,8 @@ def test_sample_field_deterministic_in_site_order():
     assert np.array_equal(f1, f2)
     raw = draw_values(law, RngStream(11, 0).generator(), 3)
     assert list(f1) == list(raw)
-    # integer outcomes still give float site values
-    coin = DistributionSpec(kind="bernoulli", values=(0, 1))
+    # integer atoms still give float site values
+    coin = DistributionSpec(kind="discrete", atoms=((0, 0.5), (1, 0.5)))
     assert sample_field(sites, coin, RngStream(11, 0)).dtype == float
 
 
