@@ -26,7 +26,7 @@ from ._version import __version__
 from .experiments import ExperimentConfig, choose_bound, run_single_volume, run_two_volume
 from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _check_keys, _pair, one_blas_thread
 from .lattice import classify_separation, projection_sites
-from .potential import DistributionSpec, RngStream, _integer, _malformed, _real, sample_field
+from .potential import DistributionSpec, RngStream, _integer, _malformed, sample_field
 from .spectral import verify_dm_eigenvalues
 from .stollmann import (
     DMFunctionSpec,
@@ -210,11 +210,11 @@ def _cmd_stollmann_check(data: dict, args):
         raise ValueError("interval must be [lower, upper]")
     mode = data.get("mode", "exact")
     with _malformed("stollmann"):
-        interval = IntervalSpec(*(_real(x, "interval") for x in raw_interval))
+        interval = IntervalSpec(*raw_interval)
         if mode == "mc":
             if "trials" not in data or "master_seed" not in data:
                 raise ValueError("mc mode needs trials and master_seed")
-            trials = _integer(data["trials"], "trials")
+            trials = data["trials"]
             rng = RngStream(data["master_seed"], 0)
         elif mode != "exact":
             raise ValueError(f"unknown mode {mode!r}; pick exact or mc")
@@ -248,20 +248,16 @@ def _cmd_dm_check(data: dict, args):
         domain = data["domain"]
         if not isinstance(domain, (list, tuple)) or len(domain) != 2:
             raise ValueError("domain must be [lo, hi]")
-        with _malformed("dm function"):
-            samples = _integer(data["samples"], "samples")
-            rng = RngStream(data["master_seed"], 0)
-            tolerance = _real(data.get("tolerance", 1e-12), "tolerance")
-        report = check_dm_function(f, domain, samples, rng, tolerance=tolerance)
+        rng = RngStream(data["master_seed"], 0)
+        report = check_dm_function(f, domain, data["samples"], rng, data.get("tolerance", 1e-12))
     elif target == "eigenvalues":
         spec, site_values = _sampled(
             data, "dm eigenvalue", extra={"target", "trials", "tolerance"}, required={"trials"}
         )
-        with _malformed("dm eigenvalue"):
-            trials = _integer(data["trials"], "trials")
-            rng = RngStream(data["master_seed"], 1)
-            tolerance = _real(data.get("tolerance", 1e-9), "tolerance")
-        report = verify_dm_eigenvalues(spec, site_values, trials, rng, tolerance=tolerance)
+        rng = RngStream(data["master_seed"], 1)
+        report = verify_dm_eigenvalues(
+            spec, site_values, data["trials"], rng, data.get("tolerance", 1e-9)
+        )
     else:
         raise ValueError(f"unknown dm-check target {target!r}")
     return {"kind": "dm_check", **asdict(report)}, report.passed

@@ -188,7 +188,10 @@ class ExperimentConfig:
             or len(self.center_prime.second) != box.dimension
         ):
             raise ValueError("box centres must match the configured dimension")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+        object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon"))
+        if self.energy is not None:
+            object.__setattr__(self, "energy", _real(self.energy, "energy"))
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive and finite")
         if self.trials < 1:
             raise ValueError("need at least one trial")
@@ -200,8 +203,6 @@ class ExperimentConfig:
             raise ValueError(f"bound_mode must be one of {_BOUND_MODES}")
         if self.conditioning_rounds is not None and self.conditioning_rounds < 1:
             raise ValueError("need at least one conditioning round")
-        if self.energy is not None and not math.isfinite(self.energy):
-            raise ValueError("energy must be finite")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
 
@@ -255,8 +256,9 @@ class ExperimentConfig:
                     _pair(data["center_prime"], "center_prime") if "center_prime" in data else None
                 ),
                 dist=DistributionSpec.from_dict(data["dist"]),
+                # None means "not given", so a null in the config is refused here
                 energy=_real(data["energy"], "energy") if "energy" in data else None,
-                epsilon=_real(data["epsilon"], "epsilon"),
+                epsilon=data["epsilon"],
                 trials=data["trials"],
                 conditioning_rounds=(
                     _integer(data["conditioning_rounds"], "conditioning_rounds")

@@ -112,6 +112,7 @@ class InteractionSpec:
     r_max: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "r_max", _integer(self.r_max, "r_max"))
         if self.r_max < 0:
             raise ValueError("interaction cutoff must be nonnegative")
         clean: dict[int, float] = {}
@@ -120,8 +121,6 @@ class InteractionSpec:
             v = _real(v, "interaction energy")
             if r < 0:
                 raise ValueError("interaction distances must be nonnegative")
-            if not math.isfinite(v):
-                raise ValueError("interaction energies must be finite")
             if r > self.r_max and v != 0.0:
                 raise ValueError(
                     f"interaction entry at distance {r} exceeds the cutoff {self.r_max}"
@@ -154,18 +153,14 @@ class InteractionSpec:
         extra = set(data) - {"entries", "r_max"}
         if extra:
             raise ValueError(f"unknown keys in interaction config: {sorted(extra)}")
-        entries = data.get("entries", [])
         table: dict[int, float] = {}
-        for r, v in entries:
+        for r, v in data.get("entries", []):
             r = _integer(r, "interaction distance")
             if r in table:
                 raise ValueError(f"interaction lists distance {r} twice")
-            table[r] = _real(v, "interaction energy")
-        if "r_max" in data:
-            r_max = _integer(data["r_max"], "r_max")
-        else:
-            r_max = max([default_r_max] + [r for r, v in table.items() if v != 0.0])
-        return cls(table=table, r_max=r_max)
+            table[r] = v
+        stretched = max([default_r_max] + [r for r, v in table.items() if v != 0.0])
+        return cls(table=table, r_max=data.get("r_max", stretched))
 
 
 def _check_keys(data: Mapping, allowed: set[str], required: set[str], what: str) -> None:
@@ -196,8 +191,7 @@ class HamiltonianSpec:
     hopping_norm: str = "sup"
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.coupling):
-            raise ValueError("coupling must be finite")
+        object.__setattr__(self, "coupling", _real(self.coupling, "coupling"))
         if self.hopping_norm not in _HOPPING_NORMS:
             raise ValueError(
                 f"hopping_norm must be one of {_HOPPING_NORMS}, got {self.hopping_norm!r}"
@@ -238,11 +232,11 @@ class HamiltonianSpec:
             if center.dimension != dimension:
                 raise ValueError("box centre must match the configured dimension")
             return cls(
-                box=make_box(center, _integer(data["radius"], "radius")),
+                box=make_box(center, data["radius"]),
                 interaction=InteractionSpec.from_dict(
                     data.get("interaction", {"entries": []}), default_r_max=dimension
                 ),
-                coupling=_real(data.get("coupling", 1.0), "coupling"),
+                coupling=data.get("coupling", 1.0),
                 hopping_norm=data.get("hopping_norm", "sup"),
             )
 

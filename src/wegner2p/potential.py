@@ -46,12 +46,13 @@ def _integer(value, what: str) -> int:
 
 
 def _real(value, what: str) -> float:
-    """`value` as a float: an int, a float or a numpy integer or float.  A
-    boolean, a string, an int too large for a float or anything else raises
-    ValueError naming `what`."""
+    """`value` as a finite float: an int, a float or a numpy integer or
+    float.  A boolean, a string, NaN, an infinity, an int too large for a
+    float or anything else raises ValueError naming `what`."""
     if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
         with suppress(OverflowError):
-            return float(value)
+            if math.isfinite(real := float(value)):
+                return real
     raise ValueError(f"{what} must be a real number, got {value!r}")
 
 
@@ -79,16 +80,14 @@ class DistributionSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
+        for key in ("lo", "hi", "mean", "sigma"):
+            object.__setattr__(self, key, _real(getattr(self, key), key))
         if self.kind == "uniform":
-            if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-                raise ValueError("uniform bounds must be finite")
             if not self.lo < self.hi:
                 raise ValueError("uniform law needs lo < hi")
             if not math.isfinite(self.hi - self.lo):
                 raise ValueError("uniform width hi - lo overflows a float")
         elif self.kind == "gaussian":
-            if not (math.isfinite(self.mean) and math.isfinite(self.sigma)):
-                raise ValueError("gaussian parameters must be finite")
             if self.sigma <= 0:
                 raise ValueError("gaussian law needs sigma > 0")
         else:
@@ -96,8 +95,7 @@ class DistributionSpec:
                 raise ValueError("discrete law needs at least one atom")
             merged: dict[float, float] = {}
             for value, weight in self.atoms:
-                if not (math.isfinite(value) and math.isfinite(weight)):
-                    raise ValueError("discrete atoms must be finite")
+                value, weight = _real(value, "atom value"), _real(weight, "atom weight")
                 if weight < 0:
                     raise ValueError("atom weights must be nonnegative")
                 merged[value] = merged.get(value, 0.0) + weight
@@ -108,20 +106,15 @@ class DistributionSpec:
 
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "DistributionSpec":
-        return cls(kind="uniform", lo=_real(lo, "lo"), hi=_real(hi, "hi"))
+        return cls(kind="uniform", lo=lo, hi=hi)
 
     @classmethod
     def gaussian(cls, mean: float, sigma: float) -> "DistributionSpec":
-        return cls(kind="gaussian", mean=_real(mean, "mean"), sigma=_real(sigma, "sigma"))
+        return cls(kind="gaussian", mean=mean, sigma=sigma)
 
     @classmethod
-    def discrete(
-        cls, atoms: Iterable[tuple[float, float]]
-    ) -> "DistributionSpec":
-        return cls(
-            kind="discrete",
-            atoms=tuple((_real(v, "atom value"), _real(w, "atom weight")) for v, w in atoms),
-        )
+    def discrete(cls, atoms: Iterable[tuple[float, float]]) -> "DistributionSpec":
+        return cls(kind="discrete", atoms=tuple(atoms))
 
     def to_dict(self) -> dict:
         if self.kind == "uniform":

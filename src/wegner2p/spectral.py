@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _stack_rows, one_blas_thread
-from .potential import RngStream
+from .potential import RngStream, _integer, _real
 from .stollmann import DMReport, dm_report
 
 
@@ -55,6 +55,7 @@ def verify_dm_eigenvalues(
     operator diagonal overflows, the base one or a trial's, raises
     ValueError naming that field (trials count from 0, as the witnesses do).
     """
+    trials, tolerance = _integer(trials, "trials"), _real(tolerance, "tolerance")
     if trials < 1:
         raise ValueError("need at least one trial")
     if spec.coupling < 0:

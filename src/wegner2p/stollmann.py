@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .potential import DistributionSpec, RngStream, _real, concentration, draw_values
+from .potential import DistributionSpec, RngStream, _integer, _real, concentration, draw_values
 
 
 @dataclass(frozen=True)
@@ -178,6 +178,7 @@ def check_dm_function(
     Phi(v)).
     """
     lo, hi = _real(domain[0], "domain"), _real(domain[1], "domain")
+    samples, tolerance = _integer(samples, "samples"), _real(tolerance, "tolerance")
     if not lo < hi:
         raise ValueError("domain needs lo < hi")
     if samples < 1:
@@ -215,8 +216,8 @@ class IntervalSpec:
     upper: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise ValueError("interval endpoints must be finite")
+        object.__setattr__(self, "lower", _real(self.lower, "interval"))
+        object.__setattr__(self, "upper", _real(self.upper, "interval"))
         if not self.lower < self.upper:
             raise ValueError("interval needs lower < upper")
 
@@ -299,6 +300,7 @@ def stollmann_mc(
 
     Works for any supported law; the verdict is `binomial_verdict`'s.
     """
+    trials = _integer(trials, "trials")
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a meaningful estimate")
     gen = rng.generator()
