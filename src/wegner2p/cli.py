@@ -186,14 +186,14 @@ def _function_from_config(data: Mapping) -> DMFunctionSpec:
     _check_keys(data, allowed=allowed_by_form[form], required={"form"}, what=f"{form} function")
     if form == "linear":
         return positive_linear(data["coeffs"])
-    arity = _integer(data["arity"], "arity")
+    arity = data["arity"]
     if form == "sum":
         return coordinate_sum(arity)
     if form == "max":
         return coordinate_max(arity)
     if form == "coordinate":
-        return single_coordinate(arity, _integer(data.get("index", 0), "index"))
-    return order_statistic(arity, _integer(data["k"], "k"), data.get("shifts"))
+        return single_coordinate(arity, data.get("index", 0))
+    return order_statistic(arity, data["k"], data.get("shifts"))
 
 
 def _cmd_stollmann_check(data: dict, args):

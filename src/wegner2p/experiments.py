@@ -113,6 +113,8 @@ def trial_values(
     round's frozen field.  The experiments draw every batch through here, so
     `trial_values(dist, seed, r, k, k, n_free)[0]` replays trial k exactly.
     """
+    names = ("round_index", "first", "last", "n_free")
+    round_index, first, last, n_free = map(_integer, (round_index, first, last, n_free), names)
     if round_index < 0:
         raise ValueError("round index must be nonnegative")
     if not 1 <= first <= last < 2**32:
@@ -141,11 +143,14 @@ def analytic_bound(
     """
     if bound_mode not in _BOUND_MODES:
         raise ValueError(f"bound_mode must be one of {_BOUND_MODES}, got {bound_mode!r}")
-    if not (math.isfinite(epsilon) and epsilon > 0):
+    epsilon, coupling = _real(epsilon, "epsilon"), _real(coupling, "coupling")
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive and finite")
     if bound_mode == "eps_over_g" and coupling <= 0:
         raise ValueError("eps_over_g mode needs a positive coupling")
     window = 2.0 * epsilon if bound_mode == "two_eps" else epsilon / coupling
+    if not math.isfinite(window):
+        raise ValueError("window width must be finite and nonnegative")
     union = len(projection_sites(free_box))
     return math.prod(box.size for box in boxes) * union * concentration(dist, window)
 
@@ -161,8 +166,9 @@ class ExperimentConfig:
     calling one and up to threads - 1 forked helpers, each with OpenBLAS on
     one thread.  It never changes results, so it is left out of the
     serialised echo.  `trials`, `conditioning_rounds`, `master_seed` and
-    `threads` take an integer or an integral float, stored as an int, and
-    refuse anything else with ValueError, as the config parsers do.
+    `threads` take an integer or an integral float, stored as an int;
+    `epsilon` and `energy` take a finite real, stored as a float.  Anything
+    else raises ValueError naming the field, as a config with it does.
     """
 
     hamiltonian: HamiltonianSpec
@@ -177,20 +183,17 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        integers = {"trials": self.trials, "master_seed": self.master_seed, "threads": self.threads}
-        if self.conditioning_rounds is not None:
-            integers["conditioning_rounds"] = self.conditioning_rounds
-        for key, value in integers.items():
-            object.__setattr__(self, key, _integer(value, key))
+        numbers = {"trials": _integer, "master_seed": _integer, "threads": _integer, "epsilon": _real}
+        optional = {"conditioning_rounds": _integer, "energy": _real}
+        numbers |= {key: to for key, to in optional.items() if getattr(self, key) is not None}
+        for key, to in numbers.items():
+            object.__setattr__(self, key, to(getattr(self, key), key))
         box = self.hamiltonian.box
         if self.center_prime is not None and (
             self.center_prime.dimension != box.dimension
             or len(self.center_prime.second) != box.dimension
         ):
             raise ValueError("box centres must match the configured dimension")
-        object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon"))
-        if self.energy is not None:
-            object.__setattr__(self, "energy", _real(self.energy, "energy"))
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive and finite")
         if self.trials < 1:
@@ -249,6 +252,10 @@ class ExperimentConfig:
             },
             required={"dist", "epsilon", "trials", "master_seed"},
         )
+
+        def given(key, check):  # None means "not given", so a given null is refused here
+            return check(data[key], key) if key in data else None
+
         with _malformed("experiment"):
             return cls(
                 hamiltonian=spec,
@@ -256,15 +263,10 @@ class ExperimentConfig:
                     _pair(data["center_prime"], "center_prime") if "center_prime" in data else None
                 ),
                 dist=DistributionSpec.from_dict(data["dist"]),
-                # None means "not given", so a null in the config is refused here
-                energy=_real(data["energy"], "energy") if "energy" in data else None,
+                energy=given("energy", _real),
                 epsilon=data["epsilon"],
                 trials=data["trials"],
-                conditioning_rounds=(
-                    _integer(data["conditioning_rounds"], "conditioning_rounds")
-                    if "conditioning_rounds" in data
-                    else None
-                ),
+                conditioning_rounds=given("conditioning_rounds", _integer),
                 master_seed=data["master_seed"],
                 bound_mode=data.get("bound_mode", "two_eps"),
                 threads=threads,

@@ -156,8 +156,9 @@ def concentration(dist: DistributionSpec, eps: float) -> float:
     atom runs of span < eps); the span is compared with eps exactly, never
     rounded up to it.  Width zero always gives zero.
     """
-    if not math.isfinite(eps) or eps < 0:
-        raise ValueError("window width must be finite and nonnegative")
+    eps = _real(eps, "eps")
+    if eps < 0:
+        raise ValueError("window width must be nonnegative")
     if eps == 0.0:
         return 0.0
     if dist.kind == "uniform":

@@ -36,6 +36,7 @@ class DMFunctionSpec:
     name: str = "dm_function"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "arity", _integer(self.arity, "arity"))
         if self.arity < 1:
             raise ValueError("arity must be at least 1")
 
@@ -53,16 +54,19 @@ class DMFunctionSpec:
 
 def coordinate_sum(p: int) -> DMFunctionSpec:
     """Phi(v) = v_1 + ... + v_p.  DM: each unit diagonal step adds p >= 1."""
+    p = _integer(p, "arity")
     return DMFunctionSpec(arity=p, evaluator=lambda V: np.sum(V, axis=-1), name=f"sum_p{p}")
 
 
 def coordinate_max(p: int) -> DMFunctionSpec:
     """Phi(v) = max_j v_j.  DM: the max moves by exactly t along the diagonal."""
+    p = _integer(p, "arity")
     return DMFunctionSpec(arity=p, evaluator=lambda V: np.max(V, axis=-1), name=f"max_p{p}")
 
 
 def single_coordinate(p: int, index: int = 0) -> DMFunctionSpec:
     """Phi(v) = v_index.  The degenerate DM function that ignores the rest."""
+    p, index = _integer(p, "arity"), _integer(index, "index")
     if not 0 <= index < p:
         raise ValueError("coordinate index out of range")
     return DMFunctionSpec(arity=p, evaluator=lambda V: V[:, index], name=f"coordinate{index}_p{p}")
@@ -95,6 +99,7 @@ def order_statistic(p: int, k: int, shifts: Sequence[float] | None = None) -> DM
     behind eigenvalue applications: sorting commutes with adding t to every
     coordinate, so the diagonal increment is exactly t.
     """
+    p, k = _integer(p, "arity"), _integer(k, "k")
     if not 1 <= k <= p:
         raise ValueError("order index must lie in 1..p")
     off = np.zeros(p) if shifts is None else np.array([_real(s, "shifts") for s in shifts])
