@@ -18,7 +18,7 @@ def test_python_blocks_run_in_order_in_one_namespace():
     namespace: dict = {}
     for block in blocks:
         exec(block, namespace)
-    # the quick start's ceiling can fail: one of 1 or more holds for any law
+    # the quick start's ceiling can fail: a ceiling of 1 or more holds for any law
     assert namespace["report"].analytic_bound < 1
     assert namespace["report"].verdict == "holds"
 
