@@ -12,7 +12,7 @@ potential    disorder laws, concentration function, field sampling
 hamiltonian  hopping graph by Kronecker products, interaction, a size limit on
              one matrix, assembly in stacks of one byte budget, the BLAS pin
 stollmann    diagonally monotone functions and Stollmann-type bounds
-spectral     spectral gaps, eigenvalue monotonicity checks
+spectral     spectra from sector blocks, their gaps, eigenvalue monotonicity checks
 experiments  analytic ceiling, single-volume and two-volume bound experiments
 cli          command line front end
 """
@@ -52,7 +52,7 @@ from .stollmann import (
     stollmann_exact,
     stollmann_mc,
 )
-from .spectral import verify_dm_eigenvalues
+from .spectral import spectra, verify_dm_eigenvalues
 from .experiments import (
     ExperimentConfig,
     TwoVolumeBound,
@@ -91,6 +91,7 @@ __all__ = [
     "check_dm_function",
     "stollmann_exact",
     "stollmann_mc",
+    "spectra",
     "verify_dm_eigenvalues",
     "ExperimentConfig",
     "TwoVolumeBound",

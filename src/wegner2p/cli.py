@@ -24,10 +24,10 @@ import numpy as np
 
 from ._version import __version__
 from .experiments import ExperimentConfig, choose_bound, run_single_volume, run_two_volume
-from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _check_keys, _pair, one_blas_thread
+from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _check_keys, _pair
 from .lattice import classify_separation, projection_sites
 from .potential import DistributionSpec, RngStream, _integer, _malformed, sample_field
-from .spectral import verify_dm_eigenvalues
+from .spectral import spectra, verify_dm_eigenvalues
 from .stollmann import (
     DMFunctionSpec,
     IntervalSpec,
@@ -156,11 +156,10 @@ def _sampled(
     return spec, sample_field(projection_sites(spec.box), dist, rng)
 
 
-@one_blas_thread()
 def _cmd_spectrum(data: dict, args):
     spec, site_values = _sampled(data, "hamiltonian")
     template = HamiltonianTemplate(spec)
-    eigs = np.linalg.eigvalsh(template.assemble_values(site_values))
+    eigs = spectra(template, site_values)
     payload = {
         "kind": "spectrum",
         "source_dim": template.dim,

@@ -17,7 +17,10 @@ compute its now-deterministic spectrum, then repeatedly resample the
 remaining free sites and measure how often the other box's spectrum comes
 within eps of the frozen one.  Ceiling:
 
-    |box| * |box'| * |projection union of the free box| * s(width).
+    |box| * |box'| * |projection union of the free box| * s(width),
+
+where under "eps_over_g" the width is 2*eps/(g*k), k being 2 under
+complete separation and 1 otherwise (see `analytic_bound`).
 
 The conditioned side is chosen from the separation classes: when the first
 box owns an isolated cube (complete separation included) the second box is
@@ -70,10 +73,10 @@ from .lattice import (
 )
 from .potential import DistributionSpec, RngStream, _integer, _malformed, _real, concentration
 from .potential import draw_values, sample_field
-from .spectral import min_gaps_to_sorted
+from .spectral import min_gaps_to_sorted, spectra
 from .stollmann import binomial_verdict
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 _BOUND_MODES = ("two_eps", "eps_over_g")
 
@@ -138,8 +141,13 @@ def analytic_bound(
 
     The first factor is the product of the box sizes, one box for the
     single-volume bound and two for the two-volume one; `free_box` is the
-    box whose field stays random (the one box, or the unconditioned one).
-    The window is 2*eps under "two_eps" and eps/g under "eps_over_g".
+    box whose field stays random (the one box, or the unconditioned one),
+    and the other boxes' projection sites are frozen.  The window is 2*eps
+    under "two_eps" and 2*eps/(g*k) under "eps_over_g", where k is the
+    least number of a free-box point's coordinates on free sites: raising
+    every free site by t raises each diagonal entry by at least g*k*t.
+    k is 2 for one box and under complete separation, else 1; a box point
+    with no free coordinate (k = 0) raises RuntimeError.
     """
     if bound_mode not in _BOUND_MODES:
         raise ValueError(f"bound_mode must be one of {_BOUND_MODES}, got {bound_mode!r}")
@@ -148,7 +156,17 @@ def analytic_bound(
         raise ValueError("epsilon must be positive and finite")
     if bound_mode == "eps_over_g" and coupling <= 0:
         raise ValueError("eps_over_g mode needs a positive coupling")
-    window = 2.0 * epsilon if bound_mode == "two_eps" else epsilon / coupling
+    if free_box not in boxes:
+        raise ValueError("free_box must be one of boxes")
+    frozen = list(boxes)
+    frozen.remove(free_box)
+    d, points = free_box.dimension, free_box.coordinates()
+    sites = np.array([s for box in frozen for s in projection_sites(box)]).reshape(-1, d)
+    free = [~(points[:, None, i : i + d] == sites).all(axis=2).any(axis=1) for i in (0, d)]
+    k = int(np.sum(free, axis=0).min())
+    if k == 0:
+        raise RuntimeError("a free-box point has no coordinate on a free site")
+    window = 2.0 * epsilon if bound_mode == "two_eps" else 2.0 * epsilon / (coupling * k)
     if not math.isfinite(window):
         raise ValueError("window width must be finite and nonnegative")
     union = len(projection_sites(free_box))
@@ -404,8 +422,8 @@ def _collect_distances(
         span = gaps[trial_lo - 1 : trial_hi]
         span.fill(np.inf)
         try:
-            for lo, H in template.assemble_sectors(values, first_trial=trial_lo):
-                chunk = span[lo : lo + len(H)]
+            for rows, _, H in template.assemble_sectors(values, first_trial=trial_lo):
+                chunk = span[rows]
                 np.minimum(chunk, min_gaps_to_sorted(np.linalg.eigvalsh(H), reference), out=chunk)
         except np.linalg.LinAlgError as err:
             raise RuntimeError(f"trials {trial_lo}..{trial_hi}: eigensolver failed: {err}") from err
@@ -587,8 +605,6 @@ def run_two_volume(config: ExperimentConfig) -> TwoVolumeReport:
     shared_dst = np.flatnonzero(frozen_at >= 0)
     shared_src = frozen_at[shared_dst]
     free_positions = np.flatnonzero(frozen_at < 0)
-    if free_positions.size == 0:
-        raise RuntimeError("conditioning froze the whole free box; geometry cannot be admissible")
 
     rounds: list[RoundRecord] = []
     for r in range(1, config.conditioning_rounds + 1):
@@ -596,8 +612,7 @@ def run_two_volume(config: ExperimentConfig) -> TwoVolumeReport:
             cond_template.sites, config.dist, RngStream(config.master_seed, r << 32)
         )
         digest = hashlib.sha256(frozen_vals.tobytes()).hexdigest()
-        frozen_H = cond_template.assemble_values(frozen_vals, f"round {r} frozen field")
-        cond_eigs = np.linalg.eigvalsh(frozen_H)
+        cond_eigs = spectra(cond_template, frozen_vals, f"round {r} frozen field")
         base_values = np.zeros(free_template.n_sites)
         base_values[shared_dst] = frozen_vals[shared_src]
         rounds.append(

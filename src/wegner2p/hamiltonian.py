@@ -9,7 +9,8 @@ inter-particle interaction plus the coupled random potential:
 with x = (x1, x2) a pair point and V the single-site field.  Both particles
 feel one and the same field, which is what ties the diagonal entries of
 distinct box points together.  Matrices are dense symmetric ndarrays indexed
-by the canonical (lexicographic) enumeration of box points.
+by the canonical (lexicographic) enumeration of box points, and a sector's
+blocks by its representative points in that order.
 """
 
 from __future__ import annotations
@@ -308,7 +309,7 @@ class HamiltonianTemplate:
 
     def diagonal_shift(self, site_values: np.ndarray) -> np.ndarray:
         """g (V(x1) + V(x2)) per box point, from values aligned with `sites`;
-        the assembly methods refuse a shift that overflows."""
+        `assemble_sectors` refuses a shift that overflows."""
         return self.spec.coupling * (
             site_values[..., self.first_index] + site_values[..., self.second_index]
         )
@@ -326,35 +327,21 @@ class HamiltonianTemplate:
             raise ValueError(f"{label}: a field value overflows the operator diagonal")
         return diagonal
 
-    @staticmethod
-    def _with_diagonal(block: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-        """Copies of `block`, one per row of `diagonal`, plus that row on the diagonal."""
-        out = np.broadcast_to(block, diagonal.shape[:-1] + block.shape).copy()
-        idx = np.arange(block.shape[-1])
-        out[..., idx, idx] += diagonal
-        return out
-
-    def assemble_values(
-        self, site_values: np.ndarray, name: str = "field", first_trial: int = 1
-    ) -> np.ndarray:
-        """Dense symmetric (..., m, m) matrices from (..., n_sites) values aligned
-        with `sites`; callers size a stack by `_stack_rows`.
-
-        A diagonal entry that overflows raises ValueError labelled with `name`
-        for a single field, or with `trial k` for a batch, whose first row is
-        trial `first_trial`.
-        """
-        return self._with_diagonal(self.hopping, self._diagonal(site_values, name, first_trial))
-
     def assemble_sectors(
-        self, site_values: np.ndarray, first_trial: int = 1
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """(row offset, blocks) chunks for (trials, n_sites) values, sector by
-        sector, each within _CHUNK_BYTES or a single block.  The blocks of one
-        trial's sectors together have the eigenvalues of `assemble_values`,
-        which refuses overflow alike, before the first chunk."""
-        diagonal = self._diagonal(site_values, "field", first_trial)
+        self, site_values: np.ndarray, name: str = "field", first_trial: int = 1
+    ) -> Iterator[tuple[slice, slice, np.ndarray]]:
+        """(rows, columns, blocks) chunks for (..., n_sites) values, sector by
+        sector, each within _CHUNK_BYTES or a single block: block i has the
+        `columns` share of the m eigenvalues of field `rows`[i], in C order.
+        Refuses overflow before the first chunk, naming `name` for one field or
+        `trial k` for a batch, whose first row is trial `first_trial`."""
+        diagonal = self._diagonal(site_values, name, first_trial).reshape(-1, self.dim)
+        col = 0
         for block, rep in self.sectors:
-            rows = _stack_rows(block.nbytes)
+            rows, idx = _stack_rows(block.nbytes), np.arange(rep.size)
             for lo in range(0, len(diagonal), rows):
-                yield lo, self._with_diagonal(block, diagonal[lo : lo + rows, rep])
+                part = diagonal[lo : lo + rows, rep]
+                blocks = np.broadcast_to(block, part.shape[:1] + block.shape).copy()
+                blocks[:, idx, idx] += part
+                yield slice(lo, lo + len(part)), slice(col, col + rep.size), blocks
+            col += rep.size

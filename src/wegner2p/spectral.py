@@ -1,4 +1,4 @@
-"""Gaps between spectra, and the eigenvalue monotonicity verifier.
+"""Sorted spectra from sector blocks, their gaps, and the monotonicity verifier.
 
 Sorted eigenvalues of the assembled operator, viewed as functions of the
 site potential values, must be nondecreasing under single-site increases and
@@ -14,6 +14,19 @@ import numpy as np
 from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _stack_rows, one_blas_thread
 from .potential import RngStream, _integer, _real
 from .stollmann import DMReport, dm_report
+
+
+@one_blas_thread()
+def spectra(
+    template: HamiltonianTemplate, site_values: np.ndarray, name: str = "field", first_trial: int = 1
+) -> np.ndarray:
+    """Sorted eigenvalues, shape (..., m), of each (..., n_sites) field's operator,
+    from `template.assemble_sectors` stacks with OpenBLAS on one thread; an
+    overflowing field raises ValueError labelled as `assemble_sectors` labels it."""
+    eigs = np.empty(np.shape(site_values)[:-1] + (template.dim,))
+    for rows, cols, blocks in template.assemble_sectors(site_values, name, first_trial):
+        eigs.reshape(-1, template.dim)[rows, cols] = np.linalg.eigvalsh(blocks)
+    return np.sort(eigs, axis=-1)
 
 
 def min_gaps_to_sorted(rows: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -48,9 +61,9 @@ def verify_dm_eigenvalues(
     original eigenvalue plus 2*g*t, up to `tolerance` relative error.  It also
     raises one random site by a random amount and checks no sorted eigenvalue
     decreases by more than `tolerance`.  `stollmann.dm_report` reduces the
-    trials, which run in chunks of `_stack_rows` full matrices, each reduced
-    before the next is drawn, with OpenBLAS on one thread, so the report
-    does not depend on the host's BLAS thread count.  Requires a nonnegative
+    trials, which run in chunks of `_stack_rows` full matrices, each solved
+    by `spectra` and reduced before the next is drawn, so the report does
+    not depend on the host's BLAS thread count.  Requires a nonnegative
     coupling (raising the field must not lower the diagonal).  A field whose
     operator diagonal overflows, the base one or a trial's, raises
     ValueError naming that field (trials count from 0, as the witnesses do).
@@ -64,7 +77,7 @@ def verify_dm_eigenvalues(
     base_vals = np.asarray(values, dtype=float)
     if base_vals.shape != (template.n_sites,):
         raise ValueError(f"expected {template.n_sites} site values, got shape {base_vals.shape}")
-    base_eigs = np.linalg.eigvalsh(template.assemble_values(base_vals, "base field"))
+    base_eigs = spectra(template, base_vals, "base field")
     scale = 1.0 + np.abs(base_eigs)
     gen = rng.generator()
     g = spec.coupling
@@ -80,11 +93,11 @@ def verify_dm_eigenvalues(
                 site[i] = gen.integers(template.n_sites)
                 bump[i] = 10.0 * (1.0 - gen.random())
             shifted_vals = base_vals + t[:, None]
-            shifted = np.linalg.eigvalsh(template.assemble_values(shifted_vals, first_trial=start))
+            shifted = spectra(template, shifted_vals, first_trial=start)
             shift_err = np.max(np.abs(shifted - base_eigs - 2.0 * g * t[:, None]) / scale, axis=1)
             bumped_vals = np.tile(base_vals, (n, 1))
             bumped_vals[np.arange(n), site] += bump
-            bumped = np.linalg.eigvalsh(template.assemble_values(bumped_vals, first_trial=start))
+            bumped = spectra(template, bumped_vals, first_trial=start)
             mono_gap = np.max(base_eigs - bumped, axis=1)
             yield mono_gap, shift_err, lambda i: {
                 "trial": start + int(i),

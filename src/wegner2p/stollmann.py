@@ -186,6 +186,8 @@ def check_dm_function(
     samples, tolerance = _integer(samples, "samples"), _real(tolerance, "tolerance")
     if not lo < hi:
         raise ValueError("domain needs lo < hi")
+    if not math.isfinite(hi - lo):
+        raise ValueError("domain span hi - lo overflows a float")
     if samples < 1:
         raise ValueError("need at least one sample")
     span, p = hi - lo, f.arity

@@ -25,6 +25,7 @@ from wegner2p import (
     run_single_volume,
     run_two_volume,
     sample_field,
+    spectra,
     stollmann_exact,
     survey_separation_line,
     survey_separation_plane,
@@ -231,8 +232,8 @@ def test_criterion_6_swap_symmetry_spectra():
             ta.sites, DistributionSpec.uniform(0.0, 1.0), RngStream(3000 + i, 0)
         )
         assert ta.sites == tb.sites  # one value array fits both boxes
-        ea = np.linalg.eigvalsh(ta.assemble_values(field))
-        eb = np.linalg.eigvalsh(tb.assemble_values(field))
+        ea = spectra(ta, field)
+        eb = spectra(tb, field)
         worst = max(worst, float(np.max(np.abs(ea - eb))))
     outcome(6, worst <= 1e-10, f"100 random cases, largest spectral discrepancy {worst:.2e}")
 
@@ -306,7 +307,7 @@ def test_criterion_8_known_tensor_sum_spectrum():
         hopping_norm="l1",
     )
     template = HamiltonianTemplate(spec)
-    got = np.linalg.eigvalsh(template.assemble_values(np.zeros(template.n_sites)))
+    got = spectra(template, np.zeros(template.n_sites))
     lam = np.array([-np.sqrt(2.0), 0.0, np.sqrt(2.0)])
     want = np.sort((lam[:, None] + lam[None, :]).ravel())
     worst = float(np.max(np.abs(got - want)))

@@ -30,7 +30,9 @@ from wegner2p import (
     make_box,
     run_single_volume,
     sample_field,
+    spectra,
 )
+from dense_reference import dense_operator
 from test_experiments import _assert_reaped
 
 
@@ -244,7 +246,7 @@ def test_geometry_classify_rejects_close_centres(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def expected_matrix():
+def expected_field():
     spec = HamiltonianSpec(
         box=make_box(PairPoint.of((0,), (2,)), 1),
         interaction=InteractionSpec({0: 1.0, 1: 0.5}, r_max=1),
@@ -255,7 +257,7 @@ def expected_matrix():
     values = sample_field(
         template.sites, DistributionSpec.uniform(0.0, 1.0), RngStream(4003, 0)
     )
-    return template, template.assemble_values(values)
+    return template, values
 
 
 def test_spectrum_matches_matrix(tmp_path, capsys):
@@ -263,9 +265,10 @@ def test_spectrum_matches_matrix(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--config", cfg)
     assert code == 0
     payload = strict_loads(out)
-    _, matrix = expected_matrix()
-    want = np.linalg.eigvalsh(matrix)
+    template, values = expected_field()
+    want = np.linalg.eigvalsh(dense_operator(template, values))
     assert np.allclose(payload["eigenvalues"], want, atol=1e-14)
+    assert payload["eigenvalues"] == spectra(template, values).tolist()
     assert payload["source_dim"] == 9
     diffs = np.diff(payload["eigenvalues"])
     assert np.all(diffs >= 0)
@@ -681,7 +684,7 @@ OPERATOR_COMMANDS = {
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", list(OPERATOR_COMMANDS))
 def test_overflowing_field_exits_1_naming_the_field(tmp_path, capsys, command):
-    # HamiltonianTemplate.assemble_values refuses the field, so every
+    # HamiltonianTemplate.assemble_sectors refuses the field, so every
     # subcommand gives the same config error, and numpy warns of nothing
     base, label = OPERATOR_COMMANDS[command]
     dist = {"kind": "uniform", "lo": 1.5e308, "hi": 1.7e308}
@@ -689,6 +692,15 @@ def test_overflowing_field_exits_1_naming_the_field(tmp_path, capsys, command):
     code, out, err = run_cli(capsys, command, "--config", cfg)
     assert (code, out) == (1, "")
     assert err == f"error: {label}: a field value overflows the operator diagonal\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_dm_domain_whose_span_overflows_exits_1(tmp_path, capsys):
+    # the check once ran, numpy warned twice, and the report held -inf
+    cfg = write_config(tmp_path, "dm.json", {**DM_FN_CFG, "domain": [-1e308, 1e308]})
+    code, out, err = run_cli(capsys, "dm-check", "--config", cfg)
+    assert (code, out) == (1, "")
+    assert err == "error: domain span hi - lo overflows a float\n"
 
 
 @pytest.mark.parametrize("command", list(OPERATOR_COMMANDS))

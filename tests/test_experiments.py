@@ -30,6 +30,7 @@ from wegner2p import (
     make_box,
     run_single_volume,
     run_two_volume,
+    spectra,
     trial_values,
 )
 from wegner2p import experiments, hamiltonian, lattice
@@ -105,6 +106,8 @@ def test_bound_mode_validation():
         analytic_bound([box], box, UNIFORM01, -1e-3)
     with pytest.raises(ValueError):
         analytic_bound([box], box, UNIFORM01, 1e-3, coupling=0.0, bound_mode="eps_over_g")
+    with pytest.raises(ValueError, match="^free_box must be one of boxes$"):
+        analytic_bound([box], make_box(PairPoint.of((0,), (9,)), 1), UNIFORM01, 1e-3)
 
 
 def test_two_volume_bound_values():
@@ -123,6 +126,50 @@ def test_two_volume_bound_values():
     # saturation at eps >= 1/2 under uniform(0,1)
     sat = analytic_bound([box, box_prime], box, UNIFORM01, 0.5)
     assert sat == pytest.approx(9 * 9 * 6) and sat >= 1.0
+
+
+# one d=1 geometry per separation class: centres and the shift rate k
+GEOMETRY_PER_CLASS = {
+    SeparationClass.COMPLETELY_SEPARATED: ([[0], [100]], [[200], [300]], 2),
+    SeparationClass.FIRST_PARTICLE1_ISOLATED: ([[0], [100]], [[100], [300]], 1),
+    SeparationClass.FIRST_PARTICLE2_ISOLATED: ([[100], [0]], [[100], [300]], 1),
+    SeparationClass.SECOND_PARTICLE1_ISOLATED: ([[0], [0]], [[100], [0]], 1),
+    SeparationClass.SECOND_PARTICLE2_ISOLATED: ([[0], [0]], [[0], [100]], 1),
+}
+
+
+@pytest.mark.parametrize("cls", list(GEOMETRY_PER_CLASS), ids=lambda c: c.value)
+def test_eps_over_g_window_follows_the_shift_rate(cls):
+    # raising every free site by t raises each diagonal entry of the free box
+    # by at least g*k*t, with k the least number of a point's coordinates on
+    # free sites, so the window is 2*eps/(g*k): k = 2 under complete
+    # separation, 1 when only one of the free box's cubes is isolated
+    center, center_prime, k = GEOMETRY_PER_CLASS[cls]
+    g, eps = 0.8, 1e-4
+    cfg = config_2v(
+        center=center, center_prime=center_prime, coupling=g, epsilon=eps,
+        bound_mode="eps_over_g", trials=20, conditioning_rounds=1,
+    )
+    u, u_prime = cfg.hamiltonian.box.center, cfg.center_prime
+    classes = lattice.classify_separation(u, u_prime, 1)
+    assert cls in classes
+    assert (SeparationClass.COMPLETELY_SEPARATED in classes) is (k == 2)
+    boxes = [make_box(u, 1), make_box(u_prime, 1)]
+    free_box = boxes[choose_bound(classes) is TwoVolumeBound.CONDITION_ON_FIRST]
+    ceiling = 9 * 9 * len(lattice.projection_sites(free_box))
+    got = analytic_bound(boxes, free_box, UNIFORM01, eps, g, "eps_over_g")
+    assert got == pytest.approx(ceiling * 2 * eps / (g * k), rel=1e-12)
+    assert run_two_volume(cfg).analytic_bound == got
+    # two_eps does not depend on k
+    assert analytic_bound(boxes, free_box, UNIFORM01, eps, g) == pytest.approx(ceiling * 2 * eps)
+
+
+def test_a_box_point_with_no_free_coordinate_has_no_ceiling():
+    # conditioning on the free box itself freezes every coordinate: k = 0
+    box = make_box(PairPoint.of((0,), (100,)), 1)
+    for mode in ("two_eps", "eps_over_g"):
+        with pytest.raises(RuntimeError, match="no coordinate on a free site"):
+            analytic_bound([box, box], box, UNIFORM01, 1e-4, bound_mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +320,7 @@ def test_config_interaction_defaults_to_dimension_cutoff():
     assert cfg.hamiltonian.interaction.table == {}
 
 
-# Key order is part of the report schema (SCHEMA_VERSION 5); the JSON bytes
+# Key order is part of the report schema (SCHEMA_VERSION 6); the JSON bytes
 # depend on it.
 CONFIG_KEYS = [
     "dimension",
@@ -322,7 +369,7 @@ def test_report_key_order_is_pinned():
         "dist_max",
         "dist_digest",
     ]
-    assert (single["kind"], single["schema_version"]) == ("single_volume", 5)
+    assert (single["kind"], single["schema_version"]) == ("single_volume", 6)
     assert list(single["config"]) == CONFIG_KEYS + ["energy"]
     two = run_two_volume(config_2v(trials=10, conditioning_rounds=1)).to_dict()
     assert list(two) == [
@@ -337,7 +384,7 @@ def test_report_key_order_is_pinned():
         "verdict",
         "low_power",
     ]
-    assert (two["kind"], two["schema_version"]) == ("two_volume", 5)
+    assert (two["kind"], two["schema_version"]) == ("two_volume", 6)
     assert list(two["config"]) == CONFIG_KEYS + ["center_prime", "conditioning_rounds"]
     assert list(two["rounds"][0]) == ROUND_KEYS
 
@@ -401,7 +448,7 @@ def test_single_volume_trial_replay_by_hand():
     assert report.dist_digest == hashlib.sha256(dists.tobytes()).hexdigest()
     template = HamiltonianTemplate(cfg.hamiltonian)
     vals = trial_values(cfg.dist, cfg.master_seed, 0, 3, 3, template.n_sites)[0]
-    eigs = np.linalg.eigvalsh(template.assemble_values(vals))
+    eigs = spectra(template, vals)
     want = np.min(np.abs(eigs - cfg.energy))
     assert dists[2] == pytest.approx(want, abs=1e-14)
 
@@ -658,9 +705,7 @@ def test_free_sites_shift_every_eigenvalue_at_the_rate_of_the_separation_class()
         rate = (free[template.first_index] + free[template.second_index]).min()
         assert rate == (2 if SeparationClass.COMPLETELY_SEPARATED in classes else 1), classes
         values = gen.uniform(0.0, 1.0, template.n_sites)
-        before, after = (
-            np.linalg.eigvalsh(template.assemble_values(v)) for v in (values, values + t * free)
-        )
+        before, after = spectra(template, np.array([values, values + t * free]))
         shift = after - before
         assert shift.min() >= rate * g * t * (1 - 1e-9), classes
         assert shift.max() <= 2 * g * t * (1 + 1e-9), classes
@@ -722,7 +767,7 @@ def test_two_volume_round_dist_digest_is_that_rounds_distances():
                 round_index=rec.round_index,
                 n_trials=cfg.trials,
                 threads=cfg.threads,
-                reference=np.linalg.eigvalsh(cond.assemble_values(frozen)),
+                reference=spectra(cond, frozen),
                 base_values=base_values,
                 free_positions=free_positions,
             )
@@ -982,18 +1027,13 @@ def test_two_volume_tracks_unconditional_frequency():
     box_p = make_box(cfg.center_prime, box.radius)
     t_free = HamiltonianTemplate(HamiltonianSpec(box, cfg.hamiltonian.interaction, 1.0, "sup"))
     t_cond = HamiltonianTemplate(HamiltonianSpec(box_p, cfg.hamiltonian.interaction, 1.0, "sup"))
-    gen = np.random.default_rng(4242)
-    hits = 0
     n = 4000
-    for _ in range(n):
-        ea = np.linalg.eigvalsh(
-            t_free.assemble_values(gen.uniform(size=t_free.n_sites))
-        )
-        eb = np.linalg.eigvalsh(
-            t_cond.assemble_values(gen.uniform(size=t_cond.n_sites))
-        )
-        if np.min(np.abs(ea[:, None] - eb[None, :])) <= cfg.epsilon:
-            hits += 1
+    # one row-major draw: row i holds the values pair i took one call each for
+    pairs = np.random.default_rng(4242).uniform(size=(n, t_free.n_sites + t_cond.n_sites))
+    ea = spectra(t_free, pairs[:, : t_free.n_sites])
+    eb = spectra(t_cond, pairs[:, t_free.n_sites :])
+    gaps = np.abs(ea[:, :, None] - eb[:, None, :]).min(axis=(1, 2))
+    hits = int(np.count_nonzero(gaps <= cfg.epsilon))
     uncond = hits / n
     sd = math.sqrt(max(uncond * (1 - uncond), 1e-9) / n)
     for rec in report.rounds:

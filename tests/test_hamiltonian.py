@@ -19,7 +19,9 @@ from wegner2p import (
     trial_values,
 )
 from wegner2p.experiments import _collect_distances, _span_rows
-from wegner2p.spectral import min_gaps_to_sorted
+from wegner2p.spectral import min_gaps_to_sorted, spectra
+
+from dense_reference import dense_operator
 
 
 def box1d(c1, c2, L):
@@ -138,17 +140,20 @@ def test_radius_zero_box_is_one_by_one():
     spec = HamiltonianSpec(box, InteractionSpec.zero(), coupling=2.0)
     template = HamiltonianTemplate(spec)
     assert template.sites == [(2,), (5,)]
-    H = template.assemble_values(np.array([0.25, -1.0]))
+    H = dense_operator(template, np.array([0.25, -1.0]))
     assert H.shape == (1, 1)
     assert H[0, 0] == pytest.approx(2.0 * (0.25 - 1.0))
+    assert spectra(template, np.array([0.25, -1.0])) == pytest.approx([2.0 * (0.25 - 1.0)])
 
 
 def test_matrix_is_exactly_symmetric():
     box = make_box(PairPoint.of((0, 0), (1, 1)), 1)
     spec = HamiltonianSpec(box, InteractionSpec({0: 1.0, 1: 0.5}, r_max=2), 1.5, "sup")
     template = HamiltonianTemplate(spec)
-    H = template.assemble_values(random_field(template, 3))
+    H = dense_operator(template, random_field(template, 3))
     assert np.array_equal(H, H.T)
+    for _, _, blocks in template.assemble_sectors(random_field(template, 3)):
+        assert np.array_equal(blocks, blocks.swapaxes(-1, -2))
 
 
 def test_entries_against_direct_rules():
@@ -159,7 +164,7 @@ def test_entries_against_direct_rules():
     template = HamiltonianTemplate(spec)
     values = random_field(template, 9)
     field = dict(zip(template.sites, values))  # site -> value, for the direct rule
-    H = template.assemble_values(values)
+    H = dense_operator(template, values)
     pts = box_points(template)
     for i, x in enumerate(pts):
         for j, y in enumerate(pts):
@@ -179,9 +184,11 @@ def test_global_field_shift_moves_diagonal():
     template = HamiltonianTemplate(spec)
     field = random_field(template, 21)
     t = 0.37
-    H0 = template.assemble_values(field)
-    H1 = template.assemble_values(field + t)
+    H0 = dense_operator(template, field)
+    H1 = dense_operator(template, field + t)
     assert np.allclose(H1, H0 + 2.0 * g * t * np.eye(template.dim), atol=1e-12)
+    shift = spectra(template, field + t) - spectra(template, field)
+    assert np.allclose(shift, 2.0 * g * t, atol=1e-12)
 
 
 def test_single_site_bump_is_psd_with_known_entries():
@@ -195,7 +202,7 @@ def test_single_site_bump_is_psd_with_known_entries():
     site = template.sites[1]
     bumped = field.copy()
     bumped[1] += t
-    delta = template.assemble_values(bumped) - template.assemble_values(field)
+    delta = dense_operator(template, bumped) - dense_operator(template, field)
     assert np.array_equal(delta, np.diag(np.diag(delta)))
     counts = {0.0: 0, 1.0: 0, 2.0: 0}
     for k, pt in enumerate(box_points(template)):
@@ -211,13 +218,16 @@ def test_assemble_requires_full_field():
     spec = HamiltonianSpec(box, InteractionSpec.zero(), 1.0)
     template = HamiltonianTemplate(spec)
     with pytest.raises(ValueError):
-        template.assemble_values(np.ones(1))
+        spectra(template, np.ones(1))
     with pytest.raises(ValueError):
-        template.assemble_values(np.zeros(template.n_sites + 1))
-    # a leading axis is a batch: one field in it gives a stack of one matrix
+        spectra(template, np.zeros(template.n_sites + 1))
+    with pytest.raises(ValueError):
+        next(template.assemble_sectors(np.zeros((2, template.n_sites - 1))))
+    # a leading axis is a batch: one field in it gives a stack of one spectrum
     field = random_field(template, 2)
-    single = template.assemble_values(field)
-    assert template.assemble_values(field[None]).tobytes() == single[None].tobytes()
+    single = spectra(template, field)
+    assert single.shape == (template.dim,)
+    assert spectra(template, field[None]).tobytes() == single[None].tobytes()
 
 
 def test_assemble_batch_equals_stacked_singles():
@@ -226,10 +236,13 @@ def test_assemble_batch_equals_stacked_singles():
     template = HamiltonianTemplate(spec)
     gen = np.random.default_rng(5)
     fields = gen.uniform(-1.0, 1.0, size=(2, 3, template.n_sites))
-    batch = template.assemble_values(fields)
-    assert batch.shape == (2, 3, template.dim, template.dim)
-    singles = np.array([[template.assemble_values(f) for f in row] for row in fields])
+    batch = spectra(template, fields)
+    assert batch.shape == (2, 3, template.dim)
+    singles = np.array([[spectra(template, f) for f in row] for row in fields])
     assert batch.tobytes() == singles.tobytes()
+    dense = dense_operator(template, fields)
+    assert dense.shape == (2, 3, template.dim, template.dim)
+    assert np.max(np.abs(batch - np.linalg.eigvalsh(dense))) <= 1e-12
 
 
 def test_template_refuses_a_box_over_the_batch_budget(monkeypatch):
@@ -251,12 +264,16 @@ def test_assemble_names_the_field_whose_diagonal_overflows():
     fields[2, 1] = 1e308  # overflows g (V(x1) + V(x2)) at the box point (0, 0)
     fields[3, 0] = 6e307  # a finite shift that overflows when added to U(0)
     with pytest.raises(ValueError, match="^trial 12: a field value overflows"):
-        template.assemble_values(fields, first_trial=10)
+        spectra(template, fields, first_trial=10)
+    with pytest.raises(ValueError, match="^trial 12: a field value overflows"):
+        next(template.assemble_sectors(fields, first_trial=10))
     with pytest.raises(ValueError, match="^trial 1: a field value overflows"):
-        template.assemble_values(fields[3:])
+        spectra(template, fields[3:])
     with pytest.raises(ValueError, match="^frozen: a field value overflows"):
-        template.assemble_values(fields[2], "frozen")
-    assert np.isfinite(template.assemble_values(fields[:2])).all()
+        spectra(template, fields[2], "frozen")
+    with pytest.raises(ValueError, match="^field: a field value overflows"):
+        spectra(template, fields[2])
+    assert np.isfinite(spectra(template, fields[:2])).all()
 
 
 def test_batched_diagonal_matches_looped():
@@ -292,24 +309,32 @@ def test_swap_sectors_carry_the_whole_spectrum(centre, L, norm, g):
     sizes = ((m + fixed_points) // 2, (m - fixed_points) // 2)
     fields = np.random.default_rng(L).uniform(-1.0, 1.0, size=(3, template.n_sites))
     chunks = list(template.assemble_sectors(fields))
-    # sector by sector, each sector's chunks at the offsets of trials 0..2 in
-    # order; d2-L2's blocks exceed the chunk budget and come one at a time
-    assert all(H.nbytes <= hamiltonian._CHUNK_BYTES or len(H) == 1 for _, H in chunks)
-    rows = [(H.shape[-1], row) for lo, H in chunks for row in range(lo, lo + len(H))]
+    # sector by sector, each sector's chunks at the rows of trials 0..2 in
+    # order and at the sector's columns; d2-L2's blocks exceed the chunk
+    # budget and come one at a time
+    assert all(H.nbytes <= hamiltonian._CHUNK_BYTES or len(H) == 1 for _, _, H in chunks)
+    rows = [(H.shape[-1], row) for r, _, H in chunks for row in range(r.start, r.stop)]
     assert rows == [(k, row) for k in sizes for row in range(3)]
-    blocks = [np.concatenate([H for _, H in chunks if H.shape[-1] == k]) for k in sizes]
+    assert all(len(H) == r.stop - r.start for r, _, H in chunks)
+    columns = {(c.start, c.stop) for _, c, H in chunks}
+    assert columns == {(0, sizes[0]), (sizes[0], m)}
+    blocks = [np.concatenate([H for _, _, H in chunks if H.shape[-1] == k]) for k in sizes]
     assert [b.shape for b in blocks] == [(3, k, k) for k in sizes]
     assert all(np.array_equal(b, b.swapaxes(-1, -2)) for b in blocks)
-    merged = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks], axis=-1), axis=-1)
-    full = np.linalg.eigvalsh(template.assemble_values(fields))
+    with hamiltonian.one_blas_thread():  # one OpenBLAS thread, as `spectra` solves them
+        eigs = [np.linalg.eigvalsh(b) for b in blocks]
+    merged = np.sort(np.concatenate(eigs, axis=-1), axis=-1)
+    full = np.linalg.eigvalsh(dense_operator(template, fields))
     assert np.max(np.abs(merged - full)) <= 1e-12
+    assert np.array_equal(spectra(template, fields), merged)
 
 
 def test_radius_zero_swap_box_is_one_symmetric_sector():
     # the one box point is its own swap, so no antisymmetric block remains
     template = HamiltonianTemplate(HamiltonianSpec(box1d(4, 4, 0), InteractionSpec({0: 2.0}), 0.5))
-    [(lo, block)] = template.assemble_sectors(np.array([[0.25]]))
-    assert lo == 0 and block.tobytes() == template.assemble_values(np.array([[0.25]])).tobytes()
+    [(rows, cols, block)] = template.assemble_sectors(np.array([[0.25]]))
+    assert (rows, cols) == (slice(0, 1), slice(0, 1))
+    assert block.tobytes() == dense_operator(template, np.array([[0.25]])).tobytes()
 
 
 @pytest.mark.parametrize("centre", [((0,), (3,)), ((0, 1), (1, 0))], ids=["d1", "d2"])
@@ -324,8 +349,9 @@ def test_box_without_swap_is_one_sector_bit_for_bit(centre):
         base_values=np.zeros(template.n_sites), free_positions=np.arange(template.n_sites),
     )
     values = trial_values(law, 99, 2, 1, 40, template.n_sites)
-    full = min_gaps_to_sorted(np.linalg.eigvalsh(template.assemble_values(values)), reference)
-    assert np.array_equal(got, full)
+    dense = np.linalg.eigvalsh(dense_operator(template, values))
+    assert np.array_equal(got, min_gaps_to_sorted(dense, reference))
+    assert np.array_equal(spectra(template, values), dense)
 
 
 def test_spec_validation():
@@ -377,7 +403,7 @@ def test_swap_conjugation_preserves_matrix(c1, c2, L, norm, seed):
     ta, tb = HamiltonianTemplate(spec_a), HamiltonianTemplate(spec_b)
     assert ta.sites == tb.sites
     field = random_field(ta, seed)
-    Ha, Hb = ta.assemble_values(field), tb.assemble_values(field)
+    Ha, Hb = dense_operator(ta, field), dense_operator(tb, field)
     pos_b = {pt: k for k, pt in enumerate(box_points(tb))}
     perm = np.array([pos_b[PairPoint(pt.second, pt.first)] for pt in box_points(ta)])
     assert np.array_equal(Ha, Hb[np.ix_(perm, perm)])

@@ -68,7 +68,7 @@ CASES = {
             "trials": 1500,
             "master_seed": 11,
         },
-        "a5d0e4cb6713f38fa2bb26a74b9d0c990eb86d341253ba2fc5b90f2f18fcfe16",
+        "b71bd61cf75201f72e5e1810e4f9107e41e99b14fbc504cd5d3e1b820ab53533",
     ),
     "wegner-two": (
         "wegner-two",
@@ -83,7 +83,7 @@ CASES = {
             "conditioning_rounds": 2,
             "master_seed": 12,
         },
-        "f3e330771875a012de4a6fcfb8d1cc2a25669191fedb1b4195d4e02df801a38e",
+        "2c0f0255b80331d98dddffd72d0db77f681395ac4dff73c182e30e0240d26f58",
     ),
 }
 

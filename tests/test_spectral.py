@@ -19,7 +19,9 @@ from wegner2p import (
     verify_dm_eigenvalues,
 )
 from wegner2p import hamiltonian
-from wegner2p.spectral import min_gaps_to_sorted
+from wegner2p.spectral import min_gaps_to_sorted, spectra
+
+from dense_reference import dense_operator
 
 
 # ---------------------------------------------------------------------------
@@ -52,12 +54,62 @@ def test_residual_backward_error():
     field = sample_field(
         template.sites, DistributionSpec.uniform(0.0, 1.0), RngStream(5, 0)
     )
-    H = template.assemble_values(field)
+    H = dense_operator(template, field)
     vals, vecs = np.linalg.eigh(H)
     norm = np.linalg.norm(H, 2)
     resid = np.linalg.norm(H @ vecs - vecs * vals, axis=0)
     assert np.all(resid <= 1e-12 * (1.0 + norm))
     assert np.allclose(vals, np.linalg.eigvalsh(H))
+    assert np.allclose(vals, spectra(template, field), rtol=0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# spectra from the sector blocks against the dense operator
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "centre, L",
+    [(((0,), (0,)), 2), (((1,), (-3,)), 2), (((0, 0), (0, 0)), 1), (((1, 0), (0, 2)), 1)],
+    ids=["d1-diagonal", "d1-off", "d2-diagonal", "d2-off"],
+)
+@pytest.mark.parametrize("norm", ["sup", "l1"])
+def test_spectra_match_the_dense_reference(centre, L, norm):
+    # enough fields that every sector's stack crosses the 512 KiB budget
+    inter = InteractionSpec({0: 1.5, 1: -0.4}, r_max=1)
+    spec = HamiltonianSpec(make_box(PairPoint.of(*centre), L), inter, 0.7, norm)
+    template = HamiltonianTemplate(spec)
+    n = 2 * max(hamiltonian._stack_rows(block.nbytes) for block, _ in template.sectors) + 1
+    fields = np.random.default_rng(L).uniform(-1.0, 1.0, size=(n, template.n_sites))
+    stacks = list(template.assemble_sectors(fields))
+    assert len(stacks) >= 3 * len(template.sectors)
+    got = spectra(template, fields)
+    want = np.linalg.eigvalsh(dense_operator(template, fields))
+    assert got.shape == (n, template.dim)
+    assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+    assert np.all(np.diff(got, axis=-1) >= 0)
+    # one field is the batch's row, bit for bit
+    assert np.array_equal(spectra(template, fields[n - 1]), got[n - 1])
+
+
+@pytest.mark.filterwarnings("error")
+def test_spectra_name_the_field_whose_diagonal_overflows():
+    # one field carries its name, a batch row its trial number counted from
+    # first_trial, also past the first stack of a batch larger than the budget
+    spec = HamiltonianSpec(make_box(PairPoint.of((0,), (0,)), 2), InteractionSpec.zero(), 1.0)
+    template = HamiltonianTemplate(spec)
+    fields = np.zeros((700, template.n_sites))
+    fields[650, 3] = 1e308
+    with pytest.raises(ValueError, match="^trial 650: a field value overflows the operator"):
+        spectra(template, fields, first_trial=0)
+    with pytest.raises(ValueError, match="^trial 651: a field value overflows"):
+        spectra(template, fields, "ignored for a batch")
+    with pytest.raises(ValueError, match="^field: a field value overflows"):
+        spectra(template, fields[650])
+    for name in ("base field", "round 3 frozen field"):
+        with pytest.raises(ValueError, match=f"^{name}: a field value overflows"):
+            spectra(template, fields[650], name)
+    assert np.isfinite(spectra(template, fields[:650])).all()
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +217,11 @@ def test_weyl_continuity_under_bounded_perturbation():
     # |lambda_k(H + D) - lambda_k(H)| <= ||D||; push every site by delta
     spec, vals = small_setup(1.5)
     template = HamiltonianTemplate(spec)
-    base = np.linalg.eigvalsh(template.assemble_values(vals))
+    base = spectra(template, vals)
     gen = RngStream(77, 0).generator()
     for _ in range(25):
         delta = gen.uniform(-0.5, 0.5, size=vals.shape)
-        pert = np.linalg.eigvalsh(template.assemble_values(vals + delta))
+        pert = spectra(template, vals + delta)
         bound = 2.0 * spec.coupling * np.max(np.abs(delta))
         assert np.max(np.abs(pert - base)) <= bound + 1e-12
 
@@ -185,15 +237,15 @@ def test_spectrum_invariant_under_particle_swap():
         ta, tb = HamiltonianTemplate(spec_a), HamiltonianTemplate(spec_b)
         field = sample_field(ta.sites, law, RngStream(seed, 0))
         assert ta.sites == tb.sites
-        ea = np.linalg.eigvalsh(ta.assemble_values(field))
-        eb = np.linalg.eigvalsh(tb.assemble_values(field))
+        ea = spectra(ta, field)
+        eb = spectra(tb, field)
         assert np.allclose(ea, eb, atol=1e-10)
 
 
 def per_trial_dm_report(spec, values, trials, rng, tolerance):
-    """The eigenvalue DM check one trial at a time, two eigvalsh calls each."""
+    """The eigenvalue DM check one trial at a time, two `spectra` calls each."""
     template = HamiltonianTemplate(spec)
-    base_eigs = np.linalg.eigvalsh(template.assemble_values(values))
+    base_eigs = spectra(template, values)
     scale = 1.0 + np.abs(base_eigs)
     gen = rng.generator()
     g = spec.coupling
@@ -201,13 +253,13 @@ def per_trial_dm_report(spec, values, trials, rng, tolerance):
     witnesses = []
     for k in range(trials):
         t = 10.0 * (1.0 - gen.random())
-        shifted = np.linalg.eigvalsh(template.assemble_values(values + t))
+        shifted = spectra(template, values + t)
         shift_err = float(np.max(np.abs(shifted - base_eigs - 2.0 * g * t) / scale))
         site = int(gen.integers(template.n_sites))
         bump = 10.0 * (1.0 - gen.random())
         bumped_vals = values.copy()
         bumped_vals[site] += bump
-        mono_gap = float(np.max(base_eigs - np.linalg.eigvalsh(template.assemble_values(bumped_vals))))
+        mono_gap = float(np.max(base_eigs - spectra(template, bumped_vals)))
         worst_shift = max(worst_shift, shift_err)
         worst_mono = max(worst_mono, mono_gap)
         if (shift_err > tolerance or mono_gap > tolerance) and len(witnesses) < 5:
@@ -220,8 +272,9 @@ def per_trial_dm_report(spec, values, trials, rng, tolerance):
 
 @pytest.mark.parametrize("tolerance", [1e-9, 1e-15, -1.0])
 def test_verifier_chunks_match_per_trial_reference(monkeypatch, tolerance):
-    # a budget of three 9x9 matrices cuts 20 trials into 7 chunks; the report
-    # equals the default-budget one and the per-trial loop's
+    # a budget of three 9x9 matrices cuts 20 trials into 7 chunks, each
+    # solved as a 6x6 and a 3x3 sector stack; the report equals the
+    # default-budget one and the per-trial loop's
     spec, field = small_setup(1.0)
     wide = verify_dm_eigenvalues(spec, field, 20, RngStream(4, 1), tolerance)
     calls = []
@@ -235,8 +288,8 @@ def test_verifier_chunks_match_per_trial_reference(monkeypatch, tolerance):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     narrow = verify_dm_eigenvalues(spec, field, 20, RngStream(4, 1), tolerance)
     monkeypatch.undo()
-    assert calls[0] == () and len(calls) == 1 + 2 * 7
-    assert max(np.prod(shape) for shape in calls[1:]) == 3
+    assert calls[:2] == [(1,), (1,)] and len(calls) == 2 + 2 * 2 * 7
+    assert max(np.prod(shape) for shape in calls[2:]) == 3
     assert narrow == wide
     want = per_trial_dm_report(spec, field, 20, RngStream(4, 1), tolerance)
     assert (narrow.worst_diagonal_defect, narrow.worst_monotonicity_violation) == want[:2]

@@ -238,6 +238,18 @@ def test_checker_argument_validation():
         check_dm_function(f, (0.0, 1.0), 0, RngStream(0, 0))
 
 
+@pytest.mark.filterwarnings("error")
+def test_checker_refuses_a_domain_whose_span_overflows(monkeypatch):
+    # hi - lo = 2e308 is no float: refused before the generator is derived,
+    # where the check once ran and numpy warned of invalid subtractions
+    def must_not_draw(self):
+        raise AssertionError("drew from the stream")
+
+    monkeypatch.setattr(RngStream, "generator", must_not_draw)
+    with pytest.raises(ValueError, match="^domain span hi - lo overflows a float$"):
+        check_dm_function(coordinate_sum(2), (-1e308, 1e308), 10, RngStream(1, 0))
+
+
 def test_dm_closed_under_constant_shift():
     base = coordinate_max(2)
     shifted = DMFunctionSpec(
