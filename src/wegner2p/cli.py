@@ -3,9 +3,11 @@
 Subcommands read a JSON config file, run one library operation, and write a
 report to stdout or --out as JSON (byte-stable and strict: a non-finite
 number is an error).  Each subcommand's handler takes the loaded config and
-the parsed arguments and returns its report as a dict and whether its check
-or bound held; `main` loads the config, writes the report and picks the exit
-code.
+the parsed arguments and returns `(kind, body, ok)`: the report's kind, its
+body as a dict, and whether its check or bound held.  `main` loads the
+config, writes every report as `kind`, `schema_version` and `tool_version`
+followed by the body, and picks the exit code.  A change that moves any
+report byte bumps SCHEMA_VERSION.
 Exit codes: 0 when the requested check or bound holds (or the command is
 purely informational), 2 when a bound or check is violated beyond statistical
 slack, 1 for usage, config, or I/O errors.
@@ -40,6 +42,8 @@ from .stollmann import (
     stollmann_exact,
     stollmann_mc,
 )
+
+SCHEMA_VERSION = 7
 
 
 class _UsageError(Exception):
@@ -105,9 +109,12 @@ def write_report(report: dict, out: str | None) -> None:
 
 
 def _cmd_experiment(data: dict, args):
-    run = run_two_volume if args.command == "wegner-two" else run_single_volume
+    if args.command == "wegner-two":
+        kind, run = "two_volume", run_two_volume
+    else:
+        kind, run = "single_volume", run_single_volume
     report = run(ExperimentConfig.from_dict(data, args.threads))
-    return report.to_dict(), report.verdict == "holds"
+    return kind, asdict(report), report.verdict == "holds"
 
 
 def _cmd_geometry_classify(data: dict, args):
@@ -126,7 +133,6 @@ def _cmd_geometry_classify(data: dict, args):
         raise ValueError("box centres must match the configured dimension")
     classes = classify_separation(u, u_prime, radius)
     payload = {
-        "kind": "geometry",
         "dimension": dimension,
         "radius": radius,
         "center": [list(u.first), list(u.second)],
@@ -134,7 +140,7 @@ def _cmd_geometry_classify(data: dict, args):
         "separation_classes": sorted(c.value for c in classes),
         "bound_choice": choose_bound(classes).value,
     }
-    return payload, True
+    return "geometry", payload, True
 
 
 def _sampled(
@@ -160,12 +166,8 @@ def _cmd_spectrum(data: dict, args):
     spec, site_values = _sampled(data, "hamiltonian")
     template = HamiltonianTemplate(spec)
     eigs = spectra(template, site_values)
-    payload = {
-        "kind": "spectrum",
-        "source_dim": template.dim,
-        "eigenvalues": [float(v) for v in eigs],
-    }
-    return payload, True
+    payload = {"source_dim": template.dim, "eigenvalues": [float(v) for v in eigs]}
+    return "spectrum", payload, True
 
 
 @_malformed("function")
@@ -225,13 +227,8 @@ def _cmd_stollmann_check(data: dict, args):
     else:
         res = stollmann_mc(f, dist, interval, trials, rng)
         holds = res.holds_within_3sigma
-    payload = {
-        "kind": f"stollmann_{mode}",
-        "function": f.name,
-        "interval": [interval.lower, interval.upper],
-        **asdict(res),
-    }
-    return payload, holds
+    payload = {"function": f.name, "interval": [interval.lower, interval.upper], **asdict(res)}
+    return f"stollmann_{mode}", payload, holds
 
 
 def _cmd_dm_check(data: dict, args):
@@ -259,7 +256,7 @@ def _cmd_dm_check(data: dict, args):
         )
     else:
         raise ValueError(f"unknown dm-check target {target!r}")
-    return {"kind": "dm_check", **asdict(report)}, report.passed
+    return "dm_check", asdict(report), report.passed
 
 
 def _build_parser() -> _Parser:
@@ -319,8 +316,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("error: a subcommand is required", file=sys.stderr)
         return 1
     try:
-        report, ok = args.handler(_load_config(args.config, getattr(args, "seed", None)), args)
-        write_report(report, out=args.out)
+        kind, body, ok = args.handler(_load_config(args.config, getattr(args, "seed", None)), args)
+        header = {"kind": kind, "schema_version": SCHEMA_VERSION, "tool_version": __version__}
+        write_report(header | body, out=args.out)
         return 0 if ok else 2
     except (_UsageError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -53,13 +53,12 @@ import math
 import mmap
 import os
 import signal
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import ClassVar, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._version import __version__ as TOOL_VERSION
 from . import hamiltonian
 from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _pair, one_blas_thread
 from .lattice import (
@@ -75,8 +74,6 @@ from .potential import DistributionSpec, RngStream, _integer, _malformed, _real,
 from .potential import draw_values, sample_field
 from .spectral import min_gaps_to_sorted, spectra
 from .stollmann import binomial_verdict
-
-SCHEMA_VERSION = 6
 
 _BOUND_MODES = ("two_eps", "eps_over_g")
 
@@ -291,35 +288,14 @@ class ExperimentConfig:
             )
 
 
-class _Report:
-    """Report dataclass serialised from its fields, in declaration order.
-
-    The JSON object starts with `kind`, `schema_version` and `tool_version`;
-    nested dataclasses become objects.
-    """
-
-    KIND: ClassVar[str]
-
-    def to_dict(self) -> dict:
-        body = asdict(self)
-        return {
-            "kind": self.KIND,
-            "schema_version": body.pop("schema_version"),
-            "tool_version": body.pop("tool_version"),
-            **body,
-        }
-
-
 @dataclass
-class WegnerReport(_Report):
+class WegnerReport:
     """Outcome of a single-volume run.
 
     `dist_digest` is the sha256 hex of the per-trial distances as float64 in
     trial order; any trial can be replayed from `trial_values` and the
     whole run checked against it.
     """
-
-    KIND = "single_volume"
 
     config: dict
     analytic_bound: float
@@ -333,8 +309,6 @@ class WegnerReport(_Report):
     dist_mean: float
     dist_max: float
     dist_digest: str
-    schema_version: int = SCHEMA_VERSION
-    tool_version: str = TOOL_VERSION
 
 
 @dataclass(frozen=True)
@@ -355,10 +329,8 @@ class RoundRecord:
 
 
 @dataclass
-class TwoVolumeReport(_Report):
+class TwoVolumeReport:
     """Outcome of a two-volume run: one record per conditioning round."""
-
-    KIND = "two_volume"
 
     config: dict
     separation_classes: list[str]
@@ -367,8 +339,6 @@ class TwoVolumeReport(_Report):
     rounds: list[RoundRecord]
     verdict: str
     low_power: bool
-    schema_version: int = SCHEMA_VERSION
-    tool_version: str = TOOL_VERSION
 
 
 def _collect_distances(

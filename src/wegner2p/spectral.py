@@ -64,13 +64,16 @@ def verify_dm_eigenvalues(
     trials, which run in chunks of `_stack_rows` full matrices, each solved
     by `spectra` and reduced before the next is drawn, so the report does
     not depend on the host's BLAS thread count.  Requires a nonnegative
-    coupling (raising the field must not lower the diagonal).  A field whose
-    operator diagonal overflows, the base one or a trial's, raises
-    ValueError naming that field (trials count from 0, as the witnesses do).
+    tolerance and a nonnegative coupling (raising the field must not lower
+    the diagonal).  A field whose operator diagonal overflows, the base one
+    or a trial's, raises ValueError naming that field (trials count from 0,
+    as the witnesses do).
     """
     trials, tolerance = _integer(trials, "trials"), _real(tolerance, "tolerance")
     if trials < 1:
         raise ValueError("need at least one trial")
+    if tolerance < 0:
+        raise ValueError("tolerance must be nonnegative")
     if spec.coupling < 0:
         raise ValueError("monotonicity holds for nonnegative coupling only")
     template = HamiltonianTemplate(spec)

@@ -180,7 +180,7 @@ def check_dm_function(
     Draws base points v uniformly from [lo, hi]^p, nonnegative perturbation
     vectors r with entries up to the domain span, and diagonal steps t in
     (0, span].  The gaps are Phi(v) - Phi(v + r) and t - (Phi(v + t*1) -
-    Phi(v)).
+    Phi(v)).  `tolerance` must be nonnegative.
     """
     lo, hi = _real(domain[0], "domain"), _real(domain[1], "domain")
     samples, tolerance = _integer(samples, "samples"), _real(tolerance, "tolerance")
@@ -190,6 +190,8 @@ def check_dm_function(
         raise ValueError("domain span hi - lo overflows a float")
     if samples < 1:
         raise ValueError("need at least one sample")
+    if tolerance < 0:
+        raise ValueError("tolerance must be nonnegative")
     span, p = hi - lo, f.arity
     gen = rng.generator()
 

@@ -239,7 +239,7 @@ def test_criterion_6_swap_symmetry_spectra():
 
 
 def test_criterion_7_thread_count_determinism(tmp_path):
-    """Reports are byte-identical no matter how many worker threads run."""
+    """Reports are byte-identical no matter how many worker processes run."""
     single_cell = {
         "dimension": 1,
         "radius": 2,

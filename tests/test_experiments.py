@@ -16,6 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wegner2p
+import wegner2p.cli as cli
 from wegner2p import (
     DistributionSpec,
     ExperimentConfig,
@@ -320,8 +322,8 @@ def test_config_interaction_defaults_to_dimension_cutoff():
     assert cfg.hamiltonian.interaction.table == {}
 
 
-# Key order is part of the report schema (SCHEMA_VERSION 6); the JSON bytes
-# depend on it.
+# Key order is part of the report schema (cli.SCHEMA_VERSION 7); the JSON
+# bytes depend on it.
 CONFIG_KEYS = [
     "dimension",
     "radius",
@@ -350,8 +352,16 @@ ROUND_KEYS = [
 ]
 
 
-def test_report_key_order_is_pinned():
-    single = run_single_volume(config_1v(trials=10)).to_dict()
+def _cli_report(tmp_path, command: str, cfg: ExperimentConfig) -> dict:
+    """The report `cli.main` writes for the config echo of `cfg`."""
+    path, out = tmp_path / "config.json", tmp_path / "report.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_report_key_order_is_pinned(tmp_path):
+    single = _cli_report(tmp_path, "wegner-single", config_1v(trials=10))
     assert list(single) == [
         "kind",
         "schema_version",
@@ -369,9 +379,10 @@ def test_report_key_order_is_pinned():
         "dist_max",
         "dist_digest",
     ]
-    assert (single["kind"], single["schema_version"]) == ("single_volume", 6)
+    header = (single["kind"], single["schema_version"], single["tool_version"])
+    assert header == ("single_volume", 7, wegner2p.__version__)
     assert list(single["config"]) == CONFIG_KEYS + ["energy"]
-    two = run_two_volume(config_2v(trials=10, conditioning_rounds=1)).to_dict()
+    two = _cli_report(tmp_path, "wegner-two", config_2v(trials=10, conditioning_rounds=1))
     assert list(two) == [
         "kind",
         "schema_version",
@@ -384,7 +395,8 @@ def test_report_key_order_is_pinned():
         "verdict",
         "low_power",
     ]
-    assert (two["kind"], two["schema_version"]) == ("two_volume", 6)
+    header = (two["kind"], two["schema_version"], two["tool_version"])
+    assert header == ("two_volume", 7, wegner2p.__version__)
     assert list(two["config"]) == CONFIG_KEYS + ["center_prime", "conditioning_rounds"]
     assert list(two["rounds"][0]) == ROUND_KEYS
 
@@ -475,7 +487,7 @@ def test_single_volume_deterministic_and_thread_invariant():
     r3 = run_single_volume(config_1v(trials=2100, threads=3))
     assert r1 == r2 == r3
     assert r1.dist_digest == r3.dist_digest
-    assert json.dumps(r1.to_dict()) == json.dumps(r3.to_dict())
+    assert json.dumps(dataclasses.asdict(r1)) == json.dumps(dataclasses.asdict(r3))
 
 
 def _recorder(path: Path):
@@ -624,9 +636,9 @@ def test_single_volume_rejects_two_volume_fields():
 
 
 def test_report_json_round_trip():
-    report = run_single_volume(config_1v(trials=32))
-    blob = json.dumps(report.to_dict())
-    assert json.loads(blob) == report.to_dict()
+    report = dataclasses.asdict(run_single_volume(config_1v(trials=32)))
+    blob = json.dumps(report)
+    assert json.loads(blob) == report
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +729,7 @@ def test_two_volume_deterministic_and_thread_invariant():
     cfg_b = config_2v(trials=1100, conditioning_rounds=2, threads=3)
     ra, rb = run_two_volume(cfg_a), run_two_volume(cfg_b)
     assert ra == rb
-    assert json.dumps(ra.to_dict()) == json.dumps(rb.to_dict())
+    assert json.dumps(dataclasses.asdict(ra)) == json.dumps(dataclasses.asdict(rb))
 
 
 def test_two_volume_round_digest_replay():
@@ -1012,9 +1024,9 @@ def test_two_volume_rejects_misconfigured_runs():
 
 
 def test_two_volume_report_round_trip():
-    report = run_two_volume(config_2v(trials=40, conditioning_rounds=2))
-    blob = json.dumps(report.to_dict())
-    assert json.loads(blob) == report.to_dict()
+    report = dataclasses.asdict(run_two_volume(config_2v(trials=40, conditioning_rounds=2)))
+    blob = json.dumps(report)
+    assert json.loads(blob) == report
 
 
 def test_two_volume_tracks_unconditional_frequency():

@@ -6,6 +6,7 @@ float and stores an int.  Anything else raises ValueError naming the field,
 with the message a config holding the same value makes the CLI print.
 """
 
+import dataclasses
 import json
 import math
 
@@ -256,6 +257,40 @@ def test_config_with_the_value_prints_the_library_message(
     assert (captured.out, captured.err) == ("", f"error: {MESSAGE[kind].format(field, value)}\n")
 
 
+class _NoDraws:
+    def generator(self):
+        raise AssertionError("drew before checking the tolerance")
+
+
+@pytest.mark.parametrize(
+    "call, config",
+    [
+        pytest.param(
+            lambda v, r: check_dm_function(SUM2, (0.0, 1.0), 10, r, tolerance=v),
+            dm_function,
+            id="check_dm_function",
+        ),
+        pytest.param(
+            lambda v, r: verify_dm_eigenvalues(SPEC, FIELD, 5, r, tolerance=v),
+            dm_eigenvalues,
+            id="verify_dm_eigenvalues",
+        ),
+    ],
+)
+def test_negative_tolerance_is_refused_before_any_draw(call, config, tmp_path, capsys):
+    with pytest.raises(ValueError) as err:
+        call(-1, _NoDraws())
+    assert str(err.value) == "tolerance must be nonnegative"
+    assert call(0, rng()).tolerance == 0.0
+    path = tmp_path / "config.json"
+    refused = "error: tolerance must be nonnegative\n"
+    for tolerance, codes, stderr in ((-1, {1}, refused), (0, {0, 2}, "")):
+        command, data = config(tolerance=tolerance)
+        path.write_text(json.dumps(data))
+        assert cli.main([command, "--config", str(path)]) in codes
+        assert capsys.readouterr().err == stderr
+
+
 def test_numpy_and_integral_values_are_stored_as_python_numbers():
     law = DistributionSpec(kind="uniform", lo=np.float32(0.5), hi=np.int64(2))
     assert (law.lo, law.hi) == (0.5, 2.0) and type(law.lo) is type(law.hi) is float
@@ -277,7 +312,7 @@ def test_numpy_r_max_echoes_an_int_and_its_report_is_written(tmp_path):
     spec = HamiltonianSpec(BOX, interaction, np.float64(1.0))
     config = ExperimentConfig(spec, U, np.float64(0.01), np.int64(50), 3, energy=np.int64(0))
     out = tmp_path / "report.json"
-    cli.write_report(run_single_volume(config).to_dict(), out=str(out))
+    cli.write_report(dataclasses.asdict(run_single_volume(config)), out=str(out))
     echo = json.loads(out.read_text())["config"]
     assert echo["interaction"] == {"entries": [[1, 0.5]], "r_max": 2}
     assert (echo["coupling"], echo["epsilon"], echo["energy"]) == (1.0, 0.01, 0.0)

@@ -1,10 +1,12 @@
 """Every code sample in the README runs as printed."""
 
+import json
 import re
 from pathlib import Path
 
 import pytest
 
+import wegner2p
 import wegner2p.cli as cli
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -46,3 +48,9 @@ def test_sample_config_runs(subcommand, name, text, tmp_path):
     config.write_text(text)
     out = tmp_path / "report.json"
     assert cli.main([subcommand, "--config", str(config), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert list(report)[:3] == ["kind", "schema_version", "tool_version"]
+    assert (report["schema_version"], report["tool_version"]) == (
+        cli.SCHEMA_VERSION,
+        wegner2p.__version__,
+    )

@@ -1,11 +1,14 @@
 """Pinned report bytes for the parts of each report that no BLAS build can round.
 
-Each case runs one subcommand through `cli.main` and hashes the canonical
-JSON (sorted keys, no spaces) of its report.  Experiment reports drop
-`dist_min`, `dist_mean`, `dist_max` and `dist_digest`, at top level and in
-every round, because they hold eigenvalue distances to the last bit; their
-hits, frequencies, ceilings and verdicts stay in.  A change that moves any
-pinned byte must say why and bump `SCHEMA_VERSION` (or `tool_version`).
+Each case runs one subcommand through `cli.main`, checks that the report
+starts with the common header (`kind`, `schema_version`, `tool_version`),
+and hashes the canonical JSON (sorted keys, no spaces) of the report.
+Experiment reports drop `dist_min`, `dist_mean`, `dist_max` and
+`dist_digest`, at top level and in every round, and spectrum reports drop
+`eigenvalues`, because they hold eigenvalues or their distances to the last
+bit; hits, frequencies, ceilings, verdicts and sizes stay in.  A change that
+moves any pinned byte must say why and bump `cli.SCHEMA_VERSION` (or
+`tool_version`).
 """
 
 import hashlib
@@ -13,16 +16,22 @@ import json
 
 import pytest
 
+import wegner2p
 import wegner2p.cli as cli
 
 UNIFORM = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
-DIST_KEYS = ("dist_min", "dist_mean", "dist_max", "dist_digest")
+BLAS_ROUNDED_KEYS = ("dist_min", "dist_mean", "dist_max", "dist_digest", "eigenvalues")
 
 CASES = {
     "geometry-classify": (
         "geometry-classify",
         {"dimension": 1, "radius": 1, "center": [[0], [0]], "center_prime": [[9], [20]]},
-        "fc619976162588a52c3425693f4a810354148e1d9ecd9d2fd03d58b1c74ba25b",
+        "2d9e03eefe03e2ce813a9a284f35b72f1c9879fbe9cdcee60ce8350d12bd5843",
+    ),
+    "spectrum": (
+        "spectrum",
+        {"dimension": 1, "radius": 1, "center": [[0], [2]], "dist": UNIFORM, "master_seed": 5},
+        "35a82349cfd9f003eba6432fb3879ad9c843702e132ff10a8f5463065fc789eb",
     ),
     "stollmann-exact": (
         "stollmann-check",
@@ -31,7 +40,7 @@ CASES = {
             "dist": {"kind": "discrete", "atoms": [[0.0, 0.25], [1.0, 0.5], [2.5, 0.25]]},
             "interval": [0.5, 2.0],
         },
-        "70dd5e6bc04ddff34379ddc380c6821ca933106d40136d30c6d22238cbda679d",
+        "ac12bd576d0d8344a98c65b2c03585d1486a86a361e0beafc918ed844ec1475f",
     ),
     "stollmann-mc": (
         "stollmann-check",
@@ -43,7 +52,7 @@ CASES = {
             "trials": 2000,
             "master_seed": 3,
         },
-        "acfa9ec5353ea109bbf38ed9c577c861e76295b7f15e6a6733ebb66b83bd7ade",
+        "144d93b7751c4f3a18e55f4baf6bd3b29f62d9ac1cffc5cf1296f16658b4ac35",
     ),
     "dm-check-function": (
         "dm-check",
@@ -54,7 +63,7 @@ CASES = {
             "samples": 300,
             "master_seed": 4,
         },
-        "5f1774850f7f526d8d9a7efada92d74c1edbb74b70fcb2af6d6fb33403ee42f2",
+        "0f77bdd3514fb59eb05d221e6667ee772bc9890aae2eea27645d4af1886acf0e",
     ),
     "wegner-single": (
         "wegner-single",
@@ -68,7 +77,7 @@ CASES = {
             "trials": 1500,
             "master_seed": 11,
         },
-        "b71bd61cf75201f72e5e1810e4f9107e41e99b14fbc504cd5d3e1b820ab53533",
+        "4157963b965f50a44054dc74355ef2dbcbb0d9d59f2f6768703e2e805511321a",
     ),
     "wegner-two": (
         "wegner-two",
@@ -83,14 +92,14 @@ CASES = {
             "conditioning_rounds": 2,
             "master_seed": 12,
         },
-        "2c0f0255b80331d98dddffd72d0db77f681395ac4dff73c182e30e0240d26f58",
+        "dd141eaba9c5fff83c73a8063386a23b363f19e36683b37d73d46bf8cbc33e6e",
     ),
 }
 
 
 def _pinned_part(report: dict) -> dict:
     for record in [report, *report.get("rounds", [])]:
-        for key in DIST_KEYS:
+        for key in BLAS_ROUNDED_KEYS:
             record.pop(key, None)
     return report
 
@@ -101,6 +110,12 @@ def test_report_bytes_are_pinned(case, tmp_path):
     path, out = tmp_path / "config.json", tmp_path / "report.json"
     path.write_text(json.dumps(config))
     assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
-    report = _pinned_part(json.loads(out.read_text()))
+    report = json.loads(out.read_text())
+    assert list(report)[:3] == ["kind", "schema_version", "tool_version"]
+    assert (report["schema_version"], report["tool_version"]) == (
+        cli.SCHEMA_VERSION,
+        wegner2p.__version__,
+    )
+    report = _pinned_part(report)
     canonical = json.dumps(report, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == digest

@@ -184,15 +184,20 @@ def pointwise_dm_report(f, domain, samples, rng, tolerance):
 
 
 @pytest.mark.parametrize("chunk", [3, 1 << 16])
-@pytest.mark.parametrize("tolerance", [1e-12, -1.0])
+@pytest.mark.parametrize("tolerance", [1e-12, 0.0])
 def test_checker_matches_pointwise_loop(monkeypatch, chunk, tolerance):
+    # a decreasing function flags every sample, so five witnesses are kept
+    # from across the chunks; at tolerance 0 the order statistic's diagonal
+    # step is flagged where it rounds above t
     monkeypatch.setattr(stollmann, "_CHUNK", chunk)
-    for f in (coordinate_sum(3), order_statistic(3, 2, shifts=[0.0, -1.5, 2.0])):
+    decreasing = DMFunctionSpec(3, lambda V: -V.sum(axis=1))
+    functions = (coordinate_sum(3), order_statistic(3, 2, shifts=[0.0, -1.5, 2.0]), decreasing)
+    for f, flagged in zip(functions, (0, 0 if tolerance else 2, 5)):
         report = check_dm_function(f, (-2.0, 2.0), 50, RngStream(8, 0), tolerance=tolerance)
         want = pointwise_dm_report(f, (-2.0, 2.0), 50, RngStream(8, 0), tolerance)
         assert (report.worst_monotonicity_violation, report.worst_diagonal_defect) == want[:2]
         assert report.witnesses == want[2]
-        assert len(report.witnesses) == (5 if tolerance < 0 else 0)
+        assert len(report.witnesses) == flagged
 
 
 @pytest.mark.parametrize(
