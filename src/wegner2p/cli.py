@@ -1,13 +1,13 @@
 """Command line front end.
 
-Subcommands read a JSON config file, run one library operation, and write a
-report to stdout or --out as JSON (byte-stable and strict: a non-finite
-number is an error).  Each subcommand's handler takes the loaded config and
-the parsed arguments and returns `(kind, body, ok)`: the report's kind, its
-body as a dict, and whether its check or bound held.  `main` loads the
-config, writes every report as `kind`, `schema_version` and `tool_version`
-followed by the body, and picks the exit code.  A change that moves any
-report byte bumps SCHEMA_VERSION.
+Subcommands read a JSON config file (a seed is set there, as `master_seed`),
+run one library operation, and write a report to stdout or --out as JSON
+(byte-stable and strict: a non-finite number is an error).  Each handler
+takes the loaded config and the parsed arguments and returns `(kind, body,
+ok)`: the report's kind, its body as a dict, and whether its check or bound
+held.  `main` loads the config, writes every report as `kind`,
+`schema_version` and `tool_version` followed by the body, and picks the exit
+code.  A change that moves any report byte bumps SCHEMA_VERSION.
 Exit codes: 0 when the requested check or bound holds (or the command is
 purely informational), 2 when a bound or check is violated beyond statistical
 slack, 1 for usage, config, or I/O errors.
@@ -26,9 +26,9 @@ import numpy as np
 
 from ._version import __version__
 from .experiments import ExperimentConfig, choose_bound, run_single_volume, run_two_volume
-from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _check_keys, _pair
+from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _pair
 from .lattice import classify_separation, projection_sites
-from .potential import DistributionSpec, RngStream, _integer, _malformed, sample_field
+from .potential import DistributionSpec, RngStream, _check_keys, _integer, _malformed, sample_field
 from .spectral import spectra, verify_dm_eigenvalues
 from .stollmann import (
     DMFunctionSpec,
@@ -73,8 +73,8 @@ def _unique_keys(pairs: list) -> dict:
     return data
 
 
-def _load_config(path: str, seed: int | None = None) -> dict:
-    """The JSON object at `path`, with `master_seed` overridden by `seed`.
+def _load_config(path: str) -> dict:
+    """The JSON object at `path`.
 
     Strict JSON only: NaN, Infinity and literals that overflow a float, such
     as 1e400, are refused before any work starts, and so is an object that
@@ -89,8 +89,6 @@ def _load_config(path: str, seed: int | None = None) -> dict:
             raise ValueError(f"config is not valid JSON: {err}") from None
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
-    if seed is not None:
-        data["master_seed"] = seed
     return data
 
 
@@ -200,7 +198,7 @@ def _function_from_config(data: Mapping) -> DMFunctionSpec:
 def _cmd_stollmann_check(data: dict, args):
     _check_keys(
         data,
-        allowed={"function", "dist", "interval", "mode", "trials", "master_seed"},
+        allowed={"function", "dist", "interval", "trials", "master_seed"},
         required={"function", "dist", "interval"},
         what="stollmann",
     )
@@ -209,26 +207,22 @@ def _cmd_stollmann_check(data: dict, args):
     raw_interval = data["interval"]
     if not isinstance(raw_interval, (list, tuple)) or len(raw_interval) != 2:
         raise ValueError("interval must be [lower, upper]")
-    mode = data.get("mode", "exact")
     with _malformed("stollmann"):
         interval = IntervalSpec(*raw_interval)
-        if mode == "mc":
-            if "trials" not in data or "master_seed" not in data:
-                raise ValueError("mc mode needs trials and master_seed")
-            trials = data["trials"]
-            rng = RngStream(data["master_seed"], 0)
-        elif mode != "exact":
-            raise ValueError(f"unknown mode {mode!r}; pick exact or mc")
-        elif "trials" in data or "master_seed" in data:
-            raise ValueError("exact mode draws nothing: it takes no trials, master_seed or --seed")
-    if mode == "exact":
+    payload = {"function": f.name, "interval": [interval.lower, interval.upper]}
+    # The law picks the path: a discrete law is enumerated, any other sampled.
+    sampling = {"trials", "master_seed"}
+    if dist.kind == "discrete" and sampling & data.keys():
+        raise ValueError("a discrete law is enumerated exactly: it takes no trials or master_seed")
+    if dist.kind == "discrete":
         res = stollmann_exact(f, dist, interval)
-        holds = res.holds
-    else:
-        res = stollmann_mc(f, dist, interval, trials, rng)
-        holds = res.holds_within_3sigma
-    payload = {"function": f.name, "interval": [interval.lower, interval.upper], **asdict(res)}
-    return f"stollmann_{mode}", payload, holds
+        return "stollmann_exact", payload | asdict(res), res.holds
+    if missing := sorted(sampling - data.keys()):
+        raise ValueError(f"a {dist.kind} law is sampled: stollmann config lacks {missing}")
+    with _malformed("stollmann"):
+        rng = RngStream(data["master_seed"], 0)
+    res = stollmann_mc(f, dist, interval, data["trials"], rng)
+    return "stollmann_mc", payload | asdict(res), res.holds_within_3sigma
 
 
 def _cmd_dm_check(data: dict, args):
@@ -268,35 +262,29 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     # Each subcommand takes only the flags its handler reads.
-    seed = ("--seed", {"type": int, "default": None, "help": "override master_seed"})
-    threads = (
-        "--threads",
-        {
-            "type": int,
-            "default": 1,
-            "metavar": "N",
-            "help": "worker processes: this one and up to N-1 forked helpers, "
-            "each with OpenBLAS on one thread",
-        },
-    )
-
-    def add(name: str, handler, help_text: str, *options) -> None:
+    def add(name: str, handler, help_text: str) -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        for flag, kwargs in options:
-            p.add_argument(flag, **kwargs)
         p.set_defaults(handler=handler)
+        return p
 
     add("geometry-classify", _cmd_geometry_classify, "separation classes of two box centres")
-    add("spectrum", _cmd_spectrum, "eigenvalues of one sampled operator", seed)
+    add("spectrum", _cmd_spectrum, "eigenvalues of one sampled operator")
     for name, help_text in (
         ("wegner-single", "single-volume concentration bound experiment"),
         ("wegner-two", "two-volume conditional bound experiment"),
     ):
-        add(name, _cmd_experiment, help_text, seed, threads)
-    add("stollmann-check", _cmd_stollmann_check, "interval probability vs DM bound", seed)
-    add("dm-check", _cmd_dm_check, "diagonal monotonicity checks", seed)
+        add(name, _cmd_experiment, help_text).add_argument(
+            "--threads",
+            type=int,
+            default=1,
+            metavar="N",
+            help="worker processes: this one and up to N-1 forked helpers, "
+            "each with OpenBLAS on one thread",
+        )
+    add("stollmann-check", _cmd_stollmann_check, "interval probability vs DM bound")
+    add("dm-check", _cmd_dm_check, "diagonal monotonicity checks")
     return parser
 
 
@@ -316,7 +304,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("error: a subcommand is required", file=sys.stderr)
         return 1
     try:
-        kind, body, ok = args.handler(_load_config(args.config, getattr(args, "seed", None)), args)
+        kind, body, ok = args.handler(_load_config(args.config), args)
         header = {"kind": kind, "schema_version": SCHEMA_VERSION, "tool_version": __version__}
         write_report(header | body, out=args.out)
         return 0 if ok else 2

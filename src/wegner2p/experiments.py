@@ -526,10 +526,13 @@ def choose_bound(classes: frozenset[SeparationClass]) -> TwoVolumeBound:
 
     An isolated cube on the first box (complete separation included) lets the
     first box stay random while the second is conditioned; otherwise the
-    isolation lives on the second box and the roles flip.
+    isolation lives on the second box and the roles flip.  No class at all
+    breaks the separation dichotomy: an invariant violation (RuntimeError).
     """
     if not classes:
-        raise ValueError("no separation class applies")
+        raise RuntimeError(
+            "separation dichotomy failed: no class applies to an admissible geometry"
+        )
     if classes & _FIRST_BOX_FREE:
         return TwoVolumeBound.CONDITION_ON_SECOND
     return TwoVolumeBound.CONDITION_ON_FIRST
@@ -555,10 +558,6 @@ def run_two_volume(config: ExperimentConfig) -> TwoVolumeReport:
         raise ValueError("two-volume experiment measures spectra against each other, not an energy")
     spec = config.hamiltonian
     classes = classify_separation(spec.box.center, config.center_prime, spec.box.radius)
-    if not classes:
-        raise RuntimeError(
-            "separation dichotomy failed: no class applies to an admissible geometry"
-        )
     which = choose_bound(classes)
     box = spec.box
     box_prime = make_box(config.center_prime, box.radius)

@@ -28,7 +28,7 @@ from typing import AbstractSet, Iterator, Mapping
 import numpy as np
 
 from .lattice import BoxSpec, PairPoint, Site, _site_positions, make_box, projection_sites
-from .potential import _integer, _malformed, _real
+from .potential import _check_keys, _integer, _malformed, _real
 
 _HOPPING_NORMS = ("sup", "l1")
 
@@ -151,9 +151,7 @@ class InteractionSpec:
         """Parse from config.  An omitted r_max defaults to `default_r_max`
         (callers pass the lattice dimension), stretched to cover the largest
         tabulated distance with a nonzero energy."""
-        extra = set(data) - {"entries", "r_max"}
-        if extra:
-            raise ValueError(f"unknown keys in interaction config: {sorted(extra)}")
+        _check_keys(data, {"entries", "r_max"}, "interaction")
         table: dict[int, float] = {}
         for r, v in data.get("entries", []):
             r = _integer(r, "interaction distance")
@@ -162,15 +160,6 @@ class InteractionSpec:
             table[r] = v
         stretched = max([default_r_max] + [r for r, v in table.items() if v != 0.0])
         return cls(table=table, r_max=data.get("r_max", stretched))
-
-
-def _check_keys(data: Mapping, allowed: set[str], required: set[str], what: str) -> None:
-    extra = set(data) - allowed
-    if extra:
-        raise ValueError(f"unknown keys in {what} config: {sorted(extra)}")
-    missing = required - set(data)
-    if missing:
-        raise ValueError(f"{what} config lacks required keys: {sorted(missing)}")
 
 
 def _pair(raw, what: str) -> PairPoint:

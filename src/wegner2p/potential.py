@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +32,15 @@ def _malformed(what: str):
         yield
     except TypeError as err:
         raise ValueError(f"malformed {what} config: {err}") from None
+
+
+def _check_keys(data: Mapping, allowed: AbstractSet[str], what: str, required=frozenset()) -> None:
+    extra = set(data) - allowed
+    if extra:
+        raise ValueError(f"unknown keys in {what} config: {sorted(extra)}")
+    missing = required - set(data)
+    if missing:
+        raise ValueError(f"{what} config lacks required keys: {sorted(missing)}")
 
 
 def _integer(value, what: str) -> int:
@@ -136,9 +145,7 @@ class DistributionSpec:
         }
         if kind not in allowed:
             raise ValueError(f"unknown distribution kind {kind!r}")
-        extra = set(data) - allowed[kind]
-        if extra:
-            raise ValueError(f"unknown keys in {kind} distribution config: {sorted(extra)}")
+        _check_keys(data, allowed[kind], f"{kind} distribution")
         if kind == "uniform":
             return cls.uniform(data["lo"], data["hi"])
         if kind == "gaussian":

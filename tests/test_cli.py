@@ -149,10 +149,16 @@ def test_unknown_config_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, flag, value", [("geometry-classify", "--seed", "5"), ("spectrum", "--threads", "2")]
+    "command, flag, value",
+    [("geometry-classify", "--seed", "5"), ("spectrum", "--threads", "2")]
+    + [
+        (command, "--seed", "5")
+        for command in ("spectrum", "wegner-single", "wegner-two", "stollmann-check", "dm-check")
+    ],
 )
 def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, command, flag, value):
-    # only the handlers that read --seed or --threads register them
+    # only the experiments read --threads, and no subcommand takes --seed:
+    # a seed is set only as the config's master_seed
     cfg = write_config(tmp_path, "c.json", HAM_CFG)
     code, out, err = run_cli(capsys, command, "--config", cfg, flag, value)
     assert code == 1
@@ -311,19 +317,6 @@ def test_wegner_single_json_report(tmp_path, capsys):
     assert payload["analytic_bound"] == report.analytic_bound
 
 
-def test_wegner_single_seed_override(tmp_path, capsys):
-    cfg = write_config(tmp_path, "w.json", SINGLE_CFG)
-    code, out, _ = run_cli(capsys, "wegner-single", "--config", cfg, "--seed", "99")
-    assert code == 0
-    payload = strict_loads(out)
-    assert payload["config"]["master_seed"] == 99
-    assert not any(isinstance(v, list) for v in payload.values())  # no per-trial array
-    report = run_single_volume(
-        ExperimentConfig.from_dict({**SINGLE_CFG, "master_seed": 99})
-    )
-    assert {k: payload[k] for k in DIST_KEYS} == {k: getattr(report, k) for k in DIST_KEYS}
-
-
 def test_wegner_single_out_file_and_threads_identical(tmp_path, capsys):
     cfg = write_config(tmp_path, "w.json", {**SINGLE_CFG, "trials": 2100})
     out1 = tmp_path / "t1.json"
@@ -398,6 +391,21 @@ def test_wegner_two_rejects_single_volume_config(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["geometry-classify", "wegner-two"])
+def test_empty_class_set_is_one_invariant_violation(tmp_path, capsys, monkeypatch, command):
+    # choose_bound is the one check of the separation dichotomy: an empty class
+    # set fails both subcommands that classify a geometry, in the same way
+    monkeypatch.setattr(cli, "classify_separation", lambda *args: frozenset())
+    monkeypatch.setattr(experiments, "classify_separation", lambda *args: frozenset())
+    cfg = write_config(tmp_path, "g.json", TWO_CFG if command == "wegner-two" else GEO_CFG)
+    code, out, err = run_cli(capsys, command, "--config", cfg)
+    assert (code, out) == (2, "")
+    assert err == (
+        "invariant violated: separation dichotomy failed: "
+        "no class applies to an admissible geometry\n"
+    )
+
+
 def test_runtime_invariant_failure_exits_2(tmp_path, capsys, monkeypatch):
     # a dichotomy failure inside the runner must surface as exit 2
     def boom(config):
@@ -436,17 +444,17 @@ def test_stollmann_exact_identity(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "extra, argv",
-    [({"trials": 5}, []), ({"master_seed": 3}, []), ({}, ["--seed", "3"])],
-    ids=["trials", "master_seed", "seed-flag"],
+    "extra", [{"trials": 5}, {"master_seed": 3}], ids=["trials", "master_seed"]
 )
-def test_stollmann_exact_refuses_what_only_sampling_reads(tmp_path, capsys, extra, argv):
-    # exact mode enumerates the law's atoms and draws nothing, so a trial
+def test_stollmann_exact_refuses_what_only_sampling_reads(tmp_path, capsys, extra):
+    # a discrete law's atoms are enumerated and nothing is drawn, so a trial
     # count or a seed would be read by no one: each is a config error
     cfg = write_config(tmp_path, "s.json", {**STOLLMANN_EXACT_CFG, **extra})
-    code, out, err = run_cli(capsys, "stollmann-check", "--config", cfg, *argv)
+    code, out, err = run_cli(capsys, "stollmann-check", "--config", cfg)
     assert (code, out) == (1, "")
-    assert err == "error: exact mode draws nothing: it takes no trials, master_seed or --seed\n"
+    assert err == (
+        "error: a discrete law is enumerated exactly: it takes no trials or master_seed\n"
+    )
 
 
 def test_stollmann_mc_mode(tmp_path, capsys):
@@ -457,7 +465,6 @@ def test_stollmann_mc_mode(tmp_path, capsys):
             "function": {"form": "max", "arity": 3},
             "dist": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
             "interval": [0.5, 0.6],
-            "mode": "mc",
             "trials": 5000,
             "master_seed": 11,
         },
@@ -471,6 +478,8 @@ def test_stollmann_mc_mode(tmp_path, capsys):
 
 
 def test_stollmann_mc_requires_trials(tmp_path, capsys):
+    # every law but a discrete one is sampled, so it needs trials and
+    # master_seed, and the error names the keys the config lacks
     cfg = write_config(
         tmp_path,
         "s.json",
@@ -478,24 +487,33 @@ def test_stollmann_mc_requires_trials(tmp_path, capsys):
             "function": {"form": "max", "arity": 3},
             "dist": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
             "interval": [0.5, 0.6],
-            "mode": "mc",
         },
     )
-    code, _, err = run_cli(capsys, "stollmann-check", "--config", cfg)
-    assert code == 1
+    code, out, err = run_cli(capsys, "stollmann-check", "--config", cfg)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: a uniform law is sampled: stollmann config lacks ['master_seed', 'trials']\n"
+    )
+    gaussian = {"kind": "gaussian", "mean": 0.0, "sigma": 1.0}
+    config = {**STOLLMANN_MC_CFG, "dist": gaussian}
+    del config["trials"]
+    cfg = write_config(tmp_path, "g.json", config)
+    code, out, err = run_cli(capsys, "stollmann-check", "--config", cfg)
+    assert (code, out) == (1, "")
+    assert err == "error: a gaussian law is sampled: stollmann config lacks ['trials']\n"
 
 
 @pytest.mark.parametrize(
     "extra, error",
     [
-        ({"mode": "layers"}, "unknown mode 'layers'; pick exact or mc"),
+        ({"mode": "layers"}, "unknown keys in stollmann config: ['mode']"),
         ({"grid": [k / 10 for k in range(11)]}, "unknown keys in stollmann config: ['grid']"),
     ],
     ids=["layers-mode", "grid-key"],
 )
 def test_stollmann_layer_set_config_exits_1(tmp_path, capsys, extra, error):
-    # the grid check of the proof's layer sets is gone: its mode and its grid
-    # key are config errors, and the error names the modes that remain
+    # the grid check of the proof's layer sets is gone, and the law picks
+    # between enumeration and sampling: `mode` and `grid` are unknown keys
     cfg = write_config(tmp_path, "s.json", {**STOLLMANN_MC_CFG, **extra})
     code, out, err = run_cli(capsys, "stollmann-check", "--config", cfg)
     assert (code, out) == (1, "")
@@ -726,7 +744,6 @@ STOLLMANN_MC_CFG = {
     "function": {"form": "max", "arity": 3},
     "dist": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
     "interval": [0.5, 0.6],
-    "mode": "mc",
     "trials": 5000,
     "master_seed": 11,
 }

@@ -660,7 +660,7 @@ def test_choose_bound_rules():
     assert choose_bound(frozenset({C})) is first
     assert choose_bound(frozenset({D})) is first
     assert choose_bound(frozenset({C, D})) is first
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError, match="separation dichotomy failed"):
         choose_bound(frozenset())
 
 

@@ -81,7 +81,6 @@ def stollmann(function=None, **changes):
         "function": function or {"form": "sum", "arity": 1},
         "dist": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
         "interval": [0.25, 0.5],
-        "mode": "mc",
         "trials": 2000,
         "master_seed": 1,
     }

@@ -48,7 +48,6 @@ CASES = {
             "function": {"form": "max", "arity": 3},
             "dist": UNIFORM,
             "interval": [0.5, 0.6],
-            "mode": "mc",
             "trials": 2000,
             "master_seed": 3,
         },
