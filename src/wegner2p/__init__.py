@@ -48,7 +48,6 @@ from .stollmann import (
     DMFunctionSpec,
     DMReport,
     IntervalSpec,
-    check_dm_function,
     stollmann_exact,
     stollmann_mc,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "DMFunctionSpec",
     "DMReport",
     "IntervalSpec",
-    "check_dm_function",
     "stollmann_exact",
     "stollmann_mc",
     "spectra",

@@ -33,7 +33,6 @@ from .spectral import spectra, verify_dm_eigenvalues
 from .stollmann import (
     DMFunctionSpec,
     IntervalSpec,
-    check_dm_function,
     coordinate_max,
     coordinate_sum,
     order_statistic,
@@ -127,7 +126,7 @@ def _cmd_geometry_classify(data: dict, args):
     with _malformed("geometry"):
         radius = _integer(data["radius"], "radius")
         dimension = _integer(data["dimension"], "dimension")
-    if u.dimension != dimension:
+    if {u.dimension, u_prime.dimension} != {dimension}:
         raise ValueError("box centres must match the configured dimension")
     classes = classify_separation(u, u_prime, radius)
     payload = {
@@ -226,30 +225,10 @@ def _cmd_stollmann_check(data: dict, args):
 
 
 def _cmd_dm_check(data: dict, args):
-    target = data.get("target", "function")
-    if target == "function":
-        _check_keys(
-            data,
-            allowed={"target", "function", "domain", "samples", "master_seed", "tolerance"},
-            required={"function", "domain", "samples", "master_seed"},
-            what="dm function",
-        )
-        f = _function_from_config(data["function"])
-        domain = data["domain"]
-        if not isinstance(domain, (list, tuple)) or len(domain) != 2:
-            raise ValueError("domain must be [lo, hi]")
-        rng = RngStream(data["master_seed"], 0)
-        report = check_dm_function(f, domain, data["samples"], rng, data.get("tolerance", 1e-12))
-    elif target == "eigenvalues":
-        spec, site_values = _sampled(
-            data, "dm eigenvalue", extra={"target", "trials", "tolerance"}, required={"trials"}
-        )
-        rng = RngStream(data["master_seed"], 1)
-        report = verify_dm_eigenvalues(
-            spec, site_values, data["trials"], rng, data.get("tolerance", 1e-9)
-        )
-    else:
-        raise ValueError(f"unknown dm-check target {target!r}")
+    spec, site_values = _sampled(data, "dm eigenvalue", {"trials", "tolerance"}, {"trials"})
+    rng = RngStream(data["master_seed"], 1)
+    tolerance = data.get("tolerance", 1e-9)
+    report = verify_dm_eigenvalues(spec, site_values, data["trials"], rng, tolerance)
     return "dm_check", asdict(report), report.passed
 
 
@@ -284,7 +263,7 @@ def _build_parser() -> _Parser:
             "each with OpenBLAS on one thread",
         )
     add("stollmann-check", _cmd_stollmann_check, "interval probability vs DM bound")
-    add("dm-check", _cmd_dm_check, "diagonal monotonicity checks")
+    add("dm-check", _cmd_dm_check, "diagonal monotonicity of the sorted eigenvalues")
     return parser
 
 

@@ -165,7 +165,7 @@ def analytic_bound(
         raise RuntimeError("a free-box point has no coordinate on a free site")
     window = 2.0 * epsilon if bound_mode == "two_eps" else 2.0 * epsilon / (coupling * k)
     if not math.isfinite(window):
-        raise ValueError("window width must be finite and nonnegative")
+        raise ValueError("window width overflows a float")
     union = len(projection_sites(free_box))
     return math.prod(box.size for box in boxes) * union * concentration(dist, window)
 

@@ -5,9 +5,9 @@ nondecreasing in every coordinate and grows at least linearly along the
 diagonal: Phi(v + t*1) - Phi(v) >= t for t > 0.  For such Phi and IID
 coordinates, the probability that Phi lands in an interval of length eps is
 at most p times the concentration function of the single-coordinate law at
-eps.  This module provides common DM families, the one reduction every DM
-check reports through, a randomized DM checker, and the bound evaluated
-exactly (atomic laws) or by Monte Carlo.
+eps.  This module provides common DM families, the one reduction the DM
+check of eigenvalues (`spectral.verify_dm_eigenvalues`) reports through, and
+the bound evaluated exactly (atomic laws) or by Monte Carlo.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ def order_statistic(p: int, k: int, shifts: Sequence[float] | None = None) -> DM
     )
 
 
-# Points per evaluator call in the checks that enumerate or sample in
-# chunks; fixed, however many points there are.
+# Atom combinations per evaluator call in `stollmann_exact`'s enumeration;
+# fixed, however many combinations there are.
 _CHUNK = 1 << 16
 
 
@@ -168,58 +168,9 @@ def dm_report(
     return DMReport(name, not witnesses, checks, worst_mono, worst_diag, tolerance, witnesses)
 
 
-def check_dm_function(
-    f: DMFunctionSpec,
-    domain: tuple[float, float],
-    samples: int,
-    rng: RngStream,
-    tolerance: float = 1e-12,
-) -> DMReport:
-    """Randomised DM check on a box domain, reduced by `dm_report`.
-
-    Draws base points v uniformly from [lo, hi]^p, nonnegative perturbation
-    vectors r with entries up to the domain span, and diagonal steps t in
-    (0, span].  The gaps are Phi(v) - Phi(v + r) and t - (Phi(v + t*1) -
-    Phi(v)).  `tolerance` must be nonnegative.
-    """
-    lo, hi = _real(domain[0], "domain"), _real(domain[1], "domain")
-    samples, tolerance = _integer(samples, "samples"), _real(tolerance, "tolerance")
-    if not lo < hi:
-        raise ValueError("domain needs lo < hi")
-    if not math.isfinite(hi - lo):
-        raise ValueError("domain span hi - lo overflows a float")
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if tolerance < 0:
-        raise ValueError("tolerance must be nonnegative")
-    span, p = hi - lo, f.arity
-    gen = rng.generator()
-
-    def chunks():
-        for start in range(0, samples, _CHUNK):
-            # one row per sample, drawn in the order v, r, t; numpy's uniform is
-            # low + (high - low) * next_double, so these are its values bit for bit
-            u = gen.random((min(_CHUNK, samples - start), 2 * p + 1))
-            v = lo + span * u[:, :p]
-            r = span * u[:, p : 2 * p]
-            t = span * (1.0 - u[:, 2 * p])  # lands in (0, span]
-            base = f(v)
-            mono_gap = base - f(v + r)
-            diag_gap = t - (f(v + t[:, None]) - base)
-            yield mono_gap, diag_gap, lambda i: {
-                "v": v[i].tolist(),
-                "r": r[i].tolist(),
-                "t": float(t[i]),
-                "monotonicity_gap": float(mono_gap[i]),
-                "diagonal_gap": float(diag_gap[i]),
-            }
-
-    return dm_report(f.name, tolerance, chunks())
-
-
 @dataclass(frozen=True)
 class IntervalSpec:
-    """Open interval (lower, upper) used as the target window."""
+    """Open interval (lower, upper): the window of an interval probability."""
 
     lower: float
     upper: float

@@ -16,7 +16,6 @@ import wegner2p.cli as cli
 import wegner2p.experiments as experiments
 import wegner2p.hamiltonian as hamiltonian
 from wegner2p import (
-    DMFunctionSpec,
     DistributionSpec,
     ExperimentConfig,
     HamiltonianSpec,
@@ -26,12 +25,12 @@ from wegner2p import (
     RngStream,
     __version__,
     _version,
-    check_dm_function,
     make_box,
     run_single_volume,
     sample_field,
     spectra,
 )
+from wegner2p.stollmann import dm_report
 from dense_reference import dense_operator
 from test_experiments import _assert_reaped
 
@@ -406,6 +405,16 @@ def test_empty_class_set_is_one_invariant_violation(tmp_path, capsys, monkeypatc
     )
 
 
+@pytest.mark.parametrize("command", ["geometry-classify", "wegner-two"])
+def test_second_centre_of_another_dimension_exits_1(tmp_path, capsys, command):
+    # both subcommands check both centres against `dimension`, with one line
+    base = TWO_CFG if command == "wegner-two" else GEO_CFG
+    cfg = write_config(tmp_path, "g.json", {**base, "center_prime": [[100, 0], [100, 0]]})
+    code, out, err = run_cli(capsys, command, "--config", cfg)
+    assert (code, out) == (1, "")
+    assert err == "error: box centres must match the configured dimension\n"
+
+
 def test_runtime_invariant_failure_exits_2(tmp_path, capsys, monkeypatch):
     # a dichotomy failure inside the runner must surface as exit 2
     def boom(config):
@@ -520,31 +529,11 @@ def test_stollmann_layer_set_config_exits_1(tmp_path, capsys, extra, error):
     assert err == f"error: {error}\n"
 
 
-def test_dm_check_function_target(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        "d.json",
-        {
-            "function": {"form": "linear", "coeffs": [0.5, 0.75]},
-            "domain": [-1.0, 1.0],
-            "samples": 300,
-            "master_seed": 3,
-        },
-    )
-    code, out, _ = run_cli(capsys, "dm-check", "--config", cfg)
-    assert code == 0
-    payload = strict_loads(out)
-    assert payload["kind"] == "dm_check"
-    assert payload["passed"] is True
-    assert payload["checks"] == 300
-
-
 def test_dm_check_eigenvalue_target(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
         "d.json",
         {
-            "target": "eigenvalues",
             "dimension": 1,
             "radius": 1,
             "center": [[0], [0]],
@@ -606,7 +595,7 @@ def test_cli_field_draws_are_pinned(tmp_path, capsys):
 
     # dm-check on the same box replays by hand; tolerance 0 makes every
     # trial whose shift is not exact in floating point a witness.
-    dm = {**point, "target": "eigenvalues", "trials": 4, "tolerance": 0.0}
+    dm = {**point, "trials": 4, "tolerance": 0.0}
     code, out, _ = run_cli(capsys, "dm-check", "--config", write_config(tmp_path, "d.json", dm))
     assert code == 2
     payload = strict_loads(out)
@@ -638,10 +627,10 @@ def test_cli_field_draws_are_pinned(tmp_path, capsys):
 
 
 def test_non_finite_report_is_refused_and_writes_nothing(tmp_path):
-    # a function that is NaN everywhere fails the check with NaN and -inf in
-    # its report, which strict JSON cannot carry
-    nan_everywhere = DMFunctionSpec(1, lambda V: np.full(len(V), np.nan))
-    report = check_dm_function(nan_everywhere, (0.0, 1.0), 100, RngStream(0, 0))
+    # a check whose gaps are all NaN fails with NaN in its witness and -inf
+    # as its worst gaps, which strict JSON cannot carry
+    nan = np.full(3, np.nan)
+    report = dm_report("nan", 0.0, [(nan, nan, lambda i: {"gap": float(nan[i])})])
     out = tmp_path / "dm.json"
     with pytest.raises(ValueError):
         cli.write_report({"kind": "dm_check", **asdict(report)}, out=str(out))
@@ -649,7 +638,6 @@ def test_non_finite_report_is_refused_and_writes_nothing(tmp_path):
 
 
 DM_EIG_CFG = {
-    "target": "eigenvalues",
     "dimension": 1,
     "radius": 1,
     "center": [[0], [0]],
@@ -711,15 +699,6 @@ def test_overflowing_field_exits_1_naming_the_field(tmp_path, capsys, command):
     assert err == f"error: {label}: a field value overflows the operator diagonal\n"
 
 
-@pytest.mark.filterwarnings("error")
-def test_dm_domain_whose_span_overflows_exits_1(tmp_path, capsys):
-    # the check once ran, numpy warned twice, and the report held -inf
-    cfg = write_config(tmp_path, "dm.json", {**DM_FN_CFG, "domain": [-1e308, 1e308]})
-    code, out, err = run_cli(capsys, "dm-check", "--config", cfg)
-    assert (code, out) == (1, "")
-    assert err == "error: domain span hi - lo overflows a float\n"
-
-
 @pytest.mark.parametrize("command", list(OPERATOR_COMMANDS))
 def test_box_over_the_batch_budget_exits_1_before_any_matrix(
     tmp_path, capsys, monkeypatch, command
@@ -748,14 +727,6 @@ STOLLMANN_MC_CFG = {
     "master_seed": 11,
 }
 
-DM_FN_CFG = {
-    "function": {"form": "sum", "arity": 2},
-    "domain": [0.0, 1.0],
-    "samples": 10,
-    "master_seed": 3,
-}
-
-
 @pytest.mark.parametrize(
     "command, base, bad",
     [
@@ -773,7 +744,7 @@ DM_FN_CFG = {
         ("stollmann-check", STOLLMANN_MC_CFG, {"master_seed": None}),
         ("stollmann-check", STOLLMANN_MC_CFG, {"function": {"form": "sum", "arity": None}}),
         ("stollmann-check", STOLLMANN_MC_CFG, {"interval": [0.5, None]}),
-        ("dm-check", DM_FN_CFG, {"samples": None}),
+        ("dm-check", DM_EIG_CFG, {"trials": None}),
     ],
     ids=[
         "single-center",
@@ -790,7 +761,7 @@ DM_FN_CFG = {
         "stollmann-master_seed",
         "stollmann-arity",
         "stollmann-interval",
-        "dm-samples",
+        "dm-trials",
     ],
 )
 def test_wrongly_typed_hamiltonian_values_exit_1(tmp_path, capsys, command, base, bad):
@@ -826,7 +797,6 @@ def test_wrongly_typed_hamiltonian_values_exit_1(tmp_path, capsys, command, base
             {"function": {"form": "max", "arity": 3.5}},
             "arity must be an integer, got 3.5",
         ),
-        ("dm-check", DM_FN_CFG, {"samples": 10.5}, "samples must be an integer, got 10.5"),
         ("dm-check", DM_EIG_CFG, {"trials": 2.5}, "trials must be an integer, got 2.5"),
     ],
     ids=[
@@ -842,7 +812,6 @@ def test_wrongly_typed_hamiltonian_values_exit_1(tmp_path, capsys, command, base
         "geometry-radius",
         "stollmann-trials",
         "function-arity",
-        "dm-samples",
         "dm-trials",
     ],
 )
@@ -898,8 +867,6 @@ UNIFORM = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
             "interaction energy",
         ),
         ("stollmann-check", STOLLMANN_EXACT_CFG, lambda x: {"interval": [x, 1.5]}, "interval"),
-        ("dm-check", DM_FN_CFG, lambda x: {"domain": [x, 1.0]}, "domain"),
-        ("dm-check", DM_FN_CFG, lambda x: {"tolerance": x}, "tolerance"),
         ("dm-check", DM_EIG_CFG, lambda x: {"tolerance": x}, "tolerance"),
         (
             "stollmann-check",
@@ -926,8 +893,6 @@ UNIFORM = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
         "atom-weight",
         "interaction-energy",
         "interval",
-        "dm-domain",
-        "dm-function-tolerance",
         "dm-eigenvalue-tolerance",
         "linear-coeffs",
         "order-shifts",
@@ -972,7 +937,7 @@ def test_a_bernoulli_law_is_an_unknown_kind(tmp_path, capsys):
         ("wegner-single", SINGLE_CFG, "trials", "1e400"),
         ("wegner-single", SINGLE_CFG, "epsilon", "-Infinity"),
         ("spectrum", HAM_CFG, "radius", "1e400"),
-        ("dm-check", DM_FN_CFG, "tolerance", "NaN"),
+        ("dm-check", DM_EIG_CFG, "tolerance", "NaN"),
         ("wegner-single", SINGLE_CFG, "epsilon", "1" + "0" * 400),
     ],
     ids=[
@@ -992,7 +957,7 @@ def test_non_finite_config_numbers_exit_1(
     def must_not_run(*args, **kwargs):
         raise AssertionError("the command started its work")
 
-    for name in ("run_single_volume", "HamiltonianTemplate", "check_dm_function"):
+    for name in ("run_single_volume", "HamiltonianTemplate", "verify_dm_eigenvalues"):
         monkeypatch.setattr(cli, name, must_not_run)
     path = tmp_path / "nonfinite.json"
     path.write_text(json.dumps({**base, key: "@"}).replace('"@"', literal))
@@ -1004,9 +969,13 @@ def test_non_finite_config_numbers_exit_1(
 
 
 def test_dm_check_unknown_target(tmp_path, capsys):
-    cfg = write_config(tmp_path, "d.json", {"target": "matrices"})
-    code, _, err = run_cli(capsys, "dm-check", "--config", cfg)
-    assert code == 1
+    # dm-check checks the operator's eigenvalues only, so `target` is an
+    # unknown key, whatever it names
+    for target in ("eigenvalues", "function", "matrices"):
+        cfg = write_config(tmp_path, "d.json", {**DM_EIG_CFG, "target": target})
+        code, out, err = run_cli(capsys, "dm-check", "--config", cfg)
+        assert (code, out) == (1, "")
+        assert err == "error: unknown keys in dm eigenvalue config: ['target']\n"
 
 
 def test_unknown_function_form(tmp_path, capsys):
@@ -1058,7 +1027,7 @@ def test_module_entry_point_runs(tmp_path):
             },
         ),
         ("spectrum", {"center": [[0], [1]]}),
-        ("dm-check", {"target": "eigenvalues", "trials": 20}),
+        ("dm-check", {"trials": 20}),
     ],
     ids=["wegner-single", "wegner-two", "spectrum", "dm-check"],
 )

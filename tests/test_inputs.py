@@ -3,7 +3,8 @@
 A real-valued input takes an int, a float or a numpy number and stores a
 finite float; an integer input takes an int, a numpy integer or an integral
 float and stores an int.  Anything else raises ValueError naming the field,
-with the message a config holding the same value makes the CLI print.
+with the message a config holding the same value makes the CLI print.  The
+tests' DM sampler (`dm_reference.check_dm_function`) keeps the same rule.
 """
 
 import dataclasses
@@ -24,7 +25,6 @@ from wegner2p import (
     PairPoint,
     RngStream,
     analytic_bound,
-    check_dm_function,
     concentration,
     make_box,
     run_single_volume,
@@ -39,6 +39,8 @@ from wegner2p.stollmann import (
     positive_linear,
     single_coordinate,
 )
+
+from dm_reference import check_dm_function
 
 U = DistributionSpec.uniform(0.0, 1.0)
 BOX = make_box(PairPoint.of((0,), (0,)), 1)
@@ -87,20 +89,8 @@ def stollmann(function=None, **changes):
     return "stollmann-check", {**base, **changes}
 
 
-def dm_function(function=None, **changes):
-    base = {
-        "target": "function",
-        "function": function or {"form": "sum", "arity": 2},
-        "domain": [0.0, 1.0],
-        "samples": 10,
-        "master_seed": 1,
-    }
-    return "dm-check", {**base, **changes}
-
-
 def dm_eigenvalues(**changes):
     base = {
-        "target": "eigenvalues",
         "dimension": 1,
         "radius": 1,
         "center": [[0], [0]],
@@ -157,13 +147,13 @@ CASES = [
      lambda v: stollmann(trials=v)),
     ("check_dm_function-samples", "samples", "integer",
      lambda v: check_dm_function(SUM2, (0.0, 1.0), v, rng()),
-     lambda v: dm_function(samples=v)),
+     None),
     ("check_dm_function-tolerance", "tolerance", "real",
      lambda v: check_dm_function(SUM2, (0.0, 1.0), 10, rng(), tolerance=v),
-     lambda v: dm_function(tolerance=v)),
+     None),
     ("check_dm_function-domain", "domain", "real",
      lambda v: check_dm_function(SUM2, (0.0, v), 10, rng()),
-     lambda v: dm_function(domain=[0.0, v])),
+     None),
     ("verify_dm_eigenvalues-trials", "trials", "integer",
      lambda v: verify_dm_eigenvalues(SPEC, FIELD, v, rng()),
      lambda v: dm_eigenvalues(trials=v)),
@@ -187,16 +177,16 @@ CASES = [
      lambda v: stollmann({"form": "coordinate", "arity": 3, "index": v})),
     ("order_statistic-p", "arity", "integer",
      lambda v: order_statistic(v, 1),
-     lambda v: dm_function({"form": "order", "arity": v, "k": 1})),
+     lambda v: stollmann({"form": "order", "arity": v, "k": 1})),
     ("order_statistic-k", "k", "integer",
      lambda v: order_statistic(3, v),
-     lambda v: dm_function({"form": "order", "arity": 3, "k": v})),
+     lambda v: stollmann({"form": "order", "arity": 3, "k": v})),
     ("order_statistic-shifts", "shifts", "real",
      lambda v: order_statistic(2, 1, [0.0, v]),
-     lambda v: dm_function({"form": "order", "arity": 2, "k": 1, "shifts": [0.0, v]})),
+     lambda v: stollmann({"form": "order", "arity": 2, "k": 1, "shifts": [0.0, v]})),
     ("positive_linear-coeffs", "coeffs", "real",
      lambda v: positive_linear([1.0, v]),
-     lambda v: dm_function({"form": "linear", "coeffs": [1.0, v]})),
+     lambda v: stollmann({"form": "linear", "coeffs": [1.0, v]})),
     ("trial_values-round_index", "round_index", "integer",
      lambda v: trial_values(U, 1, v, 1, 1, 3),
      None),
@@ -266,7 +256,7 @@ class _NoDraws:
     [
         pytest.param(
             lambda v, r: check_dm_function(SUM2, (0.0, 1.0), 10, r, tolerance=v),
-            dm_function,
+            None,
             id="check_dm_function",
         ),
         pytest.param(
@@ -281,6 +271,8 @@ def test_negative_tolerance_is_refused_before_any_draw(call, config, tmp_path, c
         call(-1, _NoDraws())
     assert str(err.value) == "tolerance must be nonnegative"
     assert call(0, rng()).tolerance == 0.0
+    if config is None:  # the tests' DM sampler has no config
+        return
     path = tmp_path / "config.json"
     refused = "error: tolerance must be nonnegative\n"
     for tolerance, codes, stderr in ((-1, {1}, refused), (0, {0, 2}, "")):
@@ -288,6 +280,34 @@ def test_negative_tolerance_is_refused_before_any_draw(call, config, tmp_path, c
         path.write_text(json.dumps(data))
         assert cli.main([command, "--config", str(path)]) in codes
         assert capsys.readouterr().err == stderr
+
+
+@pytest.mark.parametrize(
+    "call, changes",
+    [
+        pytest.param(
+            lambda: analytic_bound([BOX], BOX, U, 1e308),
+            {"epsilon": 1e308},
+            id="two_eps-epsilon-1e308",
+        ),
+        pytest.param(
+            lambda: analytic_bound([BOX], BOX, U, 0.01, coupling=1e-320, bound_mode="eps_over_g"),
+            {"coupling": 1e-320, "bound_mode": "eps_over_g"},
+            id="eps_over_g-coupling-1e-320",
+        ),
+    ],
+)
+def test_a_window_that_overflows_is_refused_naming_the_overflow(call, changes, tmp_path, capsys):
+    # epsilon and coupling are finite, but 2*eps or 2*eps/(g*k) is not
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == "window width overflows a float"
+    command, data = single(**changes)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert cli.main([command, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: window width overflows a float\n")
 
 
 def test_numpy_and_integral_values_are_stored_as_python_numbers():

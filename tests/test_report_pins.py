@@ -4,9 +4,12 @@ Each case runs one subcommand through `cli.main`, checks that the report
 starts with the common header (`kind`, `schema_version`, `tool_version`),
 and hashes the canonical JSON (sorted keys, no spaces) of the report.
 Experiment reports drop `dist_min`, `dist_mean`, `dist_max` and
-`dist_digest`, at top level and in every round, and spectrum reports drop
-`eigenvalues`, because they hold eigenvalues or their distances to the last
-bit; hits, frequencies, ceilings, verdicts and sizes stay in.  A change that
+`dist_digest`, at top level and in every round, spectrum reports drop
+`eigenvalues`, and DM check reports drop `worst_monotonicity_violation` and
+`worst_diagonal_defect`, because they hold eigenvalues or their distances to
+the last bit; hits, frequencies, ceilings, verdicts, check counts and sizes
+stay in.  A passing DM check has no witnesses, which would hold eigenvalue
+errors too, and the test asserts that it has none.  A change that
 moves any pinned byte must say why and bump `cli.SCHEMA_VERSION` (or
 `tool_version`).
 """
@@ -20,7 +23,15 @@ import wegner2p
 import wegner2p.cli as cli
 
 UNIFORM = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
-BLAS_ROUNDED_KEYS = ("dist_min", "dist_mean", "dist_max", "dist_digest", "eigenvalues")
+BLAS_ROUNDED_KEYS = (
+    "dist_min",
+    "dist_mean",
+    "dist_max",
+    "dist_digest",
+    "eigenvalues",
+    "worst_monotonicity_violation",
+    "worst_diagonal_defect",
+)
 
 CASES = {
     "geometry-classify": (
@@ -53,16 +64,18 @@ CASES = {
         },
         "144d93b7751c4f3a18e55f4baf6bd3b29f62d9ac1cffc5cf1296f16658b4ac35",
     ),
-    "dm-check-function": (
+    "dm-check": (
         "dm-check",
         {
-            "target": "function",
-            "function": {"form": "order", "arity": 3, "k": 2, "shifts": [0.0, 0.5, -0.25]},
-            "domain": [-1.0, 2.0],
-            "samples": 300,
-            "master_seed": 4,
+            "dimension": 1,
+            "radius": 2,
+            "center": [[0], [0]],
+            "dist": UNIFORM,
+            "trials": 200,
+            "master_seed": 5,
+            "coupling": 1.0,
         },
-        "0f77bdd3514fb59eb05d221e6667ee772bc9890aae2eea27645d4af1886acf0e",
+        "d82b250dc64480013a7ee2d724a747e4f178338a70d22d4c77e53719d2c8c662",
     ),
     "wegner-single": (
         "wegner-single",
@@ -115,6 +128,8 @@ def test_report_bytes_are_pinned(case, tmp_path):
         cli.SCHEMA_VERSION,
         wegner2p.__version__,
     )
+    if report["kind"] == "dm_check":
+        assert report["witnesses"] == []
     report = _pinned_part(report)
     canonical = json.dumps(report, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == digest

@@ -10,7 +10,6 @@ from wegner2p import (
     DMFunctionSpec,
     IntervalSpec,
     RngStream,
-    check_dm_function,
     stollmann_exact,
     stollmann_mc,
 )
@@ -23,13 +22,16 @@ from wegner2p.stollmann import (
     single_coordinate,
 )
 
+import dm_reference
+from dm_reference import check_dm_function
+
 FOUR_ATOMS = DistributionSpec.discrete(
     [(0.0, 0.25), (1.0, 0.25), (2.0, 0.25), (3.0, 0.25)]
 )
 
 
 # ---------------------------------------------------------------------------
-# DM function constructors and the randomised checker
+# DM function constructors, checked by the randomised sampler of dm_reference
 # ---------------------------------------------------------------------------
 
 
@@ -189,7 +191,7 @@ def test_checker_matches_pointwise_loop(monkeypatch, chunk, tolerance):
     # a decreasing function flags every sample, so five witnesses are kept
     # from across the chunks; at tolerance 0 the order statistic's diagonal
     # step is flagged where it rounds above t
-    monkeypatch.setattr(stollmann, "_CHUNK", chunk)
+    monkeypatch.setattr(dm_reference, "_CHUNK", chunk)
     decreasing = DMFunctionSpec(3, lambda V: -V.sum(axis=1))
     functions = (coordinate_sum(3), order_statistic(3, 2, shifts=[0.0, -1.5, 2.0]), decreasing)
     for f, flagged in zip(functions, (0, 0 if tolerance else 2, 5)):
@@ -228,7 +230,7 @@ def test_checker_block_draw_matches_per_sample_draws(f, tolerance, passes):
         for i in flagged
     ]
     report = check_dm_function(f, domain, samples, RngStream(4, 0), tolerance=tolerance)
-    assert samples > stollmann._CHUNK
+    assert samples > dm_reference._CHUNK
     assert report.passed is passes is (want == [])
     assert report.witnesses == want
     assert report.worst_monotonicity_violation == float(mono_gap.max())
