@@ -1,7 +1,7 @@
 """Single-volume concentration experiment at desk scale.
 
 Estimate the probability that the spectrum of a disordered pair box comes
-within eps of a fixed energy, and compare against the analytic ceiling
+closer than eps to a fixed energy, and compare against the analytic ceiling
 |box| * |projection union| * s(window).  The verdict requires the estimate
 minus three standard errors to stay below the ceiling.  Every ceiling below
 is under 1: a ceiling of 1 or more holds for any law and tests nothing.

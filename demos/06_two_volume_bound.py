@@ -2,7 +2,7 @@
 
 Take two distant pair boxes.  Freeze the disorder on one of them (several
 independent rounds), then Monte Carlo the free box and ask how often its
-spectrum comes within eps of the frozen spectrum.  The geometry decides
+spectrum comes closer than eps to the frozen spectrum.  The geometry decides
 which box gets frozen; the conditional ceiling is
 |box| * |box'| * |free projection union| * s(2 eps).  Both ceilings below
 are under 1: a ceiling of 1 or more holds for any law and tests nothing.

@@ -42,7 +42,7 @@ from .stollmann import (
     stollmann_mc,
 )
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
 class _UsageError(Exception):

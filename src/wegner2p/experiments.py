@@ -1,8 +1,8 @@
 """Seeded Monte Carlo verification of concentration-of-spectra bounds.
 
 Single-volume experiment: draw the field on the projection union of one box,
-assemble the operator, and measure how often its spectrum comes within eps of
-a fixed energy.  The analytic ceiling is
+assemble the operator, and measure how often its spectrum comes closer than
+eps to a fixed energy.  The analytic ceiling is
 
     |box| * |projection union| * s(width)
 
@@ -15,7 +15,7 @@ Two-volume experiment: for two boxes whose centres satisfy the 8L distance
 condition, freeze the field on the conditioned box's projection union,
 compute its now-deterministic spectrum, then repeatedly resample the
 remaining free sites and measure how often the other box's spectrum comes
-within eps of the frozen one.  Ceiling:
+closer than eps to the frozen one.  Ceiling:
 
     |box| * |box'| * |projection union of the free box| * s(width),
 
@@ -42,8 +42,8 @@ Workers: a round's trials are cut into spans, and `threads` worker
 processes compute them, the calling process and helpers forked from it
 (fork, so that they inherit the loaded modules, the operator template and
 the one-thread OpenBLAS pin).  They write their distances into one shared
-array, each at its trial's index, so a report is the same for every
-`threads`.
+array, each at its trial's index, and the caller computes any span left
+unfinished, so a report is the same for every `threads`.
 """
 
 from __future__ import annotations
@@ -363,17 +363,15 @@ def _collect_distances(
     (a one-span run forks nothing).  Every worker writes its spans' gaps
     into one shared anonymous mapping and marks each span it finishes in a
     second.  Processes rather than threads, because threads calling
-    `eigvalsh` on small blocks get in each other's way inside OpenBLAS.  A
-    worker stops at its first failing span, and the first unfinished span
-    in trial order names the error, the same for every thread count: the
-    caller's own if the span is the caller's, else the one the caller meets
-    computing the span again (a span is a pure function of its trial
-    indices), or a RuntimeError if it meets none, since the helper died of
-    something else.  No helper outlives the call.  A span's blocks are
-    diagonalised in the budgeted chunks `template.assemble_sectors` yields,
-    each folded into the span's running minimum.  A trial's values depend
-    on its own index only, so the output array is identical for every
-    thread count, span size and chunk size.
+    `eigvalsh` on small blocks get in each other's way inside OpenBLAS.
+    Once every helper is reaped, the caller computes every unfinished span
+    in trial order; a span is a pure function of its trial indices, so the
+    first failing one raises the same error for every thread count, and a
+    helper that died of anything else costs time only.  No helper outlives
+    the call.  A span's blocks are diagonalised in the budgeted chunks
+    `template.assemble_sectors` yields, each folded into the span's running
+    minimum.  A trial's values depend on its own index only, so the output
+    array is identical for every thread count, span size and chunk size.
     """
     rows = _span_rows(template.dim)
     bounds = [(lo, min(lo + rows - 1, n_trials)) for lo in range(1, n_trials + 1, rows)]
@@ -403,7 +401,7 @@ def _collect_distances(
         for i in range(worker, len(bounds), workers):
             batch(i)
 
-    pids, codes, failure = [], [], None  # helper w is pids[w - 1]; codes of those reaped
+    pids = []  # the helpers not yet reaped
     try:
         for worker in range(1, workers):
             pid = os.fork()
@@ -419,23 +417,17 @@ def _collect_distances(
             pids.append(pid)
         try:
             share(0)
-        except Exception as err:  # raised below if no earlier span failed
-            failure = err
-        for pid in pids:
-            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        except Exception:  # its span is computed again below, in trial order
+            pass
+        while pids:
+            os.waitpid(pids[-1], 0)
+            pids.pop()
     finally:
-        for pid in pids[len(codes) :]:
+        for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    if not done.all():
-        first = int(np.argmin(done))
-        worker = first % workers
-        if worker == 0:
-            raise failure
-        batch(first)
-        raise RuntimeError(
-            f"helper process {worker} exited with code {codes[worker - 1]} before sending its spans"
-        )
+    for i in np.flatnonzero(~done):
+        batch(int(i))
     return gaps
 
 
@@ -451,10 +443,10 @@ def _round(
     """The statistics a report carries for one round's `config.trials` trials.
 
     The distances come from `_collect_distances`; a single-volume run is
-    round 0 with every site free.  A trial hits when its distance is at most
-    epsilon; the verdict is `binomial_verdict`'s.  `dist_digest` fingerprints
-    every distance bit for bit, in trial order, the way `frozen_digest`
-    fingerprints a frozen field.
+    round 0 with every site free.  A trial hits when its distance is below
+    epsilon (the half-open window `concentration` measures); the verdict is
+    `binomial_verdict`'s.  `dist_digest` fingerprints every distance bit for
+    bit, in trial order, the way `frozen_digest` fingerprints a frozen field.
     """
     dists = _collect_distances(
         template,
@@ -467,7 +459,7 @@ def _round(
         base_values,
         free_positions,
     )
-    hits = int(np.count_nonzero(dists <= config.epsilon))
+    hits = int(np.count_nonzero(dists < config.epsilon))
     estimate, std_error, holds = binomial_verdict(hits, dists.size, bound)
     return {
         "hits": hits,
@@ -487,7 +479,7 @@ def run_single_volume(config: ExperimentConfig) -> WegnerReport:
 
     Draws `trials` independent fields on the box's projection union, records
     the distance from the configured energy to each spectrum, and compares
-    the hit frequency of {distance <= epsilon} against the analytic ceiling.
+    the hit frequency of {distance < epsilon} against the analytic ceiling.
     The verdict is "holds" unless the empirical probability exceeds the
     ceiling by more than three binomial standard errors.
     """
@@ -546,7 +538,7 @@ def run_two_volume(config: ExperimentConfig) -> TwoVolumeReport:
     `conditioning_rounds` rounds.  Each round freezes the conditioned box's
     sites from substream round << 32, computes that box's now-deterministic
     spectrum, then draws `trials` resamplings of the free sites and counts
-    how often the free box's spectrum comes within epsilon of the frozen one.
+    how often the free spectrum comes closer than epsilon to the frozen one.
     Every round must respect the ceiling (within three standard errors) for
     the overall verdict to be "holds".
     """

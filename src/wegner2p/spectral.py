@@ -58,12 +58,13 @@ def verify_dm_eigenvalues(
     Starting from `values`, aligned with the template's `sites`, each trial
     draws a diagonal shift t in (0, 10] and checks that every sorted
     eigenvalue of the operator with all site values raised by t equals the
-    original eigenvalue plus 2*g*t, up to `tolerance` relative error.  It also
-    raises one random site by a random amount and checks no sorted eigenvalue
-    decreases by more than `tolerance`.  `stollmann.dm_report` reduces the
-    trials, which run in chunks of `_stack_rows` full matrices, each solved
-    by `spectra` and reduced before the next is drawn, so the report does
-    not depend on the host's BLAS thread count.  Requires a nonnegative
+    original eigenvalue lambda plus 2*g*t.  It also raises one random site
+    by a random amount and checks that no sorted eigenvalue decreases.  Both
+    errors are divided by 1 + |lambda| and compared with `tolerance`.
+    `stollmann.dm_report` reduces the trials, which run in chunks of
+    `_stack_rows` full matrices, each solved by `spectra` and reduced before
+    the next is drawn, so the report does not depend on the host's BLAS
+    thread count.  Requires a nonnegative
     tolerance and a nonnegative coupling (raising the field must not lower
     the diagonal).  A field whose operator diagonal overflows, the base one
     or a trial's, raises ValueError naming that field (trials count from 0,
@@ -101,7 +102,7 @@ def verify_dm_eigenvalues(
             bumped_vals = np.tile(base_vals, (n, 1))
             bumped_vals[np.arange(n), site] += bump
             bumped = spectra(template, bumped_vals, first_trial=start)
-            mono_gap = np.max(base_eigs - bumped, axis=1)
+            mono_gap = np.max((base_eigs - bumped) / scale, axis=1)
             yield mono_gap, shift_err, lambda i: {
                 "trial": start + int(i),
                 "t": float(t[i]),

@@ -128,8 +128,9 @@ class DMReport:
     coordinatewise increase (positive = violation).  `worst_diagonal_defect`
     is the largest observed shortfall of the diagonal increment against its
     required value (positive = violation); for exact-identity checks it is
-    the largest relative identity error.  `passed` means neither exceeded
-    `tolerance`.  Up to five witnesses are kept for diagnosis.
+    the largest relative identity error.  The eigenvalue check divides both
+    by 1 + |lambda|, lambda the base eigenvalue.  `passed` means neither
+    exceeded `tolerance`.  Up to five witnesses are kept for diagnosis.
     """
 
     name: str

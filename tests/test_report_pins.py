@@ -37,12 +37,12 @@ CASES = {
     "geometry-classify": (
         "geometry-classify",
         {"dimension": 1, "radius": 1, "center": [[0], [0]], "center_prime": [[9], [20]]},
-        "2d9e03eefe03e2ce813a9a284f35b72f1c9879fbe9cdcee60ce8350d12bd5843",
+        "28f6813a39bebb3de5fa865dfaf3f8d3764aeb34da2c3d89d67c4eb936da3b85",
     ),
     "spectrum": (
         "spectrum",
         {"dimension": 1, "radius": 1, "center": [[0], [2]], "dist": UNIFORM, "master_seed": 5},
-        "35a82349cfd9f003eba6432fb3879ad9c843702e132ff10a8f5463065fc789eb",
+        "1a8f39fbc17dd55a29e0f479df0936298fda189abe379dcb4425fd2077bbb716",
     ),
     "stollmann-exact": (
         "stollmann-check",
@@ -51,7 +51,7 @@ CASES = {
             "dist": {"kind": "discrete", "atoms": [[0.0, 0.25], [1.0, 0.5], [2.5, 0.25]]},
             "interval": [0.5, 2.0],
         },
-        "ac12bd576d0d8344a98c65b2c03585d1486a86a361e0beafc918ed844ec1475f",
+        "a39ea5df970bb8df3c864e3bce2c3ab57a3db798d0275556906392b4881eca3a",
     ),
     "stollmann-mc": (
         "stollmann-check",
@@ -62,7 +62,7 @@ CASES = {
             "trials": 2000,
             "master_seed": 3,
         },
-        "144d93b7751c4f3a18e55f4baf6bd3b29f62d9ac1cffc5cf1296f16658b4ac35",
+        "a56c2b377ab98a73e1c3de35b6f0b5a51f76f3e32c2ed8e7d9ff2665a7b06818",
     ),
     "dm-check": (
         "dm-check",
@@ -75,7 +75,7 @@ CASES = {
             "master_seed": 5,
             "coupling": 1.0,
         },
-        "d82b250dc64480013a7ee2d724a747e4f178338a70d22d4c77e53719d2c8c662",
+        "41d3b9a19f899c5e73c37f83546aa42a0770344eb7a255f4ccc230c8b5309356",
     ),
     "wegner-single": (
         "wegner-single",
@@ -89,7 +89,7 @@ CASES = {
             "trials": 1500,
             "master_seed": 11,
         },
-        "4157963b965f50a44054dc74355ef2dbcbb0d9d59f2f6768703e2e805511321a",
+        "beb00d49b786bc46a978a348b97bf7b08ee26b1abc1eb9f785ec717148fb6ae6",
     ),
     "wegner-two": (
         "wegner-two",
@@ -104,7 +104,7 @@ CASES = {
             "conditioning_rounds": 2,
             "master_seed": 12,
         },
-        "dd141eaba9c5fff83c73a8063386a23b363f19e36683b37d73d46bf8cbc33e6e",
+        "d66e22e890b774f62085cfcb37dd9b2ea07113543f00fd25f5e00298b98abc39",
     ),
 }
 

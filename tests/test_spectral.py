@@ -259,7 +259,7 @@ def per_trial_dm_report(spec, values, trials, rng, tolerance):
         bump = 10.0 * (1.0 - gen.random())
         bumped_vals = values.copy()
         bumped_vals[site] += bump
-        mono_gap = float(np.max(base_eigs - spectra(template, bumped_vals)))
+        mono_gap = float(np.max((base_eigs - spectra(template, bumped_vals)) / scale))
         worst_shift = max(worst_shift, shift_err)
         worst_mono = max(worst_mono, mono_gap)
         if (shift_err > tolerance or mono_gap > tolerance) and len(witnesses) < 5:
