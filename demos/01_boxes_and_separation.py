@@ -8,9 +8,7 @@ overlap decides which conditional bound applies.
 
 from wegner2p import (
     PairPoint,
-    apply_symmetry,
     classify_separation,
-    distance_condition,
     make_box,
     projection_sites,
     survey_separation_line,
@@ -25,7 +23,7 @@ print("box centred at", u, "radius 2")
 print("  matrix dimension", box.size)
 print("  projection sites", sites)
 print("  the union of the two cubes covers", len(sites), "lattice sites")
-print("  swap image", apply_symmetry(u))
+print("  swap image", PairPoint(u.second, u.first))
 print()
 
 # Three geometries at radius 1: far apart, partially tangled, too close.
@@ -35,10 +33,11 @@ cases = [
     (PairPoint.of((0,), (0,)), PairPoint.of((5,), (0,))),
 ]
 for u, u_prime in cases:
-    if not distance_condition(u, u_prime, 1):
-        print(u, "vs", u_prime, ": below the admissibility distance, no claim made")
+    try:
+        classes = classify_separation(u, u_prime, 1)
+    except ValueError as refusal:
+        print(u, "vs", u_prime, ":", refusal, "- no claim made")
         continue
-    classes = classify_separation(u, u_prime, 1)
     names = sorted(c.value for c in classes)
     print(u, "vs", u_prime, "->", names)
     print("   bound choice:", choose_bound(classes).value)

@@ -24,12 +24,9 @@ from .lattice import (
     PairPoint,
     SeparationClass,
     SeparationSurvey,
-    apply_symmetry,
     classify_separation,
-    distance_condition,
     make_box,
     projection_sites,
-    sup_norm_pair,
     survey_separation_line,
     survey_separation_plane,
 )
@@ -69,12 +66,9 @@ __all__ = [
     "PairPoint",
     "SeparationClass",
     "SeparationSurvey",
-    "apply_symmetry",
     "classify_separation",
-    "distance_condition",
     "make_box",
     "projection_sites",
-    "sup_norm_pair",
     "survey_separation_line",
     "survey_separation_plane",
     "DistributionSpec",

@@ -86,7 +86,12 @@ _RNG_BLOCK = 1024
 
 def _span_rows(m: int) -> int:
     """Trials per span: an RNG block, or as many m x m matrices as fit in
-    _MATRIX_BYTES, so that a big box still gives every thread work."""
+    _MATRIX_BYTES if that is fewer.
+
+    A span holds only its trials' field values and one chunk of matrices at
+    a time, so the cap does not bound memory; it keeps a big box's trials
+    cut into enough spans for every worker.
+    """
     return min(_RNG_BLOCK, hamiltonian._MATRIX_BYTES // (8 * m * m))
 
 
@@ -469,7 +474,7 @@ def _round(
         "dist_min": float(dists.min()),
         "dist_mean": float(dists.mean()),
         "dist_max": float(dists.max()),
-        "dist_digest": hashlib.sha256(dists.tobytes()).hexdigest(),
+        "dist_digest": hashlib.sha256(dists).hexdigest(),
     }
 
 
@@ -572,7 +577,7 @@ def run_two_volume(config: ExperimentConfig) -> TwoVolumeReport:
         frozen_vals = sample_field(
             cond_template.sites, config.dist, RngStream(config.master_seed, r << 32)
         )
-        digest = hashlib.sha256(frozen_vals.tobytes()).hexdigest()
+        digest = hashlib.sha256(frozen_vals).hexdigest()
         cond_eigs = spectra(cond_template, frozen_vals, f"round {r} frozen field")
         base_values = np.zeros(free_template.n_sites)
         base_values[shared_dst] = frozen_vals[shared_src]

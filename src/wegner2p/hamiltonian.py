@@ -49,12 +49,18 @@ def _openblas_threads():
     """(get, set) for the thread count of the OpenBLAS numpy loaded, or None.
 
     Looks in numpy.libs, where a numpy wheel keeps its OpenBLAS, under each
-    symbol spelling OpenBLAS builds use; any other BLAS gives None.
+    symbol spelling OpenBLAS builds use: the scipy_openblas prefix of
+    numpy 2 wheels, the ILP64 suffix 64_ of the libopenblas64_ in numpy
+    1.22-1.26 wheels, and both names without a suffix.  Any other BLAS
+    gives None.
     """
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    spellings = (
+        ("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", "")
+    )
     for path in glob.glob(libs):
         lib = ctypes.CDLL(path)
-        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "")):
+        for prefix, suffix in spellings:
             get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
             put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
             if get is not None and put is not None:

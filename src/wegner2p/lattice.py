@@ -71,43 +71,13 @@ def _check_same_dimension(a: PairPoint, b: PairPoint) -> None:
         raise ValueError(f"pair points must share one dimension, got lengths {sorted(dims)}")
 
 
-def sup_norm_pair(a: PairPoint, b: PairPoint) -> int:
-    """Sup-norm distance on Z^d x Z^d: largest coordinate gap over both particles."""
-    _check_same_dimension(a, b)
-    return max(
-        max(abs(p - q) for p, q in zip(a.first, b.first)),
-        max(abs(p - q) for p, q in zip(a.second, b.second)),
-    )
-
-
-def apply_symmetry(a: PairPoint) -> PairPoint:
-    """Swap the two particles."""
-    return PairPoint(a.second, a.first)
-
-
-def distance_condition(u: PairPoint, u_prime: PairPoint, radius: int) -> bool:
-    """Whether two box centres are far apart modulo the particle swap.
-
-    True when min(||u - u'||, ||S(u) - u'||) >= max(8 * radius, 1) in the sup
-    norm, with S the swap.  This is the admissibility condition for the
-    separation classifier.  For radius >= 1 the threshold is just 8L; radius
-    zero only demands that the centres differ as swap orbits, without which
-    single-point boxes can coincide and no separation class can hold.
-    """
-    radius = _radius(radius)
-    _check_same_dimension(u, u_prime)
-    direct = sup_norm_pair(u, u_prime)
-    swapped = sup_norm_pair(apply_symmetry(u), u_prime)
-    return min(direct, swapped) >= max(8 * radius, 1)
-
-
 @dataclass(frozen=True)
 class BoxSpec:
     """Box on the pair lattice: the product of two radius-L cubes.
 
     The box centred at u = (u1, u2) contains every pair point x = (x1, x2)
-    with ||x1 - u1|| <= L and ||x2 - u2|| <= L in the sup norm, which is the
-    same as sup_norm_pair(x, u) <= L.
+    with ||x1 - u1|| <= L and ||x2 - u2|| <= L in the sup norm: the pair
+    point lies within sup-distance L of u on Z^d x Z^d.
     """
 
     center: PairPoint
@@ -209,11 +179,16 @@ def classify_separation(
 ) -> frozenset[SeparationClass]:
     """All separation classes that hold for boxes at u and u' of given radius.
 
-    Requires the 8L centre-distance condition; geometries violating it are
-    rejected with ValueError.  Membership follows from the sup-norm gaps
-    between the four cube centres: two radius-L cubes are disjoint exactly
-    when their centres' gap exceeds 2L.  An empty answer would contradict
-    the separation dichotomy, and downstream code treats it as a hard failure.
+    Requires the 8L centre-distance condition, the package's one
+    admissibility test: min(||u - u'||, ||S(u) - u'||) >= max(8L, 1) in the
+    sup norm on Z^d x Z^d, with S the particle swap.  Radius zero only
+    demands that the centres differ as swap orbits, without which
+    single-point boxes can coincide and no separation class can hold.
+    Geometries violating it are rejected with ValueError.  Membership
+    follows from the sup-norm gaps between the four cube centres: two
+    radius-L cubes are disjoint exactly when their centres' gap exceeds 2L.
+    An empty answer would contradict the separation dichotomy, and
+    downstream code treats it as a hard failure.
     """
     radius = _radius(radius)
     _check_same_dimension(u, u_prime)
@@ -262,10 +237,6 @@ class SeparationSurvey:
     empty: int
     class_counts: dict[SeparationClass, int] = field(default_factory=dict)
     empty_examples: list[tuple[PairPoint, PairPoint]] = field(default_factory=list)
-
-    @property
-    def all_classified(self) -> bool:
-        return self.empty == 0
 
 
 # A per-axis profile: its witness (w, a, b) and weight.

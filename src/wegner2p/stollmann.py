@@ -110,8 +110,8 @@ def order_statistic(p: int, k: int, shifts: Sequence[float] | None = None) -> DM
     )
 
 
-# Atom combinations per evaluator call in `stollmann_exact`'s enumeration;
-# fixed, however many combinations there are.
+# Points per evaluator call: atom combinations in `stollmann_exact`'s
+# enumeration, sampled rows in `stollmann_mc`; fixed, however many there are.
 _CHUNK = 1 << 16
 
 
@@ -260,13 +260,18 @@ def stollmann_mc(
     """Monte Carlo interval probability versus the DM concentration bound.
 
     Works for any supported law; the verdict is `binomial_verdict`'s.
+    Rows are drawn and evaluated `_CHUNK` at a time from one generator, so
+    memory stays bounded and the values are those of a single draw.
     """
     trials = _integer(trials, "trials")
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a meaningful estimate")
     gen = rng.generator()
-    draws = draw_values(dist, gen, trials * f.arity).reshape(trials, f.arity)
-    hits = int(np.count_nonzero(interval.contains(f(draws))))
+    hits = 0
+    for start in range(0, trials, _CHUNK):
+        rows = min(_CHUNK, trials - start)
+        draws = draw_values(dist, gen, rows * f.arity).reshape(rows, f.arity)
+        hits += int(np.count_nonzero(interval.contains(f(draws))))
     bound = f.arity * concentration(dist, interval.length)
     estimate, std_error, holds = binomial_verdict(hits, trials, bound)
     return StollmannMCResult(

@@ -794,9 +794,10 @@ def test_two_volume_round_dist_digest_is_that_rounds_distances():
 
 
 def test_span_rows_fit_the_matrix_limit():
-    # pure arithmetic: nothing of these sizes is allocated
-    assert _span_rows(25) == _span_rows(121) == 1024  # the m=121 span is 114 MiB of matrices
-    assert _span_rows(625) == 42  # d=2, L=2: 1024 rows would take 3.0 GiB
+    # pure arithmetic: a span holds its trials' field values and one chunk of
+    # matrices at a time, so the limit only keeps a big box in many spans
+    assert _span_rows(25) == _span_rows(121) == 1024  # one span per RNG block
+    assert _span_rows(625) == 42  # d=2, L=2: 1024 trials make 25 spans, work for every worker
     assert _span_rows(4096) == 1  # one matrix is the whole limit
     box = make_box(PairPoint.of((0, 0), (0, 0)), 4)
     with pytest.raises(ValueError, match="^one 6561x6561 matrix takes 328 MiB"):

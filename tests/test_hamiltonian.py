@@ -1,5 +1,8 @@
 """Operator assembly: hopping graph, interaction diagonal, field coupling."""
 
+import ctypes
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,6 @@ from wegner2p import (
     RngStream,
     make_box,
     sample_field,
-    sup_norm_pair,
     trial_values,
 )
 from wegner2p.experiments import _collect_distances, _span_rows
@@ -82,7 +84,11 @@ def test_neighbors_match_distance_oracle():
             pts = box_points(template)
             assert len(set(pts)) == box.size
             assert pts == sorted(pts, key=lambda p: p.first + p.second)
-            assert all(sup_norm_pair(x, box.center) <= box.radius for x in pts)
+            centre = box.center.first + box.center.second
+            assert all(
+                max(abs(p - q) for p, q in zip(x.first + x.second, centre)) <= box.radius
+                for x in pts
+            )
             want = np.zeros((len(pts), len(pts)))
             for i, x in enumerate(pts):
                 cat_x = x.first + x.second
@@ -407,3 +413,27 @@ def test_swap_conjugation_preserves_matrix(c1, c2, L, norm, seed):
     pos_b = {pt: k for k, pt in enumerate(box_points(tb))}
     perm = np.array([pos_b[PairPoint(pt.second, pt.first)] for pt in box_points(ta)])
     assert np.array_equal(Ha, Hb[np.ix_(perm, perm)])
+
+
+@pytest.mark.parametrize(
+    "prefix, suffix",
+    [("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", "")],
+)
+def test_openblas_pin_finds_every_symbol_spelling(monkeypatch, prefix, suffix):
+    # numpy 1.22-1.26 wheels ship an ILP64 libopenblas64_ whose symbols end in
+    # 64_; half of the first spelling, a getter alone, is passed over
+    lib = SimpleNamespace(scipy_openblas_get_num_threads64_=SimpleNamespace())
+    for op in ("get", "set"):
+        setattr(lib, f"{prefix}_{op}_num_threads{suffix}", SimpleNamespace())
+    monkeypatch.setattr(hamiltonian.glob, "glob", lambda pattern: ["libopenblas-stub.so"])
+    monkeypatch.setattr(hamiltonian.ctypes, "CDLL", lambda path: lib)
+    get, put = hamiltonian._openblas_threads.__wrapped__()
+    assert get is getattr(lib, f"{prefix}_get_num_threads{suffix}")
+    assert put is getattr(lib, f"{prefix}_set_num_threads{suffix}")
+    assert put.argtypes == [ctypes.c_int] and get.restype is ctypes.c_int
+
+
+def test_openblas_pin_ignores_a_library_without_the_symbols(monkeypatch):
+    monkeypatch.setattr(hamiltonian.glob, "glob", lambda pattern: ["libopenblas-stub.so"])
+    monkeypatch.setattr(hamiltonian.ctypes, "CDLL", lambda path: SimpleNamespace())
+    assert hamiltonian._openblas_threads.__wrapped__() is None

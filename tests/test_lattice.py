@@ -13,12 +13,9 @@ from wegner2p import (
     BoxSpec,
     PairPoint,
     SeparationClass,
-    apply_symmetry,
     classify_separation,
-    distance_condition,
     make_box,
     projection_sites,
-    sup_norm_pair,
     survey_separation_line,
     survey_separation_plane,
 )
@@ -54,36 +51,26 @@ def brute_classify(u, u_prime, L):
     return frozenset(out)
 
 
+def sup_distance(x, y):
+    """Sup-norm distance of two pair points on Z^d x Z^d."""
+    return max(abs(p - q) for p, q in zip(x.first + x.second, y.first + y.second))
+
+
+def admissible(u, u_prime, L):
+    """The 8L rule coded apart from the classifier: the centres' sup distance,
+    minimised over the particle swap, is at least max(8L, 1)."""
+    swapped = PairPoint(u.second, u.first)
+    return min(sup_distance(u, u_prime), sup_distance(swapped, u_prime)) >= max(8 * L, 1)
+
+
 # ---------------------------------------------------------------------------
-# pair points and the sup norm
+# pair points
 # ---------------------------------------------------------------------------
-
-
-def test_sup_norm_planar_pair():
-    a = PairPoint.of((0, 0), (1, 2))
-    b = PairPoint.of((3, 1), (-1, 0))
-    assert sup_norm_pair(a, b) == 3
-
-
-def test_sup_norm_line_pair():
-    a = PairPoint.of((0,), (0,))
-    b = PairPoint.of((5,), (-7,))
-    assert sup_norm_pair(a, b) == 7
-
-
-def test_sup_norm_rejects_mixed_dimensions():
-    with pytest.raises(ValueError):
-        sup_norm_pair(PairPoint.of((0,), (0,)), PairPoint.of((0, 0), (0, 0)))
 
 
 def test_pair_point_dimension_mismatch():
     with pytest.raises(ValueError):
         PairPoint.of((0, 1), (2,))
-
-
-def test_symmetry_swaps_components():
-    x = PairPoint.of((1, 2), (3, 4))
-    assert apply_symmetry(x) == PairPoint.of((3, 4), (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +90,7 @@ def test_box_points_match_membership():
     assert len(coords) == box.size
     assert len(set(map(tuple, coords))) == len(coords)
     for x1, x2 in coords:
-        assert sup_norm_pair(PairPoint((x1,), (x2,)), box.center) <= box.radius
+        assert sup_distance(PairPoint((x1,), (x2,)), box.center) <= box.radius
     assert [2, 2] not in coords
     assert coords == sorted(coords)
 
@@ -146,18 +133,40 @@ def test_box_coordinates_beyond_int64_range_rejected():
 # ---------------------------------------------------------------------------
 
 
+def refused(u, u_prime, L):
+    """Whether classify_separation refuses the geometry as inadmissible."""
+    try:
+        classify_separation(u, u_prime, L)
+    except ValueError as error:
+        assert str(error) == "box centres violate the 8L separation condition"
+        return True
+    return False
+
+
 def test_distance_condition_examples():
     u = PairPoint.of((0,), (0,))
-    assert distance_condition(u, PairPoint.of((100,), (100,)), 1)
-    assert distance_condition(u, PairPoint.of((8,), (0,)), 1)
-    assert not distance_condition(u, PairPoint.of((7,), (0,)), 1)
+    assert not refused(u, PairPoint.of((100,), (100,)), 1)
+    assert not refused(u, PairPoint.of((8,), (0,)), 1)
+    assert refused(u, PairPoint.of((7,), (0,)), 1)
     # swapped coincidence kills the symmetrized distance
     v = PairPoint.of((0,), (100,))
-    assert not distance_condition(v, PairPoint.of((100,), (0,)), 1)
+    assert refused(v, PairPoint.of((100,), (0,)), 1)
     # radius zero still rejects coincident swap orbits
-    assert not distance_condition(u, u, 0)
-    assert not distance_condition(v, PairPoint.of((100,), (0,)), 0)
-    assert distance_condition(u, PairPoint.of((1,), (0,)), 0)
+    assert refused(u, u, 0)
+    assert refused(v, PairPoint.of((100,), (0,)), 0)
+    assert not refused(u, PairPoint.of((1,), (0,)), 0)
+
+
+def test_classify_measures_centre_distance_in_the_sup_norm():
+    # d=2, L=1: the largest coordinate gap decides, however large the others' sum
+    u = PairPoint.of((0, 0), (40, 40))
+    assert not refused(u, PairPoint.of((8, 7), (47, 47)), 1)
+    assert refused(u, PairPoint.of((7, 7), (47, 47)), 1)
+
+
+def test_classify_rejects_mixed_dimensions():
+    with pytest.raises(ValueError, match="share one dimension"):
+        classify_separation(PairPoint.of((0,), (0,)), PairPoint.of((0, 0), (0, 0)), 0)
 
 
 def test_classify_rejects_close_centres():
@@ -210,17 +219,6 @@ def test_classify_matches_brute_force_sample():
 coord = st.integers(min_value=-50, max_value=50)
 
 
-def pair_points(dim):
-    site = st.tuples(*([coord] * dim))
-    return st.builds(PairPoint, site, site)
-
-
-@given(pair_points(2), pair_points(2))
-def test_symmetry_is_isometric_involution(a, b):
-    assert apply_symmetry(apply_symmetry(a)) == a
-    assert sup_norm_pair(apply_symmetry(a), apply_symmetry(b)) == sup_norm_pair(a, b)
-
-
 @st.composite
 def admissible_geometry(draw, max_dim=3, max_radius=4):
     """Random (u, u', L) satisfying the 8L distance condition."""
@@ -237,7 +235,7 @@ def admissible_geometry(draw, max_dim=3, max_radius=4):
         (base2[0] + shift + draw(st.integers(0, 20)),) + base2[1:],
     )
     shifted = tuple(c + shift for c in up.first)
-    if not distance_condition(u, up, L):
+    if not admissible(u, up, L):
         up = PairPoint(shifted, tuple(c + 2 * shift for c in up.second))
     return u, up, L
 
@@ -246,7 +244,8 @@ def admissible_geometry(draw, max_dim=3, max_radius=4):
 @settings(max_examples=60)
 def test_classification_never_empty(geom):
     u, up, L = geom
-    if not distance_condition(u, up, L):
+    if not admissible(u, up, L):
+        assert refused(u, up, L)
         return
     assert classify_separation(u, up, L)
 
@@ -255,7 +254,8 @@ def test_classification_never_empty(geom):
 @settings(max_examples=60)
 def test_classification_matches_brute_force(geom):
     u, up, L = geom
-    if not distance_condition(u, up, L):
+    if not admissible(u, up, L):
+        assert refused(u, up, L)
         return
     assert classify_separation(u, up, L) == brute_classify(u, up, L)
 
@@ -264,7 +264,8 @@ def test_classification_matches_brute_force(geom):
 @settings(max_examples=60)
 def test_classification_translation_invariant(geom, t):
     u, up, L = geom
-    if not distance_condition(u, up, L):
+    if not admissible(u, up, L):
+        assert refused(u, up, L)
         return
     shift = t[: u.dimension]
 
@@ -285,10 +286,11 @@ EXCHANGE_BOXES = {CS: CS, A: C, C: A, B: D, D: B}
 @settings(max_examples=60)
 def test_classification_covariances(geom):
     u, up, L = geom
-    if not distance_condition(u, up, L):
+    if not admissible(u, up, L):
+        assert refused(u, up, L)
         return
     base = classify_separation(u, up, L)
-    swapped = classify_separation(apply_symmetry(u), up, L)
+    swapped = classify_separation(PairPoint(u.second, u.first), up, L)
     assert swapped == frozenset(SWAP_FIRST[c] for c in base)
     exchanged = classify_separation(up, u, L)
     assert exchanged == frozenset(EXCHANGE_BOXES[c] for c in base)
@@ -298,7 +300,8 @@ def test_classification_covariances(geom):
 @settings(max_examples=40)
 def test_complete_separation_means_disjoint_unions(geom):
     u, up, L = geom
-    if not distance_condition(u, up, L):
+    if not admissible(u, up, L):
+        assert refused(u, up, L)
         return
     found = classify_separation(u, up, L)
     union_u = len(projection_sites(make_box(u, L)))
@@ -318,7 +321,7 @@ def test_complete_separation_means_disjoint_unions(geom):
 @pytest.mark.parametrize("L", [0, 1])
 def test_line_survey_small(L):
     res = survey_separation_line(L)
-    assert res.all_classified
+    assert res.empty == 0
     assert res.empty_examples == []
     assert res.geometries > 0
     assert all(res.class_counts[c] > 0 for c in SeparationClass)
@@ -327,7 +330,7 @@ def test_line_survey_small(L):
 @pytest.mark.parametrize("L", [0, 1])
 def test_plane_survey_small(L):
     res = survey_separation_plane(L)
-    assert res.all_classified
+    assert res.empty == 0
     assert res.geometries > 0
     assert all(res.class_counts[c] > 0 for c in SeparationClass)
 
@@ -341,7 +344,7 @@ def test_line_survey_matches_direct_recount():
             for b in range(-10, 10):
                 u = PairPoint.of((0,), (w,))
                 up = PairPoint.of((a,), (b,))
-                if distance_condition(u, up, 0):
+                if admissible(u, up, 0):
                     geoms += 1
     assert res.geometries == geoms == 20**3 - 39 == LINE_SURVEY_COUNTS[0][0]
     assert res.empty == 0
@@ -389,7 +392,7 @@ def test_line_survey_counts_match_direct_scan_on_small_grid():
     geometries = 0
     for w, a, b in itertools.product(range(-10, 10), repeat=3):
         u, up = PairPoint.of((0,), (w,)), PairPoint.of((a,), (b,))
-        if distance_condition(u, up, 0):
+        if admissible(u, up, 0):
             geometries += 1
             for c in classify_separation(u, up, 0):
                 counts[c] += 1
@@ -440,15 +443,15 @@ def test_geometry_classifies_as_its_profile_witness(dim, L, data):
 @pytest.mark.parametrize("emptied", ["first three", "completely separated"])
 def test_line_survey_reports_witnesses_without_classes(monkeypatch, emptied):
     honest = lattice.classify_separation
-    admissible = []
+    kept = []
     for witness, weight in lattice._axis_profiles(1, 60):
         u, up = _geometry([witness])
-        if distance_condition(u, up, 1):
-            admissible.append((u, up, weight))
+        if admissible(u, up, 1):
+            kept.append((u, up, weight))
     if emptied == "first three":
-        chosen = admissible[:3]
+        chosen = kept[:3]
     else:
-        chosen = [g for g in admissible if CS in honest(g[0], g[1], 1)]
+        chosen = [g for g in kept if CS in honest(g[0], g[1], 1)]
     keys = {(u, up) for u, up, _ in chosen}
     monkeypatch.setattr(
         lattice,
@@ -458,7 +461,6 @@ def test_line_survey_reports_witnesses_without_classes(monkeypatch, emptied):
     res = survey_separation_line(1)
     assert res.empty == sum(weight for _, _, weight in chosen) > 0
     assert res.empty_examples == [(u, up) for u, up, _ in chosen[:5]]
-    assert not res.all_classified
     assert res.geometries == LINE_SURVEY_COUNTS[1][0]
     if emptied == "completely separated":
         assert res.empty == LINE_SURVEY_COUNTS[1][1][0] and res.class_counts[CS] == 0
@@ -473,7 +475,6 @@ def test_surveys_refuse_a_negative_radius(survey):
 U0, U_FAR = PairPoint.of((0,), (0,)), PairPoint.of((100,), (100,))
 RADIUS_ENTRY_POINTS = {
     "make_box": lambda L: make_box(U0, L),
-    "distance_condition": lambda L: distance_condition(U0, U_FAR, L),
     "classify_separation": lambda L: classify_separation(U0, U_FAR, L),
     "survey_separation_line": survey_separation_line,
     "survey_separation_plane": survey_separation_plane,

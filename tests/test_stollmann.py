@@ -14,6 +14,7 @@ from wegner2p import (
     stollmann_mc,
 )
 from wegner2p import stollmann
+from wegner2p.potential import draw_values
 from wegner2p.stollmann import (
     coordinate_max,
     coordinate_sum,
@@ -465,6 +466,31 @@ def test_mc_evaluates_all_draws_in_one_call():
     res = stollmann_mc(f, law, iv, 5000, RngStream(3, 0))
     assert seen == [(5000, 3)]
     assert res.estimate == stollmann_mc(base, law, iv, 5000, RngStream(3, 0)).estimate
+
+
+@pytest.mark.parametrize(
+    "law",
+    [DistributionSpec.uniform(0.0, 1.0), DistributionSpec.gaussian(0.5, 0.3), FOUR_ATOMS],
+    ids=lambda law: law.kind,
+)
+def test_mc_draws_in_chunks_of_rows(monkeypatch, law):
+    # bounded chunks see the rows of one draw, in order, and give the same result
+    base = coordinate_max(3)
+    iv = IntervalSpec(0.5, 1.6)
+    whole = stollmann_mc(base, law, iv, 2500, RngStream(9, 0))
+    seen = []
+
+    def evaluator(V):
+        seen.append(V.copy())
+        return base.evaluator(V)
+
+    monkeypatch.setattr(stollmann, "_CHUNK", 1000)
+    f = DMFunctionSpec(arity=3, evaluator=evaluator)
+    chunked = stollmann_mc(f, law, iv, 2500, RngStream(9, 0))
+    assert [len(V) for V in seen] == [1000, 1000, 500]
+    one_draw = draw_values(law, RngStream(9, 0).generator(), 2500 * 3).reshape(2500, 3)
+    assert np.concatenate(seen).tobytes() == one_draw.tobytes()
+    assert chunked == whole
 
 
 def test_mc_agrees_with_exact_on_atomic_law():
