@@ -14,7 +14,6 @@ from wegner2p.potential import draw_values
 
 laws = [
     ("uniform(0,1)", DistributionSpec.uniform(0.0, 1.0)),
-    ("gaussian(0,1)", DistributionSpec.gaussian(0.0, 1.0)),
     ("2 atoms 0.7/0.3", DistributionSpec.discrete(((0.0, 0.7), (1.0, 0.3)))),
     ("4 atoms 1/4", DistributionSpec.discrete(((0.0, 0.25), (1.0, 0.25), (2.0, 0.25), (3.0, 0.25)))),
 ]

@@ -35,8 +35,6 @@ from .stollmann import (
     IntervalSpec,
     coordinate_max,
     coordinate_sum,
-    order_statistic,
-    positive_linear,
     single_coordinate,
     stollmann_exact,
     stollmann_mc,
@@ -167,31 +165,28 @@ def _cmd_spectrum(data: dict, args):
     return "spectrum", payload, True
 
 
+# The keys of each `stollmann-check` function form, `form` included.
+_FUNCTION_KEYS = {
+    "sum": {"form", "arity"},
+    "max": {"form", "arity"},
+    "coordinate": {"form", "arity", "index"},
+}
+
+
 @_malformed("function")
 def _function_from_config(data: Mapping) -> DMFunctionSpec:
     if "form" not in data:
         raise ValueError("function config needs a 'form'")
     form = data["form"]
-    allowed_by_form = {
-        "sum": {"form", "arity"},
-        "max": {"form", "arity"},
-        "coordinate": {"form", "arity", "index"},
-        "linear": {"form", "coeffs"},
-        "order": {"form", "arity", "k", "shifts"},
-    }
-    if form not in allowed_by_form:
+    if form not in _FUNCTION_KEYS:
         raise ValueError(f"unknown function form {form!r}")
-    _check_keys(data, allowed=allowed_by_form[form], required={"form"}, what=f"{form} function")
-    if form == "linear":
-        return positive_linear(data["coeffs"])
+    _check_keys(data, allowed=_FUNCTION_KEYS[form], required={"form"}, what=f"{form} function")
     arity = data["arity"]
     if form == "sum":
         return coordinate_sum(arity)
     if form == "max":
         return coordinate_max(arity)
-    if form == "coordinate":
-        return single_coordinate(arity, data.get("index", 0))
-    return order_statistic(arity, data["k"], data.get("shifts"))
+    return single_coordinate(arity, data.get("index", 0))
 
 
 def _cmd_stollmann_check(data: dict, args):

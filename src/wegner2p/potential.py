@@ -16,7 +16,8 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 
-_KINDS = ("uniform", "gaussian", "discrete")
+# The config keys of each law, `kind` included.
+_KIND_KEYS = {"uniform": {"kind", "lo", "hi"}, "discrete": {"kind", "atoms"}}
 
 
 @contextmanager
@@ -70,7 +71,6 @@ class DistributionSpec:
     """A single-site law.  Only the fields for the given kind are meaningful.
 
     uniform    lo, hi              flat on [lo, hi), lo < hi
-    gaussian   mean, sigma         normal, sigma > 0
     discrete   atoms               ((value, prob), ...), probs summing to 1
 
     `discrete` is the one atomic law: a two-valued law that takes b with
@@ -82,23 +82,18 @@ class DistributionSpec:
     kind: str
     lo: float = 0.0
     hi: float = 1.0
-    mean: float = 0.0
-    sigma: float = 1.0
     atoms: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if not (isinstance(self.kind, str) and self.kind in _KIND_KEYS):
             raise ValueError(f"unknown distribution kind {self.kind!r}")
-        for key in ("lo", "hi", "mean", "sigma"):
+        for key in ("lo", "hi"):
             object.__setattr__(self, key, _real(getattr(self, key), key))
         if self.kind == "uniform":
             if not self.lo < self.hi:
                 raise ValueError("uniform law needs lo < hi")
             if not math.isfinite(self.hi - self.lo):
                 raise ValueError("uniform width hi - lo overflows a float")
-        elif self.kind == "gaussian":
-            if self.sigma <= 0:
-                raise ValueError("gaussian law needs sigma > 0")
         else:
             if not self.atoms:
                 raise ValueError("discrete law needs at least one atom")
@@ -118,18 +113,12 @@ class DistributionSpec:
         return cls(kind="uniform", lo=lo, hi=hi)
 
     @classmethod
-    def gaussian(cls, mean: float, sigma: float) -> "DistributionSpec":
-        return cls(kind="gaussian", mean=mean, sigma=sigma)
-
-    @classmethod
     def discrete(cls, atoms: Iterable[tuple[float, float]]) -> "DistributionSpec":
         return cls(kind="discrete", atoms=tuple(atoms))
 
     def to_dict(self) -> dict:
         if self.kind == "uniform":
             return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
-        if self.kind == "gaussian":
-            return {"kind": "gaussian", "mean": self.mean, "sigma": self.sigma}
         return {"kind": "discrete", "atoms": [list(a) for a in self.atoms]}
 
     @classmethod
@@ -138,30 +127,22 @@ class DistributionSpec:
         if "kind" not in data:
             raise ValueError("distribution config needs a 'kind'")
         kind = data["kind"]
-        allowed = {
-            "uniform": {"kind", "lo", "hi"},
-            "gaussian": {"kind", "mean", "sigma"},
-            "discrete": {"kind", "atoms"},
-        }
-        if kind not in allowed:
+        if kind not in _KIND_KEYS:
             raise ValueError(f"unknown distribution kind {kind!r}")
-        _check_keys(data, allowed[kind], f"{kind} distribution")
+        _check_keys(data, _KIND_KEYS[kind], f"{kind} distribution")
         if kind == "uniform":
             return cls.uniform(data["lo"], data["hi"])
-        if kind == "gaussian":
-            return cls.gaussian(data["mean"], data["sigma"])
         return cls.discrete(tuple((v, w) for v, w in data["atoms"]))
 
 
 def concentration(dist: DistributionSpec, eps: float) -> float:
     """Largest probability mass any half-open window (a, a + eps] can capture.
 
-    Uniform laws give eps over the support length, capped at 1.  For the
-    gaussian the best window is centred at the mean.  For atomic laws the
-    supremum is attained by a window whose atoms span strictly less than eps
-    (the left endpoint is excluded, so a window of width eps can only grab
-    atom runs of span < eps); the span is compared with eps exactly, never
-    rounded up to it.  Width zero always gives zero.
+    Uniform laws give eps over the support length, capped at 1.  For atomic
+    laws the supremum is attained by a window whose atoms span strictly less
+    than eps (the left endpoint is excluded, so a window of width eps can only
+    grab atom runs of span < eps); the span is compared with eps exactly,
+    never rounded up to it.  Width zero always gives zero.
     """
     eps = _real(eps, "eps")
     if eps < 0:
@@ -170,8 +151,6 @@ def concentration(dist: DistributionSpec, eps: float) -> float:
         return 0.0
     if dist.kind == "uniform":
         return min(eps / (dist.hi - dist.lo), 1.0)
-    if dist.kind == "gaussian":
-        return math.erf(eps / (2.0 * dist.sigma * math.sqrt(2.0)))
     values = [v for v, _ in dist.atoms]
     weights = [w for _, w in dist.atoms]
     best = 0.0
@@ -221,8 +200,6 @@ def draw_values(dist: DistributionSpec, gen: np.random.Generator, n: int) -> np.
         raise ValueError("draw count must be nonnegative")
     if dist.kind == "uniform":
         return gen.uniform(dist.lo, dist.hi, size=n)
-    if dist.kind == "gaussian":
-        return gen.normal(dist.mean, dist.sigma, size=n)
     values, weights = np.array(dist.atoms).T
     # Generator.choice(len(values), n, p=...)'s CDF and uniforms, bit for bit
     cdf = (weights / weights.sum()).cumsum()

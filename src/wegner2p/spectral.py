@@ -61,14 +61,15 @@ def verify_dm_eigenvalues(
     original eigenvalue lambda plus 2*g*t.  It also raises one random site
     by a random amount and checks that no sorted eigenvalue decreases.  Both
     errors are divided by 1 + |lambda| and compared with `tolerance`.
-    `stollmann.dm_report` reduces the trials, which run in chunks of
-    `_stack_rows` full matrices, each solved by `spectra` and reduced before
-    the next is drawn, so the report does not depend on the host's BLAS
-    thread count.  Requires a nonnegative
-    tolerance and a nonnegative coupling (raising the field must not lower
-    the diagonal).  A field whose operator diagonal overflows, the base one
-    or a trial's, raises ValueError naming that field (trials count from 0,
-    as the witnesses do).
+    `stollmann.dm_report` reduces the trials, which run in chunks of as many
+    trials as their shifted and bumped fields and spectra fit in the stack
+    budget (`_stack_rows`); `spectra` solves each chunk in its own sector
+    stacks with OpenBLAS on one thread, so the report does not depend on the
+    host's BLAS thread count, and each chunk is reduced before the next is
+    drawn.  Requires a nonnegative tolerance and a nonnegative coupling
+    (raising the field must not lower the diagonal).  A field whose operator
+    diagonal overflows, the base one or a trial's, raises ValueError naming
+    that field (trials count from 0, as the witnesses do).
     """
     trials, tolerance = _integer(trials, "trials"), _real(tolerance, "tolerance")
     if trials < 1:
@@ -85,7 +86,7 @@ def verify_dm_eigenvalues(
     scale = 1.0 + np.abs(base_eigs)
     gen = rng.generator()
     g = spec.coupling
-    rows = _stack_rows(template.hopping.nbytes)
+    rows = _stack_rows(16 * (template.n_sites + template.dim))  # two fields, two spectra
 
     def chunks():
         for start in range(0, trials, rows):

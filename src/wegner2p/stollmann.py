@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -70,44 +70,6 @@ def single_coordinate(p: int, index: int = 0) -> DMFunctionSpec:
     if not 0 <= index < p:
         raise ValueError("coordinate index out of range")
     return DMFunctionSpec(arity=p, evaluator=lambda V: V[:, index], name=f"coordinate{index}_p{p}")
-
-
-def positive_linear(coeffs: Sequence[float]) -> DMFunctionSpec:
-    """Phi(v) = sum_j c_j v_j with c_j >= 0 and sum c_j >= 1.
-
-    Nonnegative coefficients give coordinatewise monotonicity; the diagonal
-    increment is t * sum c_j, so the coefficient sum must reach 1.
-    """
-    w = np.array([_real(c, "coeffs") for c in coeffs])
-    if w.size < 1:
-        raise ValueError("need at least one coefficient")
-    if np.any(w < 0):
-        raise ValueError("coefficients must be nonnegative")
-    if w.sum() < 1.0:
-        raise ValueError("coefficient sum below 1 breaks the diagonal growth bound")
-    return DMFunctionSpec(
-        arity=int(w.size),
-        evaluator=lambda V: np.sum(V * w, axis=-1),
-        name=f"linear_p{w.size}",
-    )
-
-
-def order_statistic(p: int, k: int, shifts: Sequence[float] | None = None) -> DMFunctionSpec:
-    """Phi(v) = k-th smallest of (v_j + shift_j), k in 1..p.
-
-    Order statistics of coordinatewise-shifted values are the DM functions
-    behind eigenvalue applications: sorting commutes with adding t to every
-    coordinate, so the diagonal increment is exactly t.
-    """
-    p, k = _integer(p, "arity"), _integer(k, "k")
-    if not 1 <= k <= p:
-        raise ValueError("order index must lie in 1..p")
-    off = np.zeros(p) if shifts is None else np.array([_real(s, "shifts") for s in shifts])
-    if off.shape != (p,):
-        raise ValueError("need one shift per coordinate")
-    return DMFunctionSpec(
-        arity=p, evaluator=lambda V: np.sort(V + off, axis=-1)[:, k - 1], name=f"order{k}_p{p}"
-    )
 
 
 # Points per evaluator call: atom combinations in `stollmann_exact`'s

@@ -2,9 +2,9 @@
 
 The package checks one DM family, the sorted eigenvalues of a box as
 functions of the field (`spectral.verify_dm_eigenvalues`).  The tests check
-the library's toy DM forms (`coordinate_sum`, `order_statistic` and the
-rest) with this sampler, which reports through the same reduction,
-`stollmann.dm_report`.
+the library's three toy DM forms (`coordinate_sum`, `coordinate_max` and
+`single_coordinate`) with this sampler, which reports through the same
+reduction, `stollmann.dm_report`.
 """
 
 import math

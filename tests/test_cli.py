@@ -523,13 +523,12 @@ def test_stollmann_mc_requires_trials(tmp_path, capsys):
     assert err == (
         "error: a uniform law is sampled: stollmann config lacks ['master_seed', 'trials']\n"
     )
-    gaussian = {"kind": "gaussian", "mean": 0.0, "sigma": 1.0}
-    config = {**STOLLMANN_MC_CFG, "dist": gaussian}
+    config = dict(STOLLMANN_MC_CFG)
     del config["trials"]
-    cfg = write_config(tmp_path, "g.json", config)
+    cfg = write_config(tmp_path, "u.json", config)
     code, out, err = run_cli(capsys, "stollmann-check", "--config", cfg)
     assert (code, out) == (1, "")
-    assert err == "error: a gaussian law is sampled: stollmann config lacks ['trials']\n"
+    assert err == "error: a uniform law is sampled: stollmann config lacks ['trials']\n"
 
 
 @pytest.mark.parametrize(
@@ -876,18 +875,6 @@ UNIFORM = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
         ("wegner-single", SINGLE_CFG, lambda x: {"dist": {**UNIFORM, "lo": x}}, "lo"),
         ("wegner-single", SINGLE_CFG, lambda x: {"dist": {**UNIFORM, "hi": x}}, "hi"),
         (
-            "wegner-single",
-            SINGLE_CFG,
-            lambda x: {"dist": {"kind": "gaussian", "mean": x, "sigma": 1.0}},
-            "mean",
-        ),
-        (
-            "wegner-single",
-            SINGLE_CFG,
-            lambda x: {"dist": {"kind": "gaussian", "mean": 0.0, "sigma": x}},
-            "sigma",
-        ),
-        (
             "stollmann-check",
             STOLLMANN_EXACT_CFG,
             lambda x: {"dist": {"kind": "discrete", "atoms": [[x, 0.5], [1.0, 0.5]]}},
@@ -907,18 +894,6 @@ UNIFORM = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
         ),
         ("stollmann-check", STOLLMANN_EXACT_CFG, lambda x: {"interval": [x, 1.5]}, "interval"),
         ("dm-check", DM_EIG_CFG, lambda x: {"tolerance": x}, "tolerance"),
-        (
-            "stollmann-check",
-            STOLLMANN_EXACT_CFG,
-            lambda x: {"function": {"form": "linear", "coeffs": [x, 1.0]}},
-            "coeffs",
-        ),
-        (
-            "stollmann-check",
-            STOLLMANN_EXACT_CFG,
-            lambda x: {"function": {"form": "order", "arity": 2, "k": 1, "shifts": [x, 0.0]}},
-            "shifts",
-        ),
     ],
     ids=[
         "energy",
@@ -926,15 +901,11 @@ UNIFORM = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
         "coupling",
         "uniform-lo",
         "uniform-hi",
-        "gaussian-mean",
-        "gaussian-sigma",
         "atom-value",
         "atom-weight",
         "interaction-energy",
         "interval",
         "dm-eigenvalue-tolerance",
-        "linear-coeffs",
-        "order-shifts",
     ],
 )
 def test_real_config_values_must_be_numbers(tmp_path, capsys, command, base, bad, name, literal):
@@ -967,6 +938,54 @@ def test_a_bernoulli_law_is_an_unknown_kind(tmp_path, capsys):
     cfg = write_config(tmp_path, "b.json", {**SINGLE_CFG, "dist": bernoulli})
     code, out, err = run_cli(capsys, "wegner-single", "--config", cfg)
     assert (code, out, err) == (1, "", "error: unknown distribution kind 'bernoulli'\n")
+
+
+@pytest.mark.parametrize(
+    "command, base",
+    [("spectrum", HAM_CFG), ("wegner-single", SINGLE_CFG), ("stollmann-check", STOLLMANN_MC_CFG)],
+    ids=["spectrum", "wegner-single", "stollmann-check"],
+)
+def test_a_gaussian_law_is_an_unknown_kind(tmp_path, capsys, command, base):
+    # a sampled check takes a uniform law in its place
+    gaussian = {"kind": "gaussian", "mean": 0.0, "sigma": 1.0}
+    cfg = write_config(tmp_path, "g.json", {**base, "dist": gaussian})
+    code, out, err = run_cli(capsys, command, "--config", cfg)
+    assert (code, out, err) == (1, "", "error: unknown distribution kind 'gaussian'\n")
+
+
+@pytest.mark.parametrize(
+    "function",
+    [{"form": "linear", "coeffs": [0.5, 0.75]}, {"form": "order", "arity": 3, "k": 2}],
+    ids=lambda f: f["form"],
+)
+def test_a_linear_or_order_form_is_an_unknown_form(tmp_path, capsys, function):
+    cfg = write_config(tmp_path, "f.json", {**STOLLMANN_EXACT_CFG, "function": function})
+    code, out, err = run_cli(capsys, "stollmann-check", "--config", cfg)
+    assert (code, out, err) == (1, "", f"error: unknown function form {function['form']!r}\n")
+
+
+@pytest.mark.parametrize(
+    "command, base, changes, error",
+    [
+        ("stollmann-check", STOLLMANN_EXACT_CFG, {"function": {"arity": 1}},
+         "function config needs a 'form'"),
+        ("stollmann-check", STOLLMANN_EXACT_CFG, {"interval": [0.5]},
+         "interval must be [lower, upper]"),
+        ("stollmann-check", STOLLMANN_EXACT_CFG, {"interval": 0.5},
+         "interval must be [lower, upper]"),
+        ("spectrum", HAM_CFG, {"dist": {"kind": "uniform", "lo": 0.0}},
+         "missing config key 'hi'"),
+        ("stollmann-check", STOLLMANN_EXACT_CFG, {"function": {"form": "sum"}},
+         "missing config key 'arity'"),
+    ],
+    ids=["no-form", "one-element-interval", "scalar-interval", "no-hi", "no-arity"],
+)
+def test_incomplete_config_exits_1_naming_what_is_missing(
+    tmp_path, capsys, command, base, changes, error
+):
+    cfg = write_config(tmp_path, "bad.json", {**base, **changes})
+    code, out, err = run_cli(capsys, command, "--config", cfg)
+    assert (code, out, err) == (1, "", f"error: {error}\n")
 
 
 @pytest.mark.parametrize(

@@ -123,6 +123,13 @@ def test_interaction_cutoff_enforced():
     assert spec.value(100) == 0.0
 
 
+def test_interaction_refuses_negative_cutoffs_and_distances():
+    with pytest.raises(ValueError, match="^interaction cutoff must be nonnegative$"):
+        InteractionSpec({}, r_max=-1)
+    with pytest.raises(ValueError, match="^distance must be nonnegative$"):
+        InteractionSpec({}).value(-1)
+
+
 def test_interaction_dict_round_trip():
     spec = InteractionSpec(table={0: 1.0, 1: 0.5}, r_max=3)
     again = InteractionSpec.from_dict(spec.to_dict())

@@ -35,8 +35,6 @@ from wegner2p import (
 from wegner2p.stollmann import (
     coordinate_max,
     coordinate_sum,
-    order_statistic,
-    positive_linear,
     single_coordinate,
 )
 
@@ -109,12 +107,6 @@ CASES = [
     ("uniform-hi", "hi", "real",
      lambda v: DistributionSpec(kind="uniform", lo=0.0, hi=v),
      lambda v: spectrum(dist={"kind": "uniform", "lo": 0.0, "hi": v})),
-    ("gaussian-mean", "mean", "real",
-     lambda v: DistributionSpec(kind="gaussian", mean=v, sigma=1.0),
-     lambda v: spectrum(dist={"kind": "gaussian", "mean": v, "sigma": 1.0})),
-    ("gaussian-sigma", "sigma", "real",
-     lambda v: DistributionSpec(kind="gaussian", mean=0.0, sigma=v),
-     lambda v: spectrum(dist={"kind": "gaussian", "mean": 0.0, "sigma": v})),
     ("atom-value", "atom value", "real",
      lambda v: DistributionSpec(kind="discrete", atoms=((v, 1.0),)),
      lambda v: spectrum(dist={"kind": "discrete", "atoms": [[v, 1.0]]})),
@@ -175,18 +167,6 @@ CASES = [
     ("single_coordinate-index", "index", "integer",
      lambda v: single_coordinate(3, v),
      lambda v: stollmann({"form": "coordinate", "arity": 3, "index": v})),
-    ("order_statistic-p", "arity", "integer",
-     lambda v: order_statistic(v, 1),
-     lambda v: stollmann({"form": "order", "arity": v, "k": 1})),
-    ("order_statistic-k", "k", "integer",
-     lambda v: order_statistic(3, v),
-     lambda v: stollmann({"form": "order", "arity": 3, "k": v})),
-    ("order_statistic-shifts", "shifts", "real",
-     lambda v: order_statistic(2, 1, [0.0, v]),
-     lambda v: stollmann({"form": "order", "arity": 2, "k": 1, "shifts": [0.0, v]})),
-    ("positive_linear-coeffs", "coeffs", "real",
-     lambda v: positive_linear([1.0, v]),
-     lambda v: stollmann({"form": "linear", "coeffs": [1.0, v]})),
     ("trial_values-round_index", "round_index", "integer",
      lambda v: trial_values(U, 1, v, 1, 1, 3),
      None),
@@ -317,7 +297,7 @@ def test_numpy_and_integral_values_are_stored_as_python_numbers():
     assert DMFunctionSpec(np.int64(2), lambda V: V[:, 0]).arity == 2
     assert coordinate_max(np.int64(3)).name == "max_p3"
     assert single_coordinate(2, 1.0)(np.array([0.25, 0.75])) == 0.75
-    assert order_statistic(3.0, np.int8(2)).name == "order2_p3"
+    assert single_coordinate(3.0, np.int8(2)).name == "coordinate2_p3"
     assert stollmann_mc(SUM2, U, IntervalSpec(0.5, 1.0), 2000.0, rng()).bound == 1.0
     np.testing.assert_array_equal(
         trial_values(U, np.uint8(1), 0.0, 1.0, np.int64(2), 3.0), trial_values(U, 1, 0, 1, 2, 3)

@@ -71,6 +71,20 @@ def admissible(u, u_prime, L):
 def test_pair_point_dimension_mismatch():
     with pytest.raises(ValueError):
         PairPoint.of((0, 1), (2,))
+    # built without PairPoint.of, the box checks the dimensions itself
+    with pytest.raises(ValueError, match="^box centre components disagree in dimension$"):
+        BoxSpec(PairPoint((0,), (0, 1)), 1)
+
+
+def test_a_site_needs_a_coordinate():
+    with pytest.raises(ValueError, match="^a lattice site needs at least one coordinate$"):
+        lattice.as_site(())
+
+
+def test_make_box_takes_a_plain_pair_of_sites():
+    box = make_box(((0, 1), (2, 3)), 1)
+    assert box == make_box(PairPoint.of((0, 1), (2, 3)), 1)
+    assert isinstance(box.center, PairPoint)
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +234,25 @@ coord = st.integers(min_value=-50, max_value=50)
 
 
 @st.composite
-def admissible_geometry(draw, max_dim=3, max_radius=4):
-    """Random (u, u', L) satisfying the 8L distance condition."""
+def separation_geometry(draw, max_dim=3, max_radius=4):
+    """Random (u, u', L) on both sides of the 8L distance condition.
+
+    Half the draws put u' at sup distance max(8L, 1) + delta, |delta| <= 3,
+    from u or from its swap (u2, u1), so the distance the condition
+    minimises lies within a few sites of the threshold, on either side.
+    The other half push u' out until both distances clear it.
+    """
     dim = draw(st.integers(1, max_dim))
     L = draw(st.integers(0, max_radius))
     site = st.tuples(*([st.integers(-40, 40)] * dim))
     u = PairPoint(draw(site), draw(site))
+    if draw(st.booleans()):
+        near = draw(st.sampled_from([u, PairPoint(u.second, u.first)]))
+        gap = max(max(8 * L, 1) + draw(st.integers(-3, 3)), 0)
+        offset = [draw(st.integers(-gap, gap)) for _ in range(2 * dim)]
+        offset[draw(st.integers(0, 2 * dim - 1))] = draw(st.sampled_from([-gap, gap]))
+        coords = [c + o for c, o in zip(near.first + near.second, offset)]
+        return u, PairPoint(tuple(coords[:dim]), tuple(coords[dim:])), L
     # push the second centre far out along the first axis so both the direct
     # and the swapped distance clear 8L
     shift = 8 * L + draw(st.integers(0, 20))
@@ -240,7 +267,7 @@ def admissible_geometry(draw, max_dim=3, max_radius=4):
     return u, up, L
 
 
-@given(admissible_geometry())
+@given(separation_geometry())
 @settings(max_examples=60)
 def test_classification_never_empty(geom):
     u, up, L = geom
@@ -250,7 +277,7 @@ def test_classification_never_empty(geom):
     assert classify_separation(u, up, L)
 
 
-@given(admissible_geometry(max_dim=3, max_radius=3))
+@given(separation_geometry(max_dim=3, max_radius=3))
 @settings(max_examples=60)
 def test_classification_matches_brute_force(geom):
     u, up, L = geom
@@ -260,7 +287,7 @@ def test_classification_matches_brute_force(geom):
     assert classify_separation(u, up, L) == brute_classify(u, up, L)
 
 
-@given(admissible_geometry(max_dim=2, max_radius=3), st.tuples(coord, coord))
+@given(separation_geometry(max_dim=2, max_radius=3), st.tuples(coord, coord))
 @settings(max_examples=60)
 def test_classification_translation_invariant(geom, t):
     u, up, L = geom
@@ -282,7 +309,7 @@ SWAP_FIRST = {CS: CS, A: B, B: A, C: C, D: D}
 EXCHANGE_BOXES = {CS: CS, A: C, C: A, B: D, D: B}
 
 
-@given(admissible_geometry(max_dim=2, max_radius=3))
+@given(separation_geometry(max_dim=2, max_radius=3))
 @settings(max_examples=60)
 def test_classification_covariances(geom):
     u, up, L = geom
@@ -296,7 +323,7 @@ def test_classification_covariances(geom):
     assert exchanged == frozenset(EXCHANGE_BOXES[c] for c in base)
 
 
-@given(admissible_geometry(max_dim=2, max_radius=2))
+@given(separation_geometry(max_dim=2, max_radius=2))
 @settings(max_examples=40)
 def test_complete_separation_means_disjoint_unions(geom):
     u, up, L = geom

@@ -64,28 +64,6 @@ def test_discrete_concentration_values():
     assert concentration(law, 0.0) == 0.0
 
 
-def test_gaussian_concentration_formula():
-    law = DistributionSpec.gaussian(2.0, 0.7)
-    for eps in (1e-3, 0.1, 1.0, 5.0):
-        assert concentration(law, eps) == pytest.approx(
-            math.erf(eps / (2.0 * 0.7 * math.sqrt(2.0))), abs=1e-15
-        )
-
-
-def test_gaussian_concentration_is_the_numeric_sup():
-    # grid search over window anchors against the closed form
-    mean, sigma, eps = 0.5, 1.3, 0.4
-
-    def cdf(x):
-        return 0.5 * (1.0 + math.erf((x - mean) / (sigma * math.sqrt(2.0))))
-
-    anchors = np.linspace(mean - 6 * sigma, mean + 6 * sigma, 200001)
-    masses = [cdf(a + eps) - cdf(a) for a in anchors]
-    law = DistributionSpec.gaussian(mean, sigma)
-    assert concentration(law, eps) == pytest.approx(max(masses), abs=1e-6)
-    assert concentration(law, eps) >= max(masses) - 1e-12
-
-
 def test_concentration_rejects_bad_width():
     law = DistributionSpec.uniform(0.0, 1.0)
     with pytest.raises(ValueError):
@@ -114,14 +92,12 @@ def test_validate_rejects_nonsense():
     with pytest.raises(ValueError):
         DistributionSpec.uniform(2.0, -1.0)
     with pytest.raises(ValueError):
-        DistributionSpec.gaussian(0.0, 0.0)
-    with pytest.raises(ValueError):
         DistributionSpec.discrete([(0.0, 0.4), (1.0, 0.4)])
     with pytest.raises(ValueError):
         DistributionSpec.discrete([(0.0, -0.2), (1.0, 1.2)])
     with pytest.raises(ValueError):
         DistributionSpec.discrete([])
-    for kind in ("triangular", "bernoulli"):
+    for kind in ("triangular", "bernoulli", "gaussian"):
         with pytest.raises(ValueError, match=f"^unknown distribution kind '{kind}'$"):
             DistributionSpec(kind=kind)
 
@@ -142,7 +118,6 @@ def test_validate_merges_duplicate_atoms():
 def test_dict_round_trip():
     laws = [
         DistributionSpec.uniform(-1.0, 3.0),
-        DistributionSpec.gaussian(0.5, 2.0),
         DistributionSpec.discrete([(0.0, 0.5), (2.0, 0.5)]),
     ]
     for law in laws:

@@ -8,6 +8,7 @@ import pytest
 
 import wegner2p
 import wegner2p.cli as cli
+from wegner2p import potential
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -54,3 +55,20 @@ def test_sample_config_runs(subcommand, name, text, tmp_path):
         cli.SCHEMA_VERSION,
         wegner2p.__version__,
     )
+
+
+def _table_keys(caption):
+    """{name: keys} from the README table under `caption`: each row's
+    first column and the backquoted names in its second."""
+    table = README.split(caption, 1)[1].split("\n\n", 2)[1]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    return {name.strip().strip("`"): set(re.findall(r"`(\w+)`", keys)) for name, keys in rows}
+
+
+def test_readme_tables_list_exactly_the_laws_and_forms_the_parsers_accept():
+    # documenting a removed law, form or key again, or leaving out one the
+    # parsers take, fails here
+    laws = _table_keys("Disorder laws, the `dist` key of a config:")
+    assert laws == {kind: keys - {"kind"} for kind, keys in potential._KIND_KEYS.items()}
+    forms = _table_keys("Function forms, the `function` key of a `stollmann-check` config:")
+    assert forms == {form: keys - {"form"} for form, keys in cli._FUNCTION_KEYS.items()}

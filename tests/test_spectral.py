@@ -18,7 +18,7 @@ from wegner2p import (
     sample_field,
     verify_dm_eigenvalues,
 )
-from wegner2p import hamiltonian
+from wegner2p import hamiltonian, spectral
 from wegner2p.spectral import min_gaps_to_sorted, spectra
 
 from dense_reference import dense_operator
@@ -272,9 +272,11 @@ def per_trial_dm_report(spec, values, trials, rng, tolerance):
 
 @pytest.mark.parametrize("tolerance", [1e-9, 1e-15, 0.0])
 def test_verifier_chunks_match_per_trial_reference(monkeypatch, tolerance):
-    # a budget of three 9x9 matrices cuts 20 trials into 7 chunks, each
-    # solved as a 6x6 and a 3x3 sector stack; the report equals the
-    # default-budget one and the per-trial loop's
+    # a budget of three trials' two fields and two spectra (3 sites, m=9)
+    # cuts 20 trials into six chunks of 3 and one of 2; a 3-trial solve
+    # streams its 6x6 sector in two stacks and its 3x3 sector in one, a
+    # 2-trial solve each in one; the report equals the default-budget one
+    # and the per-trial loop's
     spec, field = small_setup(1.0)
     wide = verify_dm_eigenvalues(spec, field, 20, RngStream(4, 1), tolerance)
     calls = []
@@ -284,11 +286,11 @@ def test_verifier_chunks_match_per_trial_reference(monkeypatch, tolerance):
         calls.append(np.shape(a)[:-2])
         return eigvalsh(a)
 
-    monkeypatch.setattr(hamiltonian, "_CHUNK_BYTES", 3 * 8 * 9**2)
+    monkeypatch.setattr(hamiltonian, "_CHUNK_BYTES", 3 * 16 * (3 + 9))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     narrow = verify_dm_eigenvalues(spec, field, 20, RngStream(4, 1), tolerance)
     monkeypatch.undo()
-    assert calls[:2] == [(1,), (1,)] and len(calls) == 2 + 2 * 2 * 7
+    assert calls[:2] == [(1,), (1,)] and len(calls) == 2 + 2 * (6 * 3 + 2)
     assert max(np.prod(shape) for shape in calls[2:]) == 3
     assert narrow == wide
     want = per_trial_dm_report(spec, field, 20, RngStream(4, 1), tolerance)
@@ -297,6 +299,23 @@ def test_verifier_chunks_match_per_trial_reference(monkeypatch, tolerance):
     assert narrow.passed is (want[2] == [])
     # at tolerance 0 every trial whose shift is inexact is flagged; five are kept
     assert len(narrow.witnesses) == (5 if tolerance == 0 else len(want[2]))
+
+
+def test_verifier_chunks_hold_trials_not_full_matrices(monkeypatch):
+    # d=1, L=5: a trial's two fields and two spectra take 16 * (11 + 121)
+    # bytes, so 20 trials are one chunk: a base solve and one chunk's two
+    # solves (sized by full 121x121 matrices, chunks of 4 made 1 + 2 * 5)
+    spec, field = small_setup(1.0, L=5)
+    calls = []
+
+    def counting(template, values, *args, **kwargs):
+        calls.append(np.shape(values))
+        return spectra(template, values, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "spectra", counting)
+    report = verify_dm_eigenvalues(spec, field, 20, RngStream(4, 1))
+    assert calls == [(11,), (20, 11), (20, 11)]
+    assert report.passed and report.checks == 20
 
 
 @pytest.mark.filterwarnings("error")

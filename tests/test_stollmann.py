@@ -15,13 +15,7 @@ from wegner2p import (
 )
 from wegner2p import stollmann
 from wegner2p.potential import draw_values
-from wegner2p.stollmann import (
-    coordinate_max,
-    coordinate_sum,
-    order_statistic,
-    positive_linear,
-    single_coordinate,
-)
+from wegner2p.stollmann import coordinate_max, coordinate_sum, single_coordinate
 
 import dm_reference
 from dm_reference import check_dm_function
@@ -29,6 +23,22 @@ from dm_reference import check_dm_function
 FOUR_ATOMS = DistributionSpec.discrete(
     [(0.0, 0.25), (1.0, 0.25), (2.0, 0.25), (3.0, 0.25)]
 )
+
+
+# Two DM functions that the checker and enumerator tests run besides the
+# library's forms: rounding moves their diagonal steps off t in the last bits.
+
+
+def shifted_order(k, shifts):
+    """The k-th smallest of v_j + shift_j."""
+    off = np.array(shifts)
+    return DMFunctionSpec(len(off), lambda V: np.sort(V + off, axis=-1)[:, k - 1])
+
+
+def weighted_sum(coeffs):
+    """sum_j c_j v_j, with c_j >= 0 summing to 1 or more."""
+    w = np.array(coeffs)
+    return DMFunctionSpec(len(w), lambda V: np.sum(V * w, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -43,10 +53,6 @@ FOUR_ATOMS = DistributionSpec.discrete(
         coordinate_sum(3),
         coordinate_max(2),
         single_coordinate(3, index=1),
-        positive_linear([0.5, 0.75]),
-        positive_linear([1.0]),
-        order_statistic(3, 1),
-        order_statistic(3, 2, shifts=[0.0, -1.5, 2.0]),
     ],
 )
 def test_true_dm_functions_pass(f):
@@ -96,18 +102,6 @@ def test_nan_values_fail_the_dm_check():
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
-        positive_linear([0.4, 0.4])  # sum below 1
-    with pytest.raises(ValueError):
-        positive_linear([-0.5, 2.0])
-    with pytest.raises(ValueError):
-        positive_linear([])
-    with pytest.raises(ValueError):
-        order_statistic(2, 0)
-    with pytest.raises(ValueError):
-        order_statistic(2, 3)
-    with pytest.raises(ValueError):
-        order_statistic(2, 1, shifts=[1.0])
-    with pytest.raises(ValueError):
         single_coordinate(2, index=2)
     with pytest.raises(ValueError):
         DMFunctionSpec(arity=0, evaluator=lambda V: np.zeros(len(V)))
@@ -142,10 +136,6 @@ LIBRARY_FAMILIES = [
     coordinate_sum(12),
     coordinate_max(5),
     single_coordinate(4, index=2),
-    positive_linear([0.3, 0.45, 0.55]),
-    positive_linear(np.linspace(0.05, 0.3, 11)),
-    order_statistic(4, 3),
-    order_statistic(6, 2, shifts=[0.1, -2.0, 3.5, 0.0, -0.7, 1e-9]),
 ]
 
 
@@ -194,7 +184,7 @@ def test_checker_matches_pointwise_loop(monkeypatch, chunk, tolerance):
     # step is flagged where it rounds above t
     monkeypatch.setattr(dm_reference, "_CHUNK", chunk)
     decreasing = DMFunctionSpec(3, lambda V: -V.sum(axis=1))
-    functions = (coordinate_sum(3), order_statistic(3, 2, shifts=[0.0, -1.5, 2.0]), decreasing)
+    functions = (coordinate_sum(3), shifted_order(2, [0.0, -1.5, 2.0]), decreasing)
     for f, flagged in zip(functions, (0, 0 if tolerance else 2, 5)):
         report = check_dm_function(f, (-2.0, 2.0), 50, RngStream(8, 0), tolerance=tolerance)
         want = pointwise_dm_report(f, (-2.0, 2.0), 50, RngStream(8, 0), tolerance)
@@ -206,8 +196,8 @@ def test_checker_matches_pointwise_loop(monkeypatch, chunk, tolerance):
 @pytest.mark.parametrize(
     "f, tolerance, passes",
     [
-        (order_statistic(3, 1, shifts=[0.0, -1.5, 2.0]), 1e-12, True),
-        (positive_linear([0.25, 0.75]), 0.0, False),  # fails on rounding alone
+        (shifted_order(1, [0.0, -1.5, 2.0]), 1e-12, True),
+        (weighted_sum([0.25, 0.75]), 0.0, False),  # fails on rounding alone
     ],
 )
 def test_checker_block_draw_matches_per_sample_draws(f, tolerance, passes):
@@ -385,7 +375,7 @@ def test_exact_probability_matches_odometer_bitwise(p):
 
 def test_exact_probability_across_chunks_matches_odometer_bitwise():
     law = DistributionSpec.discrete([(0.1 * k, 0.1) for k in range(10)])
-    f = positive_linear([0.3, 0.45, 0.55, 0.2, 0.1])
+    f = weighted_sum([0.3, 0.45, 0.55, 0.2, 0.1])
     assert 10**f.arity > stollmann._CHUNK  # the enumeration spans two chunks
     iv = IntervalSpec(1.0, 2.5)
     res = stollmann_exact(f, law, iv)
@@ -470,7 +460,7 @@ def test_mc_evaluates_all_draws_in_one_call():
 
 @pytest.mark.parametrize(
     "law",
-    [DistributionSpec.uniform(0.0, 1.0), DistributionSpec.gaussian(0.5, 0.3), FOUR_ATOMS],
+    [DistributionSpec.uniform(0.0, 1.0), FOUR_ATOMS],
     ids=lambda law: law.kind,
 )
 def test_mc_draws_in_chunks_of_rows(monkeypatch, law):
