@@ -40,7 +40,7 @@ from .stollmann import (
     stollmann_mc,
 )
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 
 class _UsageError(Exception):
@@ -180,7 +180,7 @@ def _function_from_config(data: Mapping) -> DMFunctionSpec:
     form = data["form"]
     if form not in _FUNCTION_KEYS:
         raise ValueError(f"unknown function form {form!r}")
-    _check_keys(data, allowed=_FUNCTION_KEYS[form], required={"form"}, what=f"{form} function")
+    _check_keys(data, _FUNCTION_KEYS[form], f"{form} function", required={"form", "arity"})
     arity = data["arity"]
     if form == "sum":
         return coordinate_sum(arity)

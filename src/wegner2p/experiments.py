@@ -242,7 +242,6 @@ class ExperimentConfig:
             "trials": self.trials,
             "master_seed": self.master_seed,
             "bound_mode": self.bound_mode,
-            "hopping_norm": spec.hopping_norm,
         }
         if self.center_prime is not None:
             out["center_prime"] = [

@@ -3,14 +3,18 @@
 On a box the operator acts as hopping plus a distance-dependent
 inter-particle interaction plus the coupled random potential:
 
-    (H psi)(x) = sum over hopping neighbours y of psi(y)
+    (H psi)(x) = sum over box points y with ||x - y||_inf = 1 of psi(y)
                + [U(||x1 - x2||) + g (V(x1) + V(x2))] psi(x)
 
-with x = (x1, x2) a pair point and V the single-site field.  Both particles
-feel one and the same field, which is what ties the diagonal entries of
-distinct box points together.  Matrices are dense symmetric ndarrays indexed
-by the canonical (lexicographic) enumeration of box points, and a sector's
-blocks by its representative points in that order.
+with x = (x1, x2) a pair point, ||x - y||_inf the sup norm over all 2d
+coordinates and V the single-site field.  Both particles feel one and the
+same field, which is what ties the diagonal entries of distinct box points
+together.  This is the one hopping the package builds.  The Wegner ceiling
+needs only that the hopping does not depend on the field, so it is the same
+for any other, the nearest-neighbour Kronecker sum included.  Matrices are
+dense symmetric ndarrays indexed by the canonical (lexicographic)
+enumeration of box points, and a sector's blocks by its representative
+points in that order.
 """
 
 from __future__ import annotations
@@ -29,8 +33,6 @@ import numpy as np
 
 from .lattice import BoxSpec, PairPoint, Site, _site_positions, make_box, projection_sites
 from .potential import _check_keys, _integer, _malformed, _real
-
-_HOPPING_NORMS = ("sup", "l1")
 
 # Bytes one m x m matrix may take; HamiltonianSpec refuses a larger box.
 _MATRIX_BYTES = 128 * 2**20
@@ -184,14 +186,9 @@ class HamiltonianSpec:
     box: BoxSpec
     interaction: InteractionSpec
     coupling: float
-    hopping_norm: str = "sup"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coupling", _real(self.coupling, "coupling"))
-        if self.hopping_norm not in _HOPPING_NORMS:
-            raise ValueError(
-                f"hopping_norm must be one of {_HOPPING_NORMS}, got {self.hopping_norm!r}"
-            )
         m = self.box.size
         if 8 * m * m > _MATRIX_BYTES:
             raise ValueError(
@@ -212,13 +209,13 @@ class HamiltonianSpec:
         `extra` and `required` name the caller's own keys, which this parser
         admits but leaves to the caller; any other key is an error reported
         against `what`.  An omitted interaction is zero with cutoff r_max equal
-        to the dimension, coupling defaults to 1 and hopping to "sup".
-        Wrongly typed values raise ValueError like any other bad value.
+        to the dimension and coupling defaults to 1.  There is one hopping,
+        so no key chooses it.  Wrongly typed values raise ValueError like any
+        other bad value.
         """
         _check_keys(
             data,
-            allowed={"dimension", "radius", "center", "interaction", "coupling", "hopping_norm"}
-            | extra,
+            allowed={"dimension", "radius", "center", "interaction", "coupling"} | extra,
             required={"dimension", "radius", "center"} | required,
             what=what,
         )
@@ -233,7 +230,6 @@ class HamiltonianSpec:
                     data.get("interaction", {"entries": []}), default_r_max=dimension
                 ),
                 coupling=data.get("coupling", 1.0),
-                hopping_norm=data.get("hopping_norm", "sup"),
             )
 
 
@@ -265,15 +261,10 @@ class HamiltonianTemplate:
         d, n = box.dimension, 2 * box.radius + 1
         # Box points run over the product of 2d coordinate ranges in
         # lexicographic order, which is np.kron's index order, so the hopping
-        # graph is a Kronecker product of paths on 2L+1 points.
+        # graph, every two points at sup distance 1, is the Kronecker product
+        # over the 2d axes of 1 + (path on 2L+1 points), less the identity.
         eye, path = np.eye(n), np.eye(n, k=1) + np.eye(n, k=-1)
-        if spec.hopping_norm == "sup":
-            hop = reduce(np.kron, [eye + path] * (2 * d)) - np.eye(self.dim)
-        else:
-            hop = sum(
-                reduce(np.kron, [path if j == k else eye for j in range(2 * d)])
-                for k in range(2 * d)
-            )
+        hop = reduce(np.kron, [eye + path] * (2 * d)) - np.eye(self.dim)
         first, second = coords[:, :d], coords[:, d:]
         r = np.abs(first - second).max(axis=1)
         self.interaction = np.zeros(self.dim)

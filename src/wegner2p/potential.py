@@ -68,7 +68,7 @@ def _real(value, what: str) -> float:
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """A single-site law.  Only the fields for the given kind are meaningful.
+    """A single-site law.  Each kind sets its own fields and only those:
 
     uniform    lo, hi              flat on [lo, hi), lo < hi
     discrete   atoms               ((value, prob), ...), probs summing to 1
@@ -76,25 +76,31 @@ class DistributionSpec:
     `discrete` is the one atomic law: a two-valued law that takes b with
     probability p and a otherwise is discrete(((a, 1 - p), (b, p))).
     Parameters are checked once, at construction, and discrete atoms are
-    sorted by value with duplicates merged; nonsense raises ValueError.
+    sorted by value with duplicates merged; nonsense raises ValueError, and
+    so does a field of the other kind (a discrete law's lo or hi, a uniform
+    law's atoms), so equal laws are equal specs.
     """
 
     kind: str
-    lo: float = 0.0
-    hi: float = 1.0
+    lo: float | None = None
+    hi: float | None = None
     atoms: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
         if not (isinstance(self.kind, str) and self.kind in _KIND_KEYS):
             raise ValueError(f"unknown distribution kind {self.kind!r}")
-        for key in ("lo", "hi"):
-            object.__setattr__(self, key, _real(getattr(self, key), key))
         if self.kind == "uniform":
+            if self.atoms:
+                raise ValueError("a uniform law takes no atoms")
+            for key in ("lo", "hi"):
+                object.__setattr__(self, key, _real(getattr(self, key), key))
             if not self.lo < self.hi:
                 raise ValueError("uniform law needs lo < hi")
             if not math.isfinite(self.hi - self.lo):
                 raise ValueError("uniform width hi - lo overflows a float")
         else:
+            if self.lo is not None or self.hi is not None:
+                raise ValueError("a discrete law takes no lo or hi")
             if not self.atoms:
                 raise ValueError("discrete law needs at least one atom")
             merged: dict[float, float] = {}
@@ -129,7 +135,7 @@ class DistributionSpec:
         kind = data["kind"]
         if kind not in _KIND_KEYS:
             raise ValueError(f"unknown distribution kind {kind!r}")
-        _check_keys(data, _KIND_KEYS[kind], f"{kind} distribution")
+        _check_keys(data, _KIND_KEYS[kind], f"{kind} distribution", required=_KIND_KEYS[kind])
         if kind == "uniform":
             return cls.uniform(data["lo"], data["hi"])
         return cls.discrete(tuple((v, w) for v, w in data["atoms"]))

@@ -174,7 +174,6 @@ def test_criterion_5_eigenvalue_dm_properties():
                 box=make_box(PairPoint.of((0,), (0,)), 2),
                 interaction=inter,
                 coupling=g,
-                hopping_norm="sup",
             )
             template = HamiltonianTemplate(spec)
             field = sample_field(
@@ -215,16 +214,10 @@ def test_criterion_6_swap_symmetry_spectra():
             )
         else:
             inter = InteractionSpec.zero()
-        norm = "sup" if rng.random() < 0.5 else "l1"
         u = PairPoint.of(first, second)
-        spec_a = HamiltonianSpec(
-            box=make_box(u, radius), interaction=inter, coupling=coupling, hopping_norm=norm
-        )
+        spec_a = HamiltonianSpec(box=make_box(u, radius), interaction=inter, coupling=coupling)
         spec_b = HamiltonianSpec(
-            box=make_box(PairPoint(u.second, u.first), radius),
-            interaction=inter,
-            coupling=coupling,
-            hopping_norm=norm,
+            box=make_box(PairPoint(u.second, u.first), radius), interaction=inter, coupling=coupling
         )
         ta, tb = HamiltonianTemplate(spec_a), HamiltonianTemplate(spec_b)
         field = sample_field(
@@ -297,20 +290,34 @@ def test_criterion_7_thread_count_determinism(tmp_path):
     )
 
 
-def test_criterion_8_known_tensor_sum_spectrum():
-    """Free pair on a 3-site segment reproduces the tensor-sum spectrum."""
-    spec = HamiltonianSpec(
-        box=make_box(PairPoint.of((0,), (0,)), 1),
-        interaction=InteractionSpec.zero(),
-        coupling=1.0,
-        hopping_norm="l1",
+def test_criterion_8_known_free_spectrum():
+    """The free pair's spectrum is the closed form of the sup-norm hopping.
+
+    The hopping is the Kronecker product over the 2d axes of 1 + P, P the
+    path on 2L+1 points, less the identity.  P's eigenvalues are
+    2 cos(pi k / (2L+2)), k = 1..2L+1, so the free spectrum is every
+    product over the axes of 1 + 2 cos(pi k_j / (2L+2)), less 1.
+    """
+    worst, count = 0.0, 0
+    for d, L in ((1, 1), (1, 2), (2, 1)):
+        spec = HamiltonianSpec(
+            box=make_box(PairPoint.of((0,) * d, (0,) * d), L),
+            interaction=InteractionSpec.zero(),
+            coupling=1.0,
+        )
+        template = HamiltonianTemplate(spec)
+        got = spectra(template, np.zeros(template.n_sites))
+        factor = 1.0 + 2.0 * np.cos(np.pi * np.arange(1, 2 * L + 2) / (2 * L + 2))
+        products = [np.prod(ks) for ks in itertools.product(factor, repeat=2 * d)]
+        want = np.sort(np.array(products) - 1.0)
+        worst = max(worst, float(np.max(np.abs(got - want))))
+        count += want.size
+    outcome(
+        8,
+        worst <= 1e-10,
+        f"{count} free eigenvalues at d=1 (L=1, 2) and d=2 (L=1) match the closed form "
+        f"within {worst:.2e}",
     )
-    template = HamiltonianTemplate(spec)
-    got = spectra(template, np.zeros(template.n_sites))
-    lam = np.array([-np.sqrt(2.0), 0.0, np.sqrt(2.0)])
-    want = np.sort((lam[:, None] + lam[None, :]).ravel())
-    worst = float(np.max(np.abs(got - want)))
-    outcome(8, worst <= 1e-10, f"9 eigenvalues match the pairwise sums within {worst:.2e}")
 
 
 def test_criterion_9_ceiling_nearly_binds():
@@ -352,4 +359,37 @@ def test_criterion_9_ceiling_nearly_binds():
         not failures,
         "4 cells x 100000 trials under eps_over_g, L=0 estimates match the exact "
         "probability and every verdict holds" + (f"; failures: {failures}" if failures else ""),
+    )
+
+
+def test_criterion_10_d2_single_volume_cell():
+    """A d=2 box holds its ceiling, and a ceiling that drops d would not.
+
+    d=2, L=1 (m=81, 9 projection sites), centre (0,0),(0,0), U(0,1), g=20,
+    E=19, eps=0.02 under eps_over_g: the ceiling is 81 * 9 * 1e-3 = 0.729,
+    about 5.7 times the hit rate.  A ceiling with |box| = (2L+1)^2 in place of
+    (2L+1)^(2d), 1/9 of it here (0.081), lies below the z=3 Wald lower
+    bound of these trials and reads "violated".
+    """
+    data = {
+        "dimension": 2,
+        "radius": 1,
+        "center": [[0, 0], [0, 0]],
+        "dist": UNIFORM01,
+        "energy": 19.0,
+        "epsilon": 0.02,
+        "trials": 20_000,
+        "master_seed": 77,
+        "coupling": 20.0,
+        "bound_mode": "eps_over_g",
+    }
+    report = run_single_volume(ExperimentConfig.from_dict(data, threads=2))
+    p_hat, ceiling = report.empirical_probability, report.analytic_bound
+    # the cell keeps its power: its Wald lower bound is above the d-dropping ceiling
+    wald_low = p_hat - 3.0 * report.std_error
+    outcome(
+        10,
+        report.verdict == "holds" and wald_low > ceiling / 9,
+        f"d=2, L=1, g=20: {report.hits} hits in 20000 trials, p = {p_hat:.3f} (Wald lower "
+        f"bound {wald_low:.3f}) against the ceiling {ceiling:.3f}, verdict {report.verdict}",
     )

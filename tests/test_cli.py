@@ -85,7 +85,6 @@ HAM_CFG = {
     "center": [[0], [2]],
     "interaction": {"entries": [[0, 1.0], [1, 0.5]]},
     "coupling": 1.0,
-    "hopping_norm": "sup",
     "dist": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
     "master_seed": 4003,
 }
@@ -256,7 +255,6 @@ def expected_field():
         box=make_box(PairPoint.of((0,), (2,)), 1),
         interaction=InteractionSpec({0: 1.0, 1: 0.5}, r_max=1),
         coupling=1.0,
-        hopping_norm="sup",
     )
     template = HamiltonianTemplate(spec)
     values = sample_field(
@@ -331,12 +329,12 @@ def test_wegner_single_out_file_and_threads_identical(tmp_path, capsys):
 
 
 def test_wegner_single_violation_exits_2(tmp_path, capsys):
-    # no disorder, window around a real eigenvalue: hit every time while the
-    # stated ceiling stays small, so the report must say violated
+    # no disorder, window around a real eigenvalue (E = 0 is the free
+    # eigenvalue (1 + 2cos(pi/2))^2 - 1 of the L=1 box): hit every time while
+    # the stated ceiling stays small, so the report must say violated
     violated = {
         **SINGLE_CFG,
         "coupling": 0.0,
-        "hopping_norm": "l1",
         "epsilon": 1e-3,
         "trials": 120,
     }
@@ -954,6 +952,23 @@ def test_a_gaussian_law_is_an_unknown_kind(tmp_path, capsys, command, base):
 
 
 @pytest.mark.parametrize(
+    "command, base, what",
+    [
+        ("spectrum", HAM_CFG, "hamiltonian"),
+        ("dm-check", DM_EIG_CFG, "dm eigenvalue"),
+        ("wegner-single", SINGLE_CFG, "experiment"),
+        ("wegner-two", TWO_CFG, "experiment"),
+    ],
+    ids=["spectrum", "dm-check", "wegner-single", "wegner-two"],
+)
+def test_hopping_norm_is_an_unknown_key(tmp_path, capsys, command, base, what):
+    # there is one hopping, so a config that still picks one is refused
+    cfg = write_config(tmp_path, "h.json", {**base, "hopping_norm": "sup"})
+    code, out, err = run_cli(capsys, command, "--config", cfg)
+    assert (code, out, err) == (1, "", f"error: unknown keys in {what} config: ['hopping_norm']\n")
+
+
+@pytest.mark.parametrize(
     "function",
     [{"form": "linear", "coeffs": [0.5, 0.75]}, {"form": "order", "arity": 3, "k": 2}],
     ids=lambda f: f["form"],
@@ -974,11 +989,18 @@ def test_a_linear_or_order_form_is_an_unknown_form(tmp_path, capsys, function):
         ("stollmann-check", STOLLMANN_EXACT_CFG, {"interval": 0.5},
          "interval must be [lower, upper]"),
         ("spectrum", HAM_CFG, {"dist": {"kind": "uniform", "lo": 0.0}},
-         "missing config key 'hi'"),
+         "uniform distribution config lacks required keys: ['hi']"),
         ("stollmann-check", STOLLMANN_EXACT_CFG, {"function": {"form": "sum"}},
-         "missing config key 'arity'"),
+         "sum function config lacks required keys: ['arity']"),
+        ("stollmann-check", STOLLMANN_EXACT_CFG, {"dist": {"kind": "discrete"}},
+         "discrete distribution config lacks required keys: ['atoms']"),
+        ("stollmann-check", STOLLMANN_EXACT_CFG, {"function": {"form": "coordinate", "index": 0}},
+         "coordinate function config lacks required keys: ['arity']"),
     ],
-    ids=["no-form", "one-element-interval", "scalar-interval", "no-hi", "no-arity"],
+    ids=[
+        "no-form", "one-element-interval", "scalar-interval", "no-hi", "no-arity", "no-atoms",
+        "coordinate-without-arity",
+    ],
 )
 def test_incomplete_config_exits_1_naming_what_is_missing(
     tmp_path, capsys, command, base, changes, error

@@ -241,8 +241,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         config_1v(bound_mode="loose")
     with pytest.raises(ValueError):
-        config_1v(hopping_norm="l2")
-    with pytest.raises(ValueError):
         config_1v(master_seed=-3)
     with pytest.raises(ValueError):
         config_2v(conditioning_rounds=0)
@@ -257,7 +255,7 @@ def test_config_holds_one_hamiltonian_spec():
     )
     assert direct == config_1v()
     names = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    assert not names & {"dimension", "radius", "center", "interaction", "coupling", "hopping_norm"}
+    assert not names & {"dimension", "radius", "center", "interaction", "coupling"}
 
 
 def test_config_counts_must_be_integers():
@@ -294,7 +292,7 @@ def test_config_dict_round_trip_excludes_threads():
     assert "threads" not in echo
     assert echo["master_seed"] == 12345
     assert echo["bound_mode"] == "eps_over_g"
-    assert echo["hopping_norm"] == "sup"
+    assert "hopping_norm" not in echo
     again = ExperimentConfig.from_dict(echo, threads=2)
     assert again.to_dict() == echo
     assert again.threads == 2
@@ -322,7 +320,7 @@ def test_config_interaction_defaults_to_dimension_cutoff():
     assert cfg.hamiltonian.interaction.table == {}
 
 
-# Key order is part of the report schema (cli.SCHEMA_VERSION 8); the JSON
+# Key order is part of the report schema (cli.SCHEMA_VERSION 9); the JSON
 # bytes depend on it.
 CONFIG_KEYS = [
     "dimension",
@@ -335,7 +333,6 @@ CONFIG_KEYS = [
     "trials",
     "master_seed",
     "bound_mode",
-    "hopping_norm",
 ]
 ROUND_KEYS = [
     "round_index",
@@ -380,7 +377,7 @@ def test_report_key_order_is_pinned(tmp_path):
         "dist_digest",
     ]
     header = (single["kind"], single["schema_version"], single["tool_version"])
-    assert header == ("single_volume", 8, wegner2p.__version__)
+    assert header == ("single_volume", 9, wegner2p.__version__)
     assert list(single["config"]) == CONFIG_KEYS + ["energy"]
     two = _cli_report(tmp_path, "wegner-two", config_2v(trials=10, conditioning_rounds=1))
     assert list(two) == [
@@ -396,7 +393,7 @@ def test_report_key_order_is_pinned(tmp_path):
         "low_power",
     ]
     header = (two["kind"], two["schema_version"], two["tool_version"])
-    assert header == ("two_volume", 8, wegner2p.__version__)
+    assert header == ("two_volume", 9, wegner2p.__version__)
     assert list(two["config"]) == CONFIG_KEYS + ["center_prime", "conditioning_rounds"]
     assert list(two["rounds"][0]) == ROUND_KEYS
 
@@ -597,9 +594,10 @@ def test_single_volume_epsilon_monotone_under_shared_seed():
 
 
 def test_single_volume_far_energy_never_hits():
-    # l1 hopping spectrum lies within [-4, 4] in d=1; with g = 0 and no
+    # the free spectrum lies inside (-4, 8) in d=1 (each eigenvalue is a
+    # product of two numbers in (-1, 3), less 1); with g = 0 and no
     # interaction an energy beyond that is never approached
-    cfg = config_1v(energy=6.0, coupling=0.0, hopping_norm="l1", trials=64)
+    cfg = config_1v(energy=9.0, coupling=0.0, trials=64)
     report = run_single_volume(cfg)
     assert report.hits == 0
     assert report.empirical_probability == 0.0
@@ -619,7 +617,8 @@ def test_single_volume_zero_coupling_small_eps_violates():
     # around an actual eigenvalue is hit every time while the stated ceiling
     # stays small: the bound's coupling assumptions matter and the runner
     # must say so rather than paper over it
-    cfg = config_1v(coupling=0.0, hopping_norm="l1", energy=0.0, epsilon=1e-3, trials=120)
+    # (E = 0 is the free eigenvalue (1 + 2cos(pi/2))^2 - 1 of the L=1 box)
+    cfg = config_1v(coupling=0.0, energy=0.0, epsilon=1e-3, trials=120)
     report = run_single_volume(cfg)
     assert report.empirical_probability == 1.0
     assert report.analytic_bound < 1.0
@@ -1036,8 +1035,8 @@ def test_two_volume_tracks_unconditional_frequency():
     report = run_two_volume(cfg)
     box = cfg.hamiltonian.box
     box_p = make_box(cfg.center_prime, box.radius)
-    t_free = HamiltonianTemplate(HamiltonianSpec(box, cfg.hamiltonian.interaction, 1.0, "sup"))
-    t_cond = HamiltonianTemplate(HamiltonianSpec(box_p, cfg.hamiltonian.interaction, 1.0, "sup"))
+    t_free = HamiltonianTemplate(HamiltonianSpec(box, cfg.hamiltonian.interaction, 1.0))
+    t_cond = HamiltonianTemplate(HamiltonianSpec(box_p, cfg.hamiltonian.interaction, 1.0))
     n = 4000
     # one row-major draw: row i holds the values pair i took one call each for
     pairs = np.random.default_rng(4242).uniform(size=(n, t_free.n_sites + t_cond.n_sites))

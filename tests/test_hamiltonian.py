@@ -40,8 +40,8 @@ def random_field(template, seed):
 # ---------------------------------------------------------------------------
 
 
-def hopping_template(box, norm, interaction=None):
-    spec = HamiltonianSpec(box, interaction or InteractionSpec.zero(), 1.0, norm)
+def hopping_template(box, interaction=None):
+    spec = HamiltonianSpec(box, interaction or InteractionSpec.zero(), 1.0)
     return HamiltonianTemplate(spec)
 
 
@@ -62,46 +62,36 @@ def neighbors_of(template, x):
 def test_neighbor_counts_interior():
     box = box1d(0, 0, 2)
     x = PairPoint.of((0,), (0,))
-    assert len(neighbors_of(hopping_template(box, "l1"), x)) == 4
-    assert len(neighbors_of(hopping_template(box, "sup"), x)) == 8
-
-
-def test_neighbor_corner_l1():
-    corner = PairPoint.of((1,), (1,))
-    got = neighbors_of(hopping_template(box1d(0, 0, 1), "l1"), corner)
-    assert got == [PairPoint.of((0,), (1,)), PairPoint.of((1,), (0,))]
+    assert len(neighbors_of(hopping_template(box), x)) == 8
 
 
 def test_neighbors_match_distance_oracle():
-    # brute force over all point pairs of the template's field-free part, both
-    # norms, d=1 and d=2 and a radius-2 box: hopping off the diagonal, the
-    # interaction at the particles' sup distance on it
+    # brute force over all point pairs of the template's field-free part,
+    # d=1 and d=2 and a radius-2 box: hopping between points at pair sup
+    # distance 1 off the diagonal, the interaction at the particles' sup
+    # distance on it
     inter = InteractionSpec({0: 1.5, 1: -0.25, 3: 2.0}, r_max=3)
     boxes = [box1d(0, 1, 1), make_box(PairPoint.of((0, 0), (1, -1)), 1), box1d(0, 3, 2)]
     for box in boxes:
-        for norm in ("l1", "sup"):
-            template = hopping_template(box, norm, inter)
-            pts = box_points(template)
-            assert len(set(pts)) == box.size
-            assert pts == sorted(pts, key=lambda p: p.first + p.second)
-            centre = box.center.first + box.center.second
-            assert all(
-                max(abs(p - q) for p, q in zip(x.first + x.second, centre)) <= box.radius
-                for x in pts
-            )
-            want = np.zeros((len(pts), len(pts)))
-            for i, x in enumerate(pts):
-                cat_x = x.first + x.second
-                for j, y in enumerate(pts):
-                    cat_y = y.first + y.second
-                    diffs = [abs(a - b) for a, b in zip(cat_x, cat_y)]
-                    if norm == "l1" and sum(diffs) == 1:
-                        want[i, j] = 1.0
-                    if norm == "sup" and max(diffs) == 1:
-                        want[i, j] = 1.0
-                r = max(abs(a - b) for a, b in zip(x.first, x.second))
-                want[i, i] = inter.value(r)
-            assert np.array_equal(template.hopping + np.diag(template.interaction), want)
+        template = hopping_template(box, inter)
+        pts = box_points(template)
+        assert len(set(pts)) == box.size
+        assert pts == sorted(pts, key=lambda p: p.first + p.second)
+        centre = box.center.first + box.center.second
+        assert all(
+            max(abs(p - q) for p, q in zip(x.first + x.second, centre)) <= box.radius
+            for x in pts
+        )
+        want = np.zeros((len(pts), len(pts)))
+        for i, x in enumerate(pts):
+            cat_x = x.first + x.second
+            for j, y in enumerate(pts):
+                cat_y = y.first + y.second
+                if max(abs(a - b) for a, b in zip(cat_x, cat_y)) == 1:
+                    want[i, j] = 1.0
+            r = max(abs(a - b) for a, b in zip(x.first, x.second))
+            want[i, i] = inter.value(r)
+        assert np.array_equal(template.hopping + np.diag(template.interaction), want)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +151,7 @@ def test_radius_zero_box_is_one_by_one():
 
 def test_matrix_is_exactly_symmetric():
     box = make_box(PairPoint.of((0, 0), (1, 1)), 1)
-    spec = HamiltonianSpec(box, InteractionSpec({0: 1.0, 1: 0.5}, r_max=2), 1.5, "sup")
+    spec = HamiltonianSpec(box, InteractionSpec({0: 1.0, 1: 0.5}, r_max=2), 1.5)
     template = HamiltonianTemplate(spec)
     H = dense_operator(template, random_field(template, 3))
     assert np.array_equal(H, H.T)
@@ -173,7 +163,7 @@ def test_entries_against_direct_rules():
     # every entry recomputed from the definition, off-diagonal and diagonal
     box = box1d(0, 1, 1)
     inter = InteractionSpec(table={0: 2.0, 1: -0.5}, r_max=1)
-    spec = HamiltonianSpec(box, inter, coupling=0.7, hopping_norm="l1")
+    spec = HamiltonianSpec(box, inter, coupling=0.7)
     template = HamiltonianTemplate(spec)
     values = random_field(template, 9)
     field = dict(zip(template.sites, values))  # site -> value, for the direct rule
@@ -185,7 +175,7 @@ def test_entries_against_direct_rules():
                 r = abs(x.first[0] - x.second[0])
                 want = inter.value(r) + 0.7 * (field[x.first] + field[x.second])
             else:
-                dist = abs(x.first[0] - y.first[0]) + abs(x.second[0] - y.second[0])
+                dist = max(abs(x.first[0] - y.first[0]), abs(x.second[0] - y.second[0]))
                 want = 1.0 if dist == 1 else 0.0
             assert H[i, j] == pytest.approx(want, abs=1e-14)
 
@@ -245,7 +235,7 @@ def test_assemble_requires_full_field():
 
 def test_assemble_batch_equals_stacked_singles():
     box = make_box(PairPoint.of((0, 1), (2, 0)), 1)
-    spec = HamiltonianSpec(box, InteractionSpec({0: 1.0, 1: -0.5}, r_max=1), 0.7, "l1")
+    spec = HamiltonianSpec(box, InteractionSpec({0: 1.0, 1: -0.5}, r_max=1), 0.7)
     template = HamiltonianTemplate(spec)
     gen = np.random.default_rng(5)
     fields = gen.uniform(-1.0, 1.0, size=(2, 3, template.n_sites))
@@ -307,16 +297,15 @@ def test_batched_diagonal_matches_looped():
 @pytest.mark.parametrize(
     "centre, L",
     [((0,), 1), ((3,), 2), ((-1,), 5), ((0, 0), 1), ((2, -1), 2)],
-    ids=["d1-L1", "d1-L2", "d1-L5", "d2-L1", "d2-L2"],
+    ids=["sup-d1-L1", "sup-d1-L2", "sup-d1-L5", "sup-d2-L1", "sup-d2-L2"],
 )
-@pytest.mark.parametrize("norm", ["sup", "l1"])
 @pytest.mark.parametrize("g", [-0.8, 1.3])
-def test_swap_sectors_carry_the_whole_spectrum(centre, L, norm, g):
+def test_swap_sectors_carry_the_whole_spectrum(centre, L, g):
     # a box centred at u1 = u2: symmetric block of (m + (2L+1)^d) / 2 rows,
     # antisymmetric of (m - (2L+1)^d) / 2, together the full spectrum
     inter = InteractionSpec({0: 1.5, 1: -0.4, 2: 0.3}, r_max=2)
     template = HamiltonianTemplate(
-        HamiltonianSpec(make_box(PairPoint.of(centre, centre), L), inter, g, norm)
+        HamiltonianSpec(make_box(PairPoint.of(centre, centre), L), inter, g)
     )
     m, fixed_points = template.dim, (2 * L + 1) ** len(centre)
     sizes = ((m + fixed_points) // 2, (m - fixed_points) // 2)
@@ -371,8 +360,10 @@ def test_spec_validation():
     box = box1d(0, 0, 1)
     with pytest.raises(ValueError):
         HamiltonianSpec(box, InteractionSpec.zero(), float("nan"))
-    with pytest.raises(ValueError):
-        HamiltonianSpec(box, InteractionSpec.zero(), 1.0, hopping_norm="manhattan")
+    # one hopping: a config that still picks one names the unknown key
+    data = {"dimension": 1, "radius": 1, "center": [[0], [0]], "hopping_norm": "sup"}
+    with pytest.raises(ValueError, match=r"^unknown keys in hamiltonian config: \['hopping_norm'"):
+        HamiltonianSpec.from_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +375,11 @@ def test_spec_validation():
     st.integers(-3, 3),
     st.integers(-3, 3),
     st.integers(0, 2),
-    st.sampled_from(["l1", "sup"]),
 )
 @settings(max_examples=40)
-def test_hopping_graph_is_symmetric_and_simple(c1, c2, L, norm):
+def test_hopping_graph_is_symmetric_and_simple(c1, c2, L):
     box = box1d(c1, c2, L)
-    spec = HamiltonianSpec(box, InteractionSpec.zero(), 0.0, norm)
+    spec = HamiltonianSpec(box, InteractionSpec.zero(), 0.0)
     template = HamiltonianTemplate(spec)
     H = template.hopping
     assert np.array_equal(H, H.T)
@@ -401,18 +391,17 @@ def test_hopping_graph_is_symmetric_and_simple(c1, c2, L, norm):
     st.integers(-2, 2),
     st.integers(-2, 2),
     st.integers(0, 1),
-    st.sampled_from(["l1", "sup"]),
     st.integers(0, 10**6),
 )
 @settings(max_examples=25)
-def test_swap_conjugation_preserves_matrix(c1, c2, L, norm, seed):
+def test_swap_conjugation_preserves_matrix(c1, c2, L, seed):
     # exchanging the particles maps the box at (c1, c2) onto the box at
     # (c2, c1) and conjugates the matrix by the induced index permutation
     inter = InteractionSpec({0: 1.0, 1: 0.5}, r_max=2)
     box_a = box1d(c1, c2, L)
     box_b = box1d(c2, c1, L)
-    spec_a = HamiltonianSpec(box_a, inter, 1.1, norm)
-    spec_b = HamiltonianSpec(box_b, inter, 1.1, norm)
+    spec_a = HamiltonianSpec(box_a, inter, 1.1)
+    spec_b = HamiltonianSpec(box_b, inter, 1.1)
     ta, tb = HamiltonianTemplate(spec_a), HamiltonianTemplate(spec_b)
     assert ta.sites == tb.sites
     field = random_field(ta, seed)

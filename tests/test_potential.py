@@ -131,6 +131,37 @@ def test_from_dict_rejects_stray_keys():
         DistributionSpec.from_dict({"lo": 0.0, "hi": 1.0})
 
 
+@pytest.mark.parametrize(
+    "data, missing",
+    [
+        ({"kind": "uniform", "lo": 0.0}, "uniform distribution config lacks required keys: ['hi']"),
+        ({"kind": "uniform"}, "uniform distribution config lacks required keys: ['hi', 'lo']"),
+        ({"kind": "discrete"}, "discrete distribution config lacks required keys: ['atoms']"),
+    ],
+    ids=["no-hi", "no-lo-or-hi", "no-atoms"],
+)
+def test_from_dict_names_missing_law_keys(data, missing):
+    # a ValueError like every other bad config, not a bare KeyError
+    with pytest.raises(ValueError) as err:
+        DistributionSpec.from_dict(data)
+    assert str(err.value) == missing
+
+
+def test_a_law_refuses_the_fields_of_the_other_kind():
+    # one law, one spec: a discrete law with a stray lo would compare unequal
+    # to the same law without it
+    with pytest.raises(ValueError, match="^a discrete law takes no lo or hi$"):
+        DistributionSpec(kind="discrete", atoms=((0.0, 1.0),), lo=5.0)
+    with pytest.raises(ValueError, match="^a discrete law takes no lo or hi$"):
+        DistributionSpec(kind="discrete", atoms=((0.0, 1.0),), hi=0.0)
+    with pytest.raises(ValueError, match="^a uniform law takes no atoms$"):
+        DistributionSpec(kind="uniform", lo=0.0, hi=1.0, atoms=((0.0, 1.0),))
+    coin = DistributionSpec.discrete([(0.0, 1.0)])
+    assert (coin.lo, coin.hi) == (None, None)
+    assert coin == DistributionSpec(kind="discrete", atoms=((0.0, 1.0),))
+    assert DistributionSpec.uniform(0.0, 1.0) == DistributionSpec("uniform", 0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # streams and sampling
 # ---------------------------------------------------------------------------

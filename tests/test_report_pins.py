@@ -37,12 +37,12 @@ CASES = {
     "geometry-classify": (
         "geometry-classify",
         {"dimension": 1, "radius": 1, "center": [[0], [0]], "center_prime": [[9], [20]]},
-        "28f6813a39bebb3de5fa865dfaf3f8d3764aeb34da2c3d89d67c4eb936da3b85",
+        "9dc335ea0b0de555453136fc3059aa142ecfe673c8795cbdc00a3a2495fe67c0",
     ),
     "spectrum": (
         "spectrum",
         {"dimension": 1, "radius": 1, "center": [[0], [2]], "dist": UNIFORM, "master_seed": 5},
-        "1a8f39fbc17dd55a29e0f479df0936298fda189abe379dcb4425fd2077bbb716",
+        "9f26bce7225d638229e0bfa291ddd5110e07f6236763187fbc78d1cb8914f3fd",
     ),
     "stollmann-exact": (
         "stollmann-check",
@@ -51,7 +51,7 @@ CASES = {
             "dist": {"kind": "discrete", "atoms": [[0.0, 0.25], [1.0, 0.5], [2.5, 0.25]]},
             "interval": [0.5, 2.0],
         },
-        "a39ea5df970bb8df3c864e3bce2c3ab57a3db798d0275556906392b4881eca3a",
+        "190559c9a7fe8b0cc853437d670c227797a463020582ca81e5d94fec24368ca3",
     ),
     "stollmann-mc": (
         "stollmann-check",
@@ -62,7 +62,7 @@ CASES = {
             "trials": 2000,
             "master_seed": 3,
         },
-        "a56c2b377ab98a73e1c3de35b6f0b5a51f76f3e32c2ed8e7d9ff2665a7b06818",
+        "cbdd4b2dcf9cb143177064670b1d5fde7e91e20d652664c882096fcb6f45d3b9",
     ),
     "dm-check": (
         "dm-check",
@@ -75,7 +75,7 @@ CASES = {
             "master_seed": 5,
             "coupling": 1.0,
         },
-        "41d3b9a19f899c5e73c37f83546aa42a0770344eb7a255f4ccc230c8b5309356",
+        "b6cb45184609f84bb21f05d41630f1e79a8afe1091d1372a4f03089bb099f045",
     ),
     "wegner-single": (
         "wegner-single",
@@ -89,7 +89,7 @@ CASES = {
             "trials": 1500,
             "master_seed": 11,
         },
-        "beb00d49b786bc46a978a348b97bf7b08ee26b1abc1eb9f785ec717148fb6ae6",
+        "fba6dea23bb64cbec2fd9c328dd7a50b79bb32a025458572c4822d81c7aca61d",
     ),
     "wegner-two": (
         "wegner-two",
@@ -104,7 +104,7 @@ CASES = {
             "conditioning_rounds": 2,
             "master_seed": 12,
         },
-        "d66e22e890b774f62085cfcb37dd9b2ea07113543f00fd25f5e00298b98abc39",
+        "ddf0eac00fea5da5910b4c9524fae2f9fc18f60fa8f70e18066e182bb4d23893",
     ),
 }
 
