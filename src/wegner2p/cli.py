@@ -165,12 +165,10 @@ def _cmd_spectrum(data: dict, args):
     return "spectrum", payload, True
 
 
-# The keys of each `stollmann-check` function form, `form` included.
-_FUNCTION_KEYS = {
-    "sum": {"form", "arity"},
-    "max": {"form", "arity"},
-    "coordinate": {"form", "arity", "index"},
-}
+# Each `stollmann-check` function form and its factory, and the keys every
+# form takes, `form` included.
+_FUNCTION_FORMS = {"sum": coordinate_sum, "max": coordinate_max, "coordinate": single_coordinate}
+_FUNCTION_KEYS = frozenset({"form", "arity"})
 
 
 @_malformed("function")
@@ -178,15 +176,10 @@ def _function_from_config(data: Mapping) -> DMFunctionSpec:
     if "form" not in data:
         raise ValueError("function config needs a 'form'")
     form = data["form"]
-    if form not in _FUNCTION_KEYS:
+    if form not in _FUNCTION_FORMS:
         raise ValueError(f"unknown function form {form!r}")
-    _check_keys(data, _FUNCTION_KEYS[form], f"{form} function", required={"form", "arity"})
-    arity = data["arity"]
-    if form == "sum":
-        return coordinate_sum(arity)
-    if form == "max":
-        return coordinate_max(arity)
-    return single_coordinate(arity, data.get("index", 0))
+    _check_keys(data, _FUNCTION_KEYS, f"{form} function", required=_FUNCTION_KEYS)
+    return _FUNCTION_FORMS[form](data["arity"])
 
 
 def _cmd_stollmann_check(data: dict, args):
@@ -220,10 +213,9 @@ def _cmd_stollmann_check(data: dict, args):
 
 
 def _cmd_dm_check(data: dict, args):
-    spec, site_values = _sampled(data, "dm eigenvalue", {"trials", "tolerance"}, {"trials"})
+    spec, site_values = _sampled(data, "dm eigenvalue", {"trials"}, {"trials"})
     rng = RngStream(data["master_seed"], 1)
-    tolerance = data.get("tolerance", 1e-9)
-    report = verify_dm_eigenvalues(spec, site_values, data["trials"], rng, tolerance)
+    report = verify_dm_eigenvalues(spec, site_values, data["trials"], rng)
     return "dm_check", asdict(report), report.passed
 
 
@@ -263,7 +255,10 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns the process exit code instead of raising."""
+    """Entry point; returns the process exit code.  A usage error, a
+    ValueError (a refused config or input) or an OSError prints an `error:`
+    line and returns 1, a RuntimeError (a broken invariant) returns 2; any
+    other exception, a KeyError included, is a bug and propagates."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -284,9 +279,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if ok else 2
     except (_UsageError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
-    except KeyError as err:
-        print(f"error: missing config key {err}", file=sys.stderr)
         return 1
     except RuntimeError as err:
         print(f"invariant violated: {err}", file=sys.stderr)

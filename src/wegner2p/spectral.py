@@ -4,7 +4,8 @@ Sorted eigenvalues of the assembled operator, viewed as functions of the
 site potential values, must be nondecreasing under single-site increases and
 must shift by exactly 2*g*t when every site moves up by t (both particles feel
 the common field, so the diagonal gains 2*g*t uniformly and the whole
-spectrum translates).
+spectrum translates).  The verifier holds both laws to one relative
+tolerance, `_DM_TOLERANCE`, and reports the worst gaps it saw.
 """
 
 from __future__ import annotations
@@ -12,8 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from .hamiltonian import HamiltonianSpec, HamiltonianTemplate, _stack_rows, one_blas_thread
-from .potential import RngStream, _integer, _real
+from .potential import RngStream, _integer
 from .stollmann import DMReport, dm_report
+
+# Relative threshold of both DM laws; the gaps measured at m <= 625 stay below 1e-12.
+_DM_TOLERANCE = 1e-9
 
 
 @one_blas_thread()
@@ -51,7 +55,6 @@ def verify_dm_eigenvalues(
     values: np.ndarray,
     trials: int,
     rng: RngStream,
-    tolerance: float = 1e-9,
 ) -> DMReport:
     """Check the eigenvalue monotonicity and diagonal-shift laws empirically.
 
@@ -60,22 +63,21 @@ def verify_dm_eigenvalues(
     eigenvalue of the operator with all site values raised by t equals the
     original eigenvalue lambda plus 2*g*t.  It also raises one random site
     by a random amount and checks that no sorted eigenvalue decreases.  Both
-    errors are divided by 1 + |lambda| and compared with `tolerance`.
-    `stollmann.dm_report` reduces the trials, which run in chunks of as many
-    trials as their shifted and bumped fields and spectra fit in the stack
-    budget (`_stack_rows`); `spectra` solves each chunk in its own sector
-    stacks with OpenBLAS on one thread, so the report does not depend on the
-    host's BLAS thread count, and each chunk is reduced before the next is
-    drawn.  Requires a nonnegative tolerance and a nonnegative coupling
+    errors are divided by 1 + |lambda| and compared with `_DM_TOLERANCE`,
+    one fixed 1e-9; the report gives the worst of each, so a caller can hold
+    them to a stricter threshold.  `stollmann.dm_report` reduces the trials,
+    which run in chunks of as many trials as their shifted and bumped fields
+    and spectra fit in the stack budget (`_stack_rows`); `spectra` solves
+    each chunk in its own sector stacks with OpenBLAS on one thread, so the
+    report does not depend on the host's BLAS thread count, and each chunk
+    is reduced before the next is drawn.  Requires a nonnegative coupling
     (raising the field must not lower the diagonal).  A field whose operator
     diagonal overflows, the base one or a trial's, raises ValueError naming
     that field (trials count from 0, as the witnesses do).
     """
-    trials, tolerance = _integer(trials, "trials"), _real(tolerance, "tolerance")
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError("need at least one trial")
-    if tolerance < 0:
-        raise ValueError("tolerance must be nonnegative")
     if spec.coupling < 0:
         raise ValueError("monotonicity holds for nonnegative coupling only")
     template = HamiltonianTemplate(spec)
@@ -113,4 +115,4 @@ def verify_dm_eigenvalues(
                 "monotonicity_gap": float(mono_gap[i]),
             }
 
-    return dm_report(f"eigenvalues_dim{template.dim}_g{g}", tolerance, chunks())
+    return dm_report(f"eigenvalues_dim{template.dim}_g{g}", _DM_TOLERANCE, chunks())

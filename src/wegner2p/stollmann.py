@@ -64,12 +64,12 @@ def coordinate_max(p: int) -> DMFunctionSpec:
     return DMFunctionSpec(arity=p, evaluator=lambda V: np.max(V, axis=-1), name=f"max_p{p}")
 
 
-def single_coordinate(p: int, index: int = 0) -> DMFunctionSpec:
-    """Phi(v) = v_index.  The degenerate DM function that ignores the rest."""
-    p, index = _integer(p, "arity"), _integer(index, "index")
-    if not 0 <= index < p:
-        raise ValueError("coordinate index out of range")
-    return DMFunctionSpec(arity=p, evaluator=lambda V: V[:, index], name=f"coordinate{index}_p{p}")
+def single_coordinate(p: int) -> DMFunctionSpec:
+    """Phi(v) = v_1 (named `coordinate0_p{p}`), the degenerate DM function that
+    ignores the rest.  The coordinates are IID, so any one of them has the
+    same interval probability and the same ceiling p * s(|I|)."""
+    p = _integer(p, "arity")
+    return DMFunctionSpec(arity=p, evaluator=lambda V: V[:, 0], name=f"coordinate0_p{p}")
 
 
 # Points per evaluator call: atom combinations in `stollmann_exact`'s

@@ -15,6 +15,7 @@ import pytest
 import wegner2p.cli as cli
 import wegner2p.experiments as experiments
 import wegner2p.hamiltonian as hamiltonian
+import wegner2p.spectral as spectral
 from wegner2p import (
     DistributionSpec,
     ExperimentConfig,
@@ -601,7 +602,7 @@ def test_dm_check_eigenvalue_target_builds_one_template(tmp_path, capsys, monkey
     assert len(built) == 1
 
 
-def test_cli_field_draws_are_pinned(tmp_path, capsys):
+def test_cli_field_draws_are_pinned(tmp_path, capsys, monkeypatch):
     # The CLI's field is substream (seed, 0) drawn over the sorted sites; the
     # expected values are derived here with numpy alone, not with the library.
     def draws(seed, stream, n):
@@ -629,9 +630,10 @@ def test_cli_field_draws_are_pinned(tmp_path, capsys):
     assert code == 0
     assert strict_loads(out)["eigenvalues"] == [base]
 
-    # dm-check on the same box replays by hand; tolerance 0 makes every
+    # dm-check on the same box replays by hand; a threshold of 0 makes every
     # trial whose shift is not exact in floating point a witness.
-    dm = {**point, "trials": 4, "tolerance": 0.0}
+    monkeypatch.setattr(spectral, "_DM_TOLERANCE", 0.0)
+    dm = {**point, "trials": 4}
     code, out, _ = run_cli(capsys, "dm-check", "--config", write_config(tmp_path, "d.json", dm))
     assert code == 2
     payload = strict_loads(out)
@@ -891,7 +893,6 @@ UNIFORM = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
             "interaction energy",
         ),
         ("stollmann-check", STOLLMANN_EXACT_CFG, lambda x: {"interval": [x, 1.5]}, "interval"),
-        ("dm-check", DM_EIG_CFG, lambda x: {"tolerance": x}, "tolerance"),
     ],
     ids=[
         "energy",
@@ -903,7 +904,6 @@ UNIFORM = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
         "atom-weight",
         "interaction-energy",
         "interval",
-        "dm-eigenvalue-tolerance",
     ],
 )
 def test_real_config_values_must_be_numbers(tmp_path, capsys, command, base, bad, name, literal):
@@ -968,6 +968,38 @@ def test_hopping_norm_is_an_unknown_key(tmp_path, capsys, command, base, what):
     assert (code, out, err) == (1, "", f"error: unknown keys in {what} config: ['hopping_norm']\n")
 
 
+def test_a_dm_tolerance_is_an_unknown_key(tmp_path, capsys):
+    # dm-check holds its gaps to one fixed threshold and reports the worst
+    # ones, so a config that still sets one is refused, whatever its value
+    for tolerance in (1e-9, 0.0):
+        cfg = write_config(tmp_path, "d.json", {**DM_EIG_CFG, "tolerance": tolerance})
+        code, out, err = run_cli(capsys, "dm-check", "--config", cfg)
+        assert (code, out) == (1, "")
+        assert err == "error: unknown keys in dm eigenvalue config: ['tolerance']\n"
+
+
+@pytest.mark.parametrize("form", ["sum", "max", "coordinate"])
+def test_every_function_form_takes_arity_alone(tmp_path, capsys, form):
+    # the coordinates are IID, so no form picks one: `index` is unknown to all
+    function = {"form": form, "arity": 3, "index": 0}
+    cfg = write_config(tmp_path, "f.json", {**STOLLMANN_EXACT_CFG, "function": function})
+    code, out, err = run_cli(capsys, "stollmann-check", "--config", cfg)
+    assert (code, out) == (1, "")
+    assert err == f"error: unknown keys in {form} function config: ['index']\n"
+
+
+def test_a_key_error_in_a_handler_propagates(tmp_path, capsys, monkeypatch):
+    # every config lookup sits behind a required-keys check, so a KeyError
+    # is a bug in the program and surfaces as one, not as a config error
+    def broken(data, args):
+        return {}["kind"]
+
+    monkeypatch.setattr(cli, "_cmd_spectrum", broken)
+    with pytest.raises(KeyError, match="kind"):
+        cli.main(["spectrum", "--config", write_config(tmp_path, "h.json", HAM_CFG)])
+    assert capsys.readouterr() == ("", "")
+
+
 @pytest.mark.parametrize(
     "function",
     [{"form": "linear", "coeffs": [0.5, 0.75]}, {"form": "order", "arity": 3, "k": 2}],
@@ -994,7 +1026,7 @@ def test_a_linear_or_order_form_is_an_unknown_form(tmp_path, capsys, function):
          "sum function config lacks required keys: ['arity']"),
         ("stollmann-check", STOLLMANN_EXACT_CFG, {"dist": {"kind": "discrete"}},
          "discrete distribution config lacks required keys: ['atoms']"),
-        ("stollmann-check", STOLLMANN_EXACT_CFG, {"function": {"form": "coordinate", "index": 0}},
+        ("stollmann-check", STOLLMANN_EXACT_CFG, {"function": {"form": "coordinate"}},
          "coordinate function config lacks required keys: ['arity']"),
     ],
     ids=[
@@ -1017,7 +1049,7 @@ def test_incomplete_config_exits_1_naming_what_is_missing(
         ("wegner-single", SINGLE_CFG, "trials", "1e400"),
         ("wegner-single", SINGLE_CFG, "epsilon", "-Infinity"),
         ("spectrum", HAM_CFG, "radius", "1e400"),
-        ("dm-check", DM_EIG_CFG, "tolerance", "NaN"),
+        ("dm-check", DM_EIG_CFG, "coupling", "NaN"),
         ("wegner-single", SINGLE_CFG, "epsilon", "1" + "0" * 400),
     ],
     ids=[

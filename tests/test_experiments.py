@@ -434,7 +434,7 @@ def test_single_volume_runs_and_reports():
     report = run_single_volume(cfg)
     dists = single_volume_distances(cfg)
     assert report.trials == dists.size == 200
-    assert report.hits == int(np.count_nonzero(dists <= cfg.epsilon))
+    assert report.hits == int(np.count_nonzero(dists < cfg.epsilon))
     assert report.empirical_probability == report.hits / 200
     assert report.verdict == "holds"
     assert not report.low_power
@@ -783,7 +783,7 @@ def test_two_volume_round_dist_digest_is_that_rounds_distances():
                 free_positions=free_positions,
             )
             assert rec.dist_digest == hashlib.sha256(dists.tobytes()).hexdigest()
-            assert rec.hits == int(np.count_nonzero(dists <= cfg.epsilon))
+            assert rec.hits == int(np.count_nonzero(dists < cfg.epsilon))
             assert (rec.dist_min, rec.dist_mean, rec.dist_max) == (
                 dists.min(),
                 dists.mean(),
@@ -1043,7 +1043,7 @@ def test_two_volume_tracks_unconditional_frequency():
     ea = spectra(t_free, pairs[:, : t_free.n_sites])
     eb = spectra(t_cond, pairs[:, t_free.n_sites :])
     gaps = np.abs(ea[:, :, None] - eb[:, None, :]).min(axis=(1, 2))
-    hits = int(np.count_nonzero(gaps <= cfg.epsilon))
+    hits = int(np.count_nonzero(gaps < cfg.epsilon))
     uncond = hits / n
     sd = math.sqrt(max(uncond * (1 - uncond), 1e-9) / n)
     for rec in report.rounds:

@@ -149,9 +149,6 @@ CASES = [
     ("verify_dm_eigenvalues-trials", "trials", "integer",
      lambda v: verify_dm_eigenvalues(SPEC, FIELD, v, rng()),
      lambda v: dm_eigenvalues(trials=v)),
-    ("verify_dm_eigenvalues-tolerance", "tolerance", "real",
-     lambda v: verify_dm_eigenvalues(SPEC, FIELD, 5, rng(), tolerance=v),
-     lambda v: dm_eigenvalues(tolerance=v)),
     ("DMFunctionSpec-arity", "arity", "integer",
      lambda v: DMFunctionSpec(v, lambda V: V[:, 0]),
      None),
@@ -164,9 +161,6 @@ CASES = [
     ("single_coordinate-p", "arity", "integer",
      single_coordinate,
      lambda v: stollmann({"form": "coordinate", "arity": v})),
-    ("single_coordinate-index", "index", "integer",
-     lambda v: single_coordinate(3, v),
-     lambda v: stollmann({"form": "coordinate", "arity": 3, "index": v})),
     ("trial_values-round_index", "round_index", "integer",
      lambda v: trial_values(U, 1, v, 1, 1, 3),
      None),
@@ -232,34 +226,20 @@ class _NoDraws:
 
 
 @pytest.mark.parametrize(
-    "call, config",
+    "call",
     [
         pytest.param(
             lambda v, r: check_dm_function(SUM2, (0.0, 1.0), 10, r, tolerance=v),
-            None,
             id="check_dm_function",
-        ),
-        pytest.param(
-            lambda v, r: verify_dm_eigenvalues(SPEC, FIELD, 5, r, tolerance=v),
-            dm_eigenvalues,
-            id="verify_dm_eigenvalues",
         ),
     ],
 )
-def test_negative_tolerance_is_refused_before_any_draw(call, config, tmp_path, capsys):
+def test_negative_tolerance_is_refused_before_any_draw(call):
+    # the tests' DM sampler takes a tolerance; the eigenvalue check has a fixed one
     with pytest.raises(ValueError) as err:
         call(-1, _NoDraws())
     assert str(err.value) == "tolerance must be nonnegative"
     assert call(0, rng()).tolerance == 0.0
-    if config is None:  # the tests' DM sampler has no config
-        return
-    path = tmp_path / "config.json"
-    refused = "error: tolerance must be nonnegative\n"
-    for tolerance, codes, stderr in ((-1, {1}, refused), (0, {0, 2}, "")):
-        command, data = config(tolerance=tolerance)
-        path.write_text(json.dumps(data))
-        assert cli.main([command, "--config", str(path)]) in codes
-        assert capsys.readouterr().err == stderr
 
 
 @pytest.mark.parametrize(
@@ -296,8 +276,8 @@ def test_numpy_and_integral_values_are_stored_as_python_numbers():
     assert IntervalSpec(np.int64(0), 1).lower == 0.0
     assert DMFunctionSpec(np.int64(2), lambda V: V[:, 0]).arity == 2
     assert coordinate_max(np.int64(3)).name == "max_p3"
-    assert single_coordinate(2, 1.0)(np.array([0.25, 0.75])) == 0.75
-    assert single_coordinate(3.0, np.int8(2)).name == "coordinate2_p3"
+    assert single_coordinate(2.0)(np.array([0.25, 0.75])) == 0.25
+    assert single_coordinate(np.int8(3)).name == "coordinate0_p3"
     assert stollmann_mc(SUM2, U, IntervalSpec(0.5, 1.0), 2000.0, rng()).bound == 1.0
     np.testing.assert_array_equal(
         trial_values(U, np.uint8(1), 0.0, 1.0, np.int64(2), 3.0), trial_values(U, 1, 0, 1, 2, 3)

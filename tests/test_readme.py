@@ -71,4 +71,4 @@ def test_readme_tables_list_exactly_the_laws_and_forms_the_parsers_accept():
     laws = _table_keys("Disorder laws, the `dist` key of a config:")
     assert laws == {kind: keys - {"kind"} for kind, keys in potential._KIND_KEYS.items()}
     forms = _table_keys("Function forms, the `function` key of a `stollmann-check` config:")
-    assert forms == {form: keys - {"form"} for form, keys in cli._FUNCTION_KEYS.items()}
+    assert forms == {form: cli._FUNCTION_KEYS - {"form"} for form in cli._FUNCTION_FORMS}

@@ -277,7 +277,8 @@ def test_verifier_chunks_match_per_trial_reference(monkeypatch, tolerance):
     # 2-trial solve each in one; the report equals the default-budget one
     # and the per-trial loop's
     spec, field = small_setup(1.0)
-    wide = verify_dm_eigenvalues(spec, field, 20, RngStream(4, 1), tolerance)
+    monkeypatch.setattr(spectral, "_DM_TOLERANCE", tolerance)
+    wide = verify_dm_eigenvalues(spec, field, 20, RngStream(4, 1))
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -287,7 +288,7 @@ def test_verifier_chunks_match_per_trial_reference(monkeypatch, tolerance):
 
     monkeypatch.setattr(hamiltonian, "_CHUNK_BYTES", 3 * 16 * (3 + 9))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    narrow = verify_dm_eigenvalues(spec, field, 20, RngStream(4, 1), tolerance)
+    narrow = verify_dm_eigenvalues(spec, field, 20, RngStream(4, 1))
     monkeypatch.undo()
     assert calls[:2] == [(1,), (1,)] and len(calls) == 2 + 2 * (6 * 3 + 2)
     assert max(np.prod(shape) for shape in calls[2:]) == 3

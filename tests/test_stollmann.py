@@ -52,7 +52,7 @@ def weighted_sum(coeffs):
         coordinate_sum(1),
         coordinate_sum(3),
         coordinate_max(2),
-        single_coordinate(3, index=1),
+        single_coordinate(3),
     ],
 )
 def test_true_dm_functions_pass(f):
@@ -102,7 +102,7 @@ def test_nan_values_fail_the_dm_check():
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
-        single_coordinate(2, index=2)
+        single_coordinate(0)
     with pytest.raises(ValueError):
         DMFunctionSpec(arity=0, evaluator=lambda V: np.zeros(len(V)))
 
@@ -135,7 +135,7 @@ LIBRARY_FAMILIES = [
     coordinate_sum(3),
     coordinate_sum(12),
     coordinate_max(5),
-    single_coordinate(4, index=2),
+    single_coordinate(4),
 ]
 
 
@@ -366,7 +366,7 @@ CRITERION_4_LAWS = (
 def test_exact_probability_matches_odometer_bitwise(p):
     rng = np.random.default_rng(400 + p)
     for law in CRITERION_4_LAWS:
-        for f in (coordinate_sum(p), coordinate_max(p), single_coordinate(p, p - 1)):
+        for f in (coordinate_sum(p), coordinate_max(p), single_coordinate(p)):
             for _ in range(4):
                 lower = float(rng.uniform(-1.0, 3.5))
                 iv = IntervalSpec(lower, lower + float(rng.uniform(1e-6, 4.0)))
