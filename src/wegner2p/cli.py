@@ -285,9 +285,5 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
-def run() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
     sys.exit(main())

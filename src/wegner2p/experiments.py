@@ -345,6 +345,7 @@ class TwoVolumeReport:
     low_power: bool
 
 
+@one_blas_thread()
 def _collect_distances(
     template: HamiltonianTemplate,
     dist: DistributionSpec,
@@ -477,7 +478,6 @@ def _round(
     }
 
 
-@one_blas_thread()
 def run_single_volume(config: ExperimentConfig) -> WegnerReport:
     """Monte Carlo check of the single-volume concentration bound.
 
@@ -534,7 +534,6 @@ def choose_bound(classes: frozenset[SeparationClass]) -> TwoVolumeBound:
     return TwoVolumeBound.CONDITION_ON_FIRST
 
 
-@one_blas_thread()
 def run_two_volume(config: ExperimentConfig) -> TwoVolumeReport:
     """Monte Carlo check of the conditional two-volume concentration bound.
 

@@ -141,13 +141,6 @@ class InteractionSpec:
     def zero(cls, r_max: int = 0) -> "InteractionSpec":
         return cls(table={}, r_max=r_max)
 
-    def value(self, r: int) -> float:
-        if r < 0:
-            raise ValueError("distance must be nonnegative")
-        if r > self.r_max:
-            return 0.0
-        return self.table.get(r, 0.0)
-
     def to_dict(self) -> dict:
         return {
             "entries": [[r, v] for r, v in sorted(self.table.items())],
@@ -268,8 +261,8 @@ class HamiltonianTemplate:
         first, second = coords[:, :d], coords[:, d:]
         r = np.abs(first - second).max(axis=1)
         self.interaction = np.zeros(self.dim)
-        for dist in spec.interaction.table:
-            self.interaction[r == dist] = spec.interaction.value(dist)
+        for dist, energy in spec.interaction.table.items():
+            self.interaction[r == dist] = energy
         self.hopping = hop
         points = np.arange(self.dim)
         if box.center.first == box.center.second:

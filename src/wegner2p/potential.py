@@ -198,9 +198,10 @@ class RngStream:
 def draw_values(dist: DistributionSpec, gen: np.random.Generator, n: int) -> np.ndarray:
     """Draw n IID values from the law using the given generator.
 
-    This is the one sampling primitive in the package; everything that
-    consumes randomness (field sampling, Monte Carlo trials) goes through it,
-    so a stream index plus a draw count pins down the exact bytes drawn.
+    Field sampling, the experiments' trials and `stollmann_mc` draw through
+    it, so a stream index plus a draw count pins down the exact bytes drawn.
+    `spectral.verify_dm_eigenvalues` does not: it draws each trial's shift,
+    site and bump from its generator directly.
     """
     if n < 0:
         raise ValueError("draw count must be nonnegative")

@@ -49,7 +49,6 @@ def min_gaps_to_sorted(rows: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return gaps.min(axis=-1)
 
 
-@one_blas_thread()
 def verify_dm_eigenvalues(
     spec: HamiltonianSpec,
     values: np.ndarray,

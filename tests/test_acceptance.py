@@ -361,19 +361,27 @@ def test_criterion_9_ceiling_nearly_binds():
 
 
 def test_criterion_10_d2_single_volume_cell():
-    """Two d=2 boxes hold their ceilings, and a ceiling that drops d would not.
+    """Three d=2 cells hold their ceilings, and a ceiling that drops d would not.
 
     d=2, L=1 (m=81), U(0,1), g=20, E=19, eps=0.02 under eps_over_g.  At the
     diagonal centre (0,0),(0,0) the 9 projection sites give the ceiling
     81 * 9 * 1e-3 = 0.729, about 5.7 times the hit rate; the off-diagonal
-    centre (0,0),(0,1) has 12 sites and one sector, the ceiling 0.972.  A
-    ceiling with |box| = (2L+1)^2 in place of (2L+1)^(2d), 1/9 of it here
-    (0.081 and 0.108), lies below the z=3 Wald lower bound of these trials
-    and reads "violated".
+    centre (0,0),(0,1) has 12 sites and one sector, the ceiling 0.972.  The
+    third cell is the diagonal one with the interaction U(0), U(1), U(2) =
+    1, 0.5, 0.25, which leaves the ceiling at 0.729.  A ceiling with |box| =
+    (2L+1)^2 in place of (2L+1)^(2d), 1/9 of it here (0.081, 0.108 and
+    0.081), lies below the z=3 Wald lower bound of these trials and reads
+    "violated".
     """
     details, ok = [], True
-    for center in ([[0, 0], [0, 0]], [[0, 0], [0, 1]]):
-        data = {
+    diagonal = [[0, 0], [0, 0]]
+    interaction = {"entries": [[0, 1.0], [1, 0.5], [2, 0.25]]}
+    for center, extra in (
+        (diagonal, {}),
+        ([[0, 0], [0, 1]], {}),
+        (diagonal, {"interaction": interaction}),
+    ):
+        data = extra | {
             "dimension": 2,
             "radius": 1,
             "center": center,
@@ -391,8 +399,8 @@ def test_criterion_10_d2_single_volume_cell():
         wald_low = p_hat - 3.0 * report.std_error
         ok = ok and report.verdict == "holds" and wald_low > ceiling / 9
         details.append(
-            f"centre {center}: {report.hits} hits in 20000 trials, p = {p_hat:.4f} (Wald "
-            f"lower bound {wald_low:.4f}) against the ceiling {ceiling:.3f}, verdict "
-            f"{report.verdict}"
+            f"centre {center}{' with U' if extra else ''}: {report.hits} hits in 20000 "
+            f"trials, p = {p_hat:.4f} (Wald lower bound {wald_low:.4f}) against the "
+            f"ceiling {ceiling:.3f}, verdict {report.verdict}"
         )
     outcome(10, ok, "d=2, L=1, g=20; " + "; ".join(details))

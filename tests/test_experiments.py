@@ -462,6 +462,17 @@ def test_single_volume_trial_replay_by_hand():
     assert dists[2] == pytest.approx(want, abs=1e-14)
 
 
+def test_a_distance_equal_to_epsilon_is_no_hit(tmp_path):
+    # L=0 and g=1: the one eigenvalue is 2v, so a draw of 0.25 lands exactly
+    # eps = 0.5 from E = 0 and only the draws of 0.0 hit the open window
+    law = DistributionSpec.discrete([(0.0, 0.5), (0.25, 0.5)])
+    cfg = config_1v(radius=0, dist=law.to_dict(), epsilon=0.5, trials=4096, master_seed=5)
+    report = _cli_report(tmp_path, "wegner-single", cfg)
+    draws = trial_values(law, 5, 0, 1, 4096, 1)
+    assert report["hits"] == np.count_nonzero(draws == 0.0) == 2072
+    assert report["dist_max"] == 0.5
+
+
 def _readme_python_block(marker: str) -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (block,) = [b for b in re.findall(r"```python\n(.*?)```", readme, re.S) if marker in b]
@@ -528,8 +539,9 @@ def blas():
 def test_one_blas_thread_restores_the_callers_count(blas, monkeypatch, tmp_path):
     # Each run's eigensolves see one thread, in the calling process and in
     # its forked helper alike, and the caller gets its count back after a
-    # normal run, a run that raises inside a batch, and a nested pin.  On
-    # any other BLAS only the runs' results are checked.
+    # normal run, a run that raises inside a batch, a nested pin and a
+    # two-volume run, whose frozen spectra are solved outside the helpers.
+    # On any other BLAS only the runs' results are checked.
     get, pinned = blas
     caller = get()
     seen = tmp_path / "seen"
@@ -554,7 +566,14 @@ def test_one_blas_thread_restores_the_callers_count(blas, monkeypatch, tmp_path)
         assert get() == pinned
     assert get() == caller
     assert nested == report
-    assert {count for _, count in first + _records(seen)} == {str(pinned)}
+    single = first + _records(seen)
+    run_two_volume(config_2v(trials=2100, conditioning_rounds=1, threads=2))
+    two = _records(seen)
+    pids = {pid for pid, _ in two}
+    assert str(os.getpid()) in pids and len(pids) == 2
+    _assert_reaped(pids - {str(os.getpid())})
+    assert get() == caller
+    assert {count for _, count in single + two} == {str(pinned)}
 
 
 def test_one_blas_thread_holds_under_concurrent_bodies(blas):

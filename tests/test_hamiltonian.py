@@ -90,7 +90,7 @@ def test_neighbors_match_distance_oracle():
                 if max(abs(a - b) for a, b in zip(cat_x, cat_y)) == 1:
                     want[i, j] = 1.0
             r = max(abs(a - b) for a, b in zip(x.first, x.second))
-            want[i, i] = inter.value(r)
+            want[i, i] = inter.table.get(r, 0.0)
         assert np.array_equal(template.hopping + np.diag(template.interaction), want)
 
 
@@ -107,17 +107,17 @@ def test_interaction_cutoff_enforced():
     with pytest.raises(ValueError):
         InteractionSpec(table={0: float("inf")}, r_max=1)
     spec = InteractionSpec(table={0: 1.0, 1: 0.5, 2: 0.0}, r_max=1)
-    assert spec.value(0) == 1.0
-    assert spec.value(1) == 0.5
-    assert spec.value(2) == 0.0
-    assert spec.value(100) == 0.0
+    assert spec.table.get(0, 0.0) == 1.0
+    assert spec.table.get(1, 0.0) == 0.5
+    assert spec.table.get(2, 0.0) == 0.0
+    assert spec.table.get(100, 0.0) == 0.0
 
 
 def test_interaction_refuses_negative_cutoffs_and_distances():
     with pytest.raises(ValueError, match="^interaction cutoff must be nonnegative$"):
         InteractionSpec({}, r_max=-1)
-    with pytest.raises(ValueError, match="^distance must be nonnegative$"):
-        InteractionSpec({}).value(-1)
+    with pytest.raises(ValueError, match="^interaction distances must be nonnegative$"):
+        InteractionSpec({-1: 0.0}, r_max=1)
 
 
 def test_interaction_dict_round_trip():
@@ -173,7 +173,7 @@ def test_entries_against_direct_rules():
         for j, y in enumerate(pts):
             if i == j:
                 r = abs(x.first[0] - x.second[0])
-                want = inter.value(r) + 0.7 * (field[x.first] + field[x.second])
+                want = inter.table.get(r, 0.0) + 0.7 * (field[x.first] + field[x.second])
             else:
                 dist = max(abs(x.first[0] - y.first[0]), abs(x.second[0] - y.second[0]))
                 want = 1.0 if dist == 1 else 0.0
